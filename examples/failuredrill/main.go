@@ -36,15 +36,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for i := range recs {
-		rec := recs[i]
-		if _, err := eng.Schedule(rec.At, func(sim.Time) {
-			if err := ctrl.Submit(rec); err != nil {
-				log.Fatalf("submit at %v: %v", rec.At, err)
-			}
-		}); err != nil {
-			log.Fatal(err)
+	if err := array.ScheduleArrivals(eng, recs, func(rec trace.Record) {
+		if err := ctrl.Submit(rec); err != nil {
+			log.Fatalf("submit at %v: %v", rec.At, err)
 		}
+	}); err != nil {
+		log.Fatal(err)
 	}
 
 	fmt.Println("== t=30s: the on-duty logger dies ==")

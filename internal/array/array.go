@@ -161,15 +161,15 @@ func StateDurations(disks []*disk.Disk) map[disk.PowerState]sim.Time {
 
 // Join invokes a callback once a fixed number of sub-I/O completions have
 // arrived. Create it with the expected count, then use Done as (or from)
-// each sub-I/O's OnDone.
+// each sub-I/O's OnDone. Per-request completions use the pooled Request
+// instead; Join serves the once-per-destage joins.
 type Join struct {
 	remaining int
 	fn        func(now sim.Time)
 }
 
-// NewJoin returns a Join expecting n completions. If n is zero the callback
-// fires immediately-on-first-use semantics are NOT applied; callers must
-// not create zero-count joins.
+// NewJoin returns a Join expecting n completions; n must be > 0, since a
+// zero-count join never fires.
 func NewJoin(n int, fn func(now sim.Time)) *Join {
 	return &Join{remaining: n, fn: fn}
 }

@@ -31,6 +31,21 @@ type ReplayResult struct {
 	DrainedAt sim.Time
 }
 
+// ScheduleArrivals installs recs as the engine's arrival series: submit
+// runs with each record at its arrival time, in trace order. The records
+// must be time-ordered and not in the engine's past. The arrivals take
+// sequence numbers as if each were scheduled individually now, but only
+// one of them sits beside the event heap at a time (sim.ScheduleSeries).
+func ScheduleArrivals(eng *sim.Engine, recs []trace.Record, submit func(rec trace.Record)) error {
+	err := eng.ScheduleSeries(len(recs),
+		func(i int) sim.Time { return recs[i].At },
+		func(i int, _ sim.Time) { submit(recs[i]) })
+	if err != nil {
+		return fmt.Errorf("array: trace arrivals: %w", err)
+	}
+	return nil
+}
+
 // Replay schedules every record into the controller at its arrival time,
 // runs the engine until all work drains, and snapshots energy at the trace
 // horizon. The records must be time-ordered.
@@ -39,15 +54,8 @@ func Replay(eng *sim.Engine, a *Array, ctrl Controller, recs []trace.Record) (Re
 	if len(recs) == 0 {
 		return res, fmt.Errorf("array: empty trace")
 	}
-	// One arrival handler serves every record: arrival events fire in
-	// scheduling order (time-ordered records, FIFO among equal times), so a
-	// cursor visits the records exactly as per-record closures would, for N
-	// fewer closure allocations on the replay setup path.
 	var submitErr error
-	next := 0
-	arrival := func(sim.Time) {
-		rec := recs[next]
-		next++
+	if err := ScheduleArrivals(eng, recs, func(rec trace.Record) {
 		if submitErr != nil {
 			return
 		}
@@ -55,15 +63,8 @@ func Replay(eng *sim.Engine, a *Array, ctrl Controller, recs []trace.Record) (Re
 			submitErr = fmt.Errorf("array: submit record at %v: %w", rec.At, err)
 			eng.Stop()
 		}
-	}
-	for i := range recs {
-		if i > 0 && recs[i].At < recs[i-1].At {
-			return res, fmt.Errorf("array: trace not time-ordered at record %d (%v after %v)",
-				i, recs[i].At, recs[i-1].At)
-		}
-		if _, err := eng.Schedule(recs[i].At, arrival); err != nil {
-			return res, err
-		}
+	}); err != nil {
+		return res, err
 	}
 	res.Horizon = recs[len(recs)-1].At
 	if _, err := eng.Schedule(res.Horizon, func(sim.Time) {

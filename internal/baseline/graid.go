@@ -55,9 +55,10 @@ type GRAID struct {
 	dirty     []intervals.Set // per pair, mirror-stale spans (data-region offsets)
 	destaging bool
 
-	resp  metrics.ResponseStats
+	reqs  array.Requests
 	phase metrics.PhaseLog
 	tel   *telemetry.Recorder
+	exts  []raid.Extent // Submit's extent scratch, reused per request
 
 	destages     int
 	logOverflows int
@@ -110,10 +111,13 @@ func NewGRAID(arr *array.Array, cfg GRAIDConfig) (*GRAID, error) {
 }
 
 // Responses returns the response-time statistics.
-func (g *GRAID) Responses() *metrics.ResponseStats { return &g.resp }
+func (g *GRAID) Responses() *metrics.ResponseStats { return &g.reqs.Resp }
 
 // SetTelemetry implements telemetry.Instrumented.
-func (g *GRAID) SetTelemetry(rec *telemetry.Recorder) { g.tel = rec }
+func (g *GRAID) SetTelemetry(rec *telemetry.Recorder) {
+	g.tel = rec
+	g.reqs.SetTelemetry(rec)
+}
 
 // TelemetryGauges implements telemetry.GaugeSource: occupancy of the
 // dedicated log disk and the mirror-stale bytes awaiting destage.
@@ -136,36 +140,28 @@ func (g *GRAID) LogOverflows() int { return g.logOverflows }
 
 // Submit implements array.Controller.
 func (g *GRAID) Submit(rec trace.Record) error {
-	exts, err := g.arr.Geom.Map(rec.Offset, rec.Size)
+	exts, err := g.arr.Geom.AppendExtents(g.exts[:0], rec.Offset, rec.Size)
 	if err != nil {
 		return fmt.Errorf("graid: %w", err)
 	}
-	arrive := rec.At
-	isWrite := rec.Op == trace.Write
+	g.exts = exts
 	if g.tel != nil {
-		g.tel.RequestStart(arrive, isWrite, rec.Size)
-	}
-	record := func(now sim.Time) {
-		rt := now - arrive
-		g.resp.AddClass(rt, isWrite)
-		if g.tel != nil {
-			g.tel.RequestDone(now, isWrite, rt)
-		}
+		g.tel.RequestStart(rec.At, rec.Op == trace.Write, rec.Size)
 	}
 	switch rec.Op {
 	case trace.Read:
 		// Mirrors are asleep; reads are always served by the primaries.
-		join := array.NewJoin(len(exts), record)
+		req := g.reqs.Start(rec, len(exts))
 		for _, e := range exts {
 			io := g.arr.DataIO(e.Offset, e.Length, false, false)
-			io.OnDone = join.Done
+			io.OnDone = req.Done
 			if err := g.arr.Primaries[e.Pair].Submit(io); err != nil {
 				return fmt.Errorf("graid: read: %w", err)
 			}
 		}
 		return nil
 	case trace.Write:
-		return g.submitWrite(rec, exts, record)
+		return g.submitWrite(rec, exts)
 	default:
 		return fmt.Errorf("graid: unknown op %v", rec.Op)
 	}
@@ -212,14 +208,14 @@ func (g *GRAID) ReplaceLogDisk() error {
 // LogFailed reports whether the dedicated logger is down.
 func (g *GRAID) LogFailed() bool { return g.logFailed }
 
-func (g *GRAID) submitWrite(rec trace.Record, exts []raid.Extent, record func(sim.Time)) error {
+func (g *GRAID) submitWrite(rec trace.Record, exts []raid.Extent) error {
 	if g.logFailed {
 		// No logger: write both copies in place (the mirrors wake — the
 		// cost of a centralized architecture's single point of failure).
 		g.logOverflows++
-		join := array.NewJoin(2*len(exts), record)
+		req := g.reqs.Start(rec, 2*len(exts))
 		for _, e := range exts {
-			if err := g.writePair(e, join); err != nil {
+			if err := g.writePair(e, req); err != nil {
 				return err
 			}
 			g.cleanDirty(e.Pair, e.Offset, e.Offset+e.Length)
@@ -232,19 +228,19 @@ func (g *GRAID) submitWrite(rec trace.Record, exts []raid.Extent, record func(si
 		// in-progress destage): fall back to direct mirrored writes.
 		// The mirrors are already up in that situation.
 		g.logOverflows++
-		join := array.NewJoin(2*len(exts), record)
+		req := g.reqs.Start(rec, 2*len(exts))
 		for _, e := range exts {
-			if err := g.writePair(e, join); err != nil {
+			if err := g.writePair(e, req); err != nil {
 				return err
 			}
 		}
 		g.maybeDestage()
 		return nil
 	}
-	join := array.NewJoin(len(exts)+1, record)
+	req := g.reqs.Start(rec, len(exts)+1)
 	for _, e := range exts {
 		io := g.arr.DataIO(e.Offset, e.Length, true, false)
-		io.OnDone = join.Done
+		io.OnDone = req.Done
 		if err := g.arr.Primaries[e.Pair].Submit(io); err != nil {
 			return fmt.Errorf("graid: primary write: %w", err)
 		}
@@ -254,7 +250,7 @@ func (g *GRAID) submitWrite(rec trace.Record, exts []raid.Extent, record func(si
 	// addressed sequentially from LBA 0.
 	lba, sectors := array.SectorRange(alloc.Offset, alloc.Length)
 	logIO := g.arr.PooledIO(lba, sectors, true, false)
-	logIO.OnDone = join.Done
+	logIO.OnDone = req.Done
 	if err := g.logDisk.Submit(logIO); err != nil {
 		return fmt.Errorf("graid: log write: %w", err)
 	}
@@ -262,10 +258,10 @@ func (g *GRAID) submitWrite(rec trace.Record, exts []raid.Extent, record func(si
 	return nil
 }
 
-func (g *GRAID) writePair(e raid.Extent, join *array.Join) error {
+func (g *GRAID) writePair(e raid.Extent, req *array.Request) error {
 	for _, mirror := range [...]bool{false, true} {
 		io := g.arr.DataIO(e.Offset, e.Length, true, false)
-		io.OnDone = join.Done
+		io.OnDone = req.Done
 		target := g.arr.Primaries[e.Pair]
 		if mirror {
 			target = g.arr.Mirrors[e.Pair]

@@ -9,6 +9,7 @@ import (
 
 	"github.com/rolo-storage/rolo/internal/array"
 	"github.com/rolo-storage/rolo/internal/metrics"
+	"github.com/rolo-storage/rolo/internal/raid"
 	"github.com/rolo-storage/rolo/internal/sim"
 	"github.com/rolo-storage/rolo/internal/telemetry"
 	"github.com/rolo-storage/rolo/internal/trace"
@@ -18,8 +19,9 @@ import (
 // of each pair. No disk ever spins down.
 type RAID10 struct {
 	arr  *array.Array
-	resp metrics.ResponseStats
+	reqs array.Requests
 	tel  *telemetry.Recorder
+	exts []raid.Extent // Submit's extent scratch, reused per request
 }
 
 var (
@@ -38,36 +40,31 @@ func NewRAID10(arr *array.Array) *RAID10 {
 }
 
 // Responses returns the response-time statistics collected so far.
-func (c *RAID10) Responses() *metrics.ResponseStats { return &c.resp }
+func (c *RAID10) Responses() *metrics.ResponseStats { return &c.reqs.Resp }
 
 // SetTelemetry implements telemetry.Instrumented.
-func (c *RAID10) SetTelemetry(rec *telemetry.Recorder) { c.tel = rec }
+func (c *RAID10) SetTelemetry(rec *telemetry.Recorder) {
+	c.tel = rec
+	c.reqs.SetTelemetry(rec)
+}
 
 // Submit implements array.Controller.
 func (c *RAID10) Submit(rec trace.Record) error {
-	exts, err := c.arr.Geom.Map(rec.Offset, rec.Size)
+	exts, err := c.arr.Geom.AppendExtents(c.exts[:0], rec.Offset, rec.Size)
 	if err != nil {
 		return fmt.Errorf("raid10: %w", err)
 	}
-	arrive := rec.At
-	isWrite := rec.Op == trace.Write
+	c.exts = exts
 	if c.tel != nil {
-		c.tel.RequestStart(arrive, isWrite, rec.Size)
-	}
-	record := func(now sim.Time) {
-		rt := now - arrive
-		c.resp.AddClass(rt, isWrite)
-		if c.tel != nil {
-			c.tel.RequestDone(now, isWrite, rt)
-		}
+		c.tel.RequestStart(rec.At, rec.Op == trace.Write, rec.Size)
 	}
 	switch rec.Op {
 	case trace.Write:
-		join := array.NewJoin(2*len(exts), record)
+		req := c.reqs.Start(rec, 2*len(exts))
 		for _, e := range exts {
 			for _, d := range [...]int{0, 1} {
 				io := c.arr.DataIO(e.Offset, e.Length, true, false)
-				io.OnDone = join.Done
+				io.OnDone = req.Done
 				target := c.arr.Primaries[e.Pair]
 				if d == 1 {
 					target = c.arr.Mirrors[e.Pair]
@@ -78,10 +75,10 @@ func (c *RAID10) Submit(rec trace.Record) error {
 			}
 		}
 	case trace.Read:
-		join := array.NewJoin(len(exts), record)
+		req := c.reqs.Start(rec, len(exts))
 		for _, e := range exts {
 			io := c.arr.DataIO(e.Offset, e.Length, false, false)
-			io.OnDone = join.Done
+			io.OnDone = req.Done
 			// Read from the shorter queue; ties go to the primary.
 			target := c.arr.Primaries[e.Pair]
 			if m := c.arr.Mirrors[e.Pair]; m.QueueLen() < target.QueueLen() {

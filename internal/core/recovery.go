@@ -7,6 +7,7 @@ import (
 	"github.com/rolo-storage/rolo/internal/disk"
 	"github.com/rolo-storage/rolo/internal/intervals"
 	"github.com/rolo-storage/rolo/internal/sim"
+	"github.com/rolo-storage/rolo/internal/trace"
 )
 
 // This file implements Section III-C of the paper: disk failure recovery.
@@ -182,10 +183,10 @@ func (r *RoLo) Rebuild(p int, mirrorFailed bool, done func(now sim.Time)) error 
 	return nil
 }
 
-// degradedSubmit reissues a write pair-by-pair when some disks have
-// failed: surviving copies are still written. Used by Submit when the
-// normal path hits ErrFailed.
-func (r *RoLo) submitSurviving(ios []targetIO, record func(sim.Time)) error {
+// submitSurviving submits a write's copies to the disks that have not
+// failed, joined into rec's completion; copies bound for failed disks are
+// dropped, so surviving copies are still written.
+func (r *RoLo) submitSurviving(rec trace.Record, ios []targetIO) error {
 	// Two passes instead of building a filtered copy: count survivors for
 	// the join, then submit them.
 	live := 0
@@ -197,13 +198,13 @@ func (r *RoLo) submitSurviving(ios []targetIO, record func(sim.Time)) error {
 	if live == 0 {
 		return fmt.Errorf("%v: no surviving copy target", r.flavor)
 	}
-	join := array.NewJoin(live, record)
+	req := r.reqs.Start(rec, live)
 	for _, t := range ios {
 		if t.disk.Failed() {
 			t.io.Recycle() // never submitted; return it to the array pool
 			continue
 		}
-		t.io.OnDone = join.Done
+		t.io.OnDone = req.Done
 		if err := t.disk.Submit(t.io); err != nil {
 			return fmt.Errorf("%v: degraded submit: %w", r.flavor, err)
 		}

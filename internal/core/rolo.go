@@ -131,17 +131,18 @@ type RoLo struct {
 	destagers   []*array.Copier // per pair; nil when no destage ever started
 	destageLive []bool          // destage in progress for pair p
 
-	resp metrics.ResponseStats
+	reqs array.Requests
 	tel  *telemetry.Recorder
 
 	rotations    int
 	directWrites int // writes that bypassed logging (deactivation fallback)
 	closed       bool
 
-	// Per-Submit scratch buffers. Submit builds its placement and target
-	// lists, hands them to synchronous consumers and returns, so the
-	// backing arrays are reused across requests (DESIGN §11). The
+	// Per-Submit scratch buffers. Submit builds its extent, placement and
+	// target lists, hands them to synchronous consumers and returns, so
+	// the backing arrays are reused across requests (DESIGN §11). The
 	// simulation is single-threaded per engine, so no locking is needed.
+	extScratch    []raid.Extent
 	orderScratch  []int
 	allocScratch  []placedAlloc
 	targetScratch []targetIO
@@ -224,10 +225,13 @@ func (r *RoLo) isOnDuty(i int) bool {
 }
 
 // Responses returns response-time statistics.
-func (r *RoLo) Responses() *metrics.ResponseStats { return &r.resp }
+func (r *RoLo) Responses() *metrics.ResponseStats { return &r.reqs.Resp }
 
 // SetTelemetry implements telemetry.Instrumented.
-func (r *RoLo) SetTelemetry(rec *telemetry.Recorder) { r.tel = rec }
+func (r *RoLo) SetTelemetry(rec *telemetry.Recorder) {
+	r.tel = rec
+	r.reqs.SetTelemetry(rec)
+}
 
 // TelemetryGauges implements telemetry.GaugeSource: log occupancy summed
 // over every logger's space, and the stale bytes awaiting destage.
@@ -273,27 +277,19 @@ func (r *RoLo) DirtyBytes() int64 {
 
 // Submit implements array.Controller.
 func (r *RoLo) Submit(rec trace.Record) error {
-	exts, err := r.arr.Geom.Map(rec.Offset, rec.Size)
+	exts, err := r.arr.Geom.AppendExtents(r.extScratch[:0], rec.Offset, rec.Size)
 	if err != nil {
 		return fmt.Errorf("%v: %w", r.flavor, err)
 	}
-	arrive := rec.At
-	isWrite := rec.Op == trace.Write
+	r.extScratch = exts
 	if r.tel != nil {
-		r.tel.RequestStart(arrive, isWrite, rec.Size)
-	}
-	record := func(now sim.Time) {
-		rt := now - arrive
-		r.resp.AddClass(rt, isWrite)
-		if r.tel != nil {
-			r.tel.RequestDone(now, isWrite, rt)
-		}
+		r.tel.RequestStart(rec.At, rec.Op == trace.Write, rec.Size)
 	}
 	if rec.Op == trace.Read {
-		join := array.NewJoin(len(exts), record)
+		req := r.reqs.Start(rec, len(exts))
 		for _, e := range exts {
 			io := r.arr.DataIO(e.Offset, e.Length, false, false)
-			io.OnDone = join.Done
+			io.OnDone = req.Done
 			// Primaries are always spinning in RoLo-P/R; mirrors are
 			// mostly asleep or stale, so reads go to the primary. A
 			// failed primary degrades to its mirror, which wakes
@@ -313,7 +309,7 @@ func (r *RoLo) Submit(rec trace.Record) error {
 	// two (R) sequential copies into an on-duty logging space.
 	if len(r.onDuty) == 0 {
 		// Logging deactivated (on-duty failure with no viable successor).
-		err := r.directWrite(exts, record)
+		err := r.directWrite(rec, exts)
 		r.reactivate()
 		return err
 	}
@@ -337,7 +333,7 @@ func (r *RoLo) Submit(rec trace.Record) error {
 		// pair's next destage; they only waste a little space. Fall back
 		// to direct mirrored writes for the whole request, and push the
 		// rotation machinery so the logger moves on.
-		err := r.directWrite(exts, record)
+		err := r.directWrite(rec, exts)
 		r.checkRotation()
 		return err
 	}
@@ -381,7 +377,7 @@ func (r *RoLo) Submit(rec trace.Record) error {
 		}
 	}
 	r.targetScratch = targets[:0]
-	if err := r.submitSurviving(targets, record); err != nil {
+	if err := r.submitSurviving(rec, targets); err != nil {
 		return err
 	}
 	r.checkRotation()
@@ -438,7 +434,7 @@ func (r *RoLo) markDirty(p int, start, end int64) {
 
 // directWrite is the deactivation fallback: write both copies in place,
 // waking the target mirrors if needed (Section III-E).
-func (r *RoLo) directWrite(exts []raid.Extent, record func(sim.Time)) error {
+func (r *RoLo) directWrite(rec trace.Record, exts []raid.Extent) error {
 	r.directWrites++
 	targets := r.targetScratch[:0]
 	for _, e := range exts {
@@ -458,7 +454,7 @@ func (r *RoLo) directWrite(exts []raid.Extent, record func(sim.Time)) error {
 		}
 	}
 	r.targetScratch = targets[:0]
-	return r.submitSurviving(targets, record)
+	return r.submitSurviving(rec, targets)
 }
 
 // checkRotation wakes the next logger ahead of time and rotates the

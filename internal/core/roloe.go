@@ -100,7 +100,7 @@ type RoLoE struct {
 
 	destaging bool
 
-	resp  metrics.ResponseStats
+	reqs  array.Requests
 	phase metrics.PhaseLog
 	tel   *telemetry.Recorder
 
@@ -112,9 +112,10 @@ type RoLoE struct {
 	overflow  int64 // writes bypassing the log during destage
 	closed    bool
 
-	// allocScratch backs submitWrite's placement list; the list is fully
-	// consumed before Submit returns, so the array is reused per request
-	// (DESIGN §11).
+	// extScratch and allocScratch back Submit's extent and placement
+	// lists; both are fully consumed before Submit returns, so the arrays
+	// are reused per request (DESIGN §11).
+	extScratch   []raid.Extent
 	allocScratch []placedSlot
 
 	san *invariant.Audit // nil unless a sanitizer is attached (audit.go)
@@ -190,10 +191,13 @@ func NewE(arr *array.Array, cfg EConfig) (*RoLoE, error) {
 }
 
 // Responses returns response-time statistics.
-func (e *RoLoE) Responses() *metrics.ResponseStats { return &e.resp }
+func (e *RoLoE) Responses() *metrics.ResponseStats { return &e.reqs.Resp }
 
 // SetTelemetry implements telemetry.Instrumented.
-func (e *RoLoE) SetTelemetry(rec *telemetry.Recorder) { e.tel = rec }
+func (e *RoLoE) SetTelemetry(rec *telemetry.Recorder) {
+	e.tel = rec
+	e.reqs.SetTelemetry(rec)
+}
 
 // TelemetryGauges implements telemetry.GaugeSource: occupancy of the
 // on-duty logging spaces and the bytes whose only current copy is logged.
@@ -292,29 +296,21 @@ func (e *RoLoE) hitTarget() *disk.Disk {
 
 // Submit implements array.Controller.
 func (e *RoLoE) Submit(rec trace.Record) error {
-	exts, err := e.arr.Geom.Map(rec.Offset, rec.Size)
+	exts, err := e.arr.Geom.AppendExtents(e.extScratch[:0], rec.Offset, rec.Size)
 	if err != nil {
 		return fmt.Errorf("RoLo-E: %w", err)
 	}
-	arrive := rec.At
-	isWrite := rec.Op == trace.Write
+	e.extScratch = exts
 	if e.tel != nil {
-		e.tel.RequestStart(arrive, isWrite, rec.Size)
-	}
-	record := func(now sim.Time) {
-		rt := now - arrive
-		e.resp.AddClass(rt, isWrite)
-		if e.tel != nil {
-			e.tel.RequestDone(now, isWrite, rt)
-		}
+		e.tel.RequestStart(rec.At, rec.Op == trace.Write, rec.Size)
 	}
 	if rec.Op == trace.Write {
-		return e.submitWrite(rec, exts, record)
+		return e.submitWrite(rec, exts)
 	}
-	return e.submitRead(rec, exts, record)
+	return e.submitRead(rec, exts)
 }
 
-func (e *RoLoE) submitWrite(rec trace.Record, exts []raid.Extent, record func(sim.Time)) error {
+func (e *RoLoE) submitWrite(rec trace.Record, exts []raid.Extent) error {
 	// Writes invalidate any cached copies of the blocks they touch.
 	for b := rec.Offset / e.cfg.CacheBlockBytes; b <= (rec.End()-1)/e.cfg.CacheBlockBytes; b++ {
 		e.readCache.Remove(b)
@@ -343,11 +339,11 @@ func (e *RoLoE) submitWrite(rec trace.Record, exts []raid.Extent, record func(si
 		// Log full or mid-destage: the whole array is awake (or waking),
 		// so write both copies in place.
 		e.overflow++
-		join := array.NewJoin(2*len(exts), record)
+		req := e.reqs.Start(rec, 2*len(exts))
 		for _, ext := range exts {
 			for _, mirror := range [...]bool{false, true} {
 				io := e.arr.DataIO(ext.Offset, ext.Length, true, false)
-				io.OnDone = join.Done
+				io.OnDone = req.Done
 				target := e.arr.Primaries[ext.Pair]
 				if mirror {
 					target = e.arr.Mirrors[ext.Pair]
@@ -364,12 +360,12 @@ func (e *RoLoE) submitWrite(rec trace.Record, exts []raid.Extent, record func(si
 		return nil
 	}
 
-	join := array.NewJoin(2*len(exts), record)
+	req := e.reqs.Start(rec, 2*len(exts))
 	for i, ext := range exts {
 		prim, mirr := e.slotDisks(allocs[i].slot)
 		for _, target := range [...]*disk.Disk{prim, mirr} {
 			io := e.arr.LogIO(allocs[i].alloc.Offset, allocs[i].alloc.Length, true, false)
-			io.OnDone = join.Done
+			io.OnDone = req.Done
 			if err := target.Submit(io); err != nil {
 				return fmt.Errorf("RoLo-E: log write: %w", err)
 			}
@@ -380,7 +376,7 @@ func (e *RoLoE) submitWrite(rec trace.Record, exts []raid.Extent, record func(si
 	return nil
 }
 
-func (e *RoLoE) submitRead(rec trace.Record, exts []raid.Extent, record func(sim.Time)) error {
+func (e *RoLoE) submitRead(rec trace.Record, exts []raid.Extent) error {
 	// A read is a hit when every extent is available on an on-duty pair:
 	// either its latest version lives in the log (dirty) or it is cached.
 	hit := true
@@ -393,7 +389,7 @@ func (e *RoLoE) submitRead(rec trace.Record, exts []raid.Extent, record func(sim
 			break
 		}
 	}
-	join := array.NewJoin(len(exts), record)
+	req := e.reqs.Start(rec, len(exts))
 	if hit {
 		e.readHits++
 		if e.tel != nil {
@@ -405,7 +401,7 @@ func (e *RoLoE) submitRead(rec trace.Record, exts []raid.Extent, record func(sim
 			// change the seek statistics materially).
 			target := e.hitTarget()
 			io := e.arr.LogIO(e.logOffFor(ext.Offset, ext.Length), ext.Length, false, false)
-			io.OnDone = join.Done
+			io.OnDone = req.Done
 			if err := target.Submit(io); err != nil { //lint:allow nilness:maybe the hit path already indexed onDuty[0], so the on-duty set is non-empty
 				return fmt.Errorf("RoLo-E: hit read: %w", err)
 			}
@@ -417,6 +413,11 @@ func (e *RoLoE) submitRead(rec trace.Record, exts []raid.Extent, record func(sim
 	if e.tel != nil {
 		e.tel.CacheMiss(rec.At, e.onDuty[0], rec.Size)
 	}
+	// Unlike the other paths, a miss allocates its completion closures.
+	// It allocates anyway — the standby disk it wakes allocates per spin
+	// transition and the read-cache insert allocates list nodes — and
+	// misses are rare (about 2% of RoLo-E reads on hm_1), so pooling the
+	// closures would not move the per-request cost.
 	for _, ext := range exts {
 		ext := ext
 		target := e.arr.Primaries[ext.Pair]
@@ -424,7 +425,7 @@ func (e *RoLoE) submitRead(rec trace.Record, exts []raid.Extent, record func(sim
 		io.OnDone = func(now sim.Time) {
 			e.touchFG(target)
 			e.armSpinDown(target, ext.Pair)
-			join.Done(now)
+			req.Done(now)
 		}
 		if err := target.Submit(io); err != nil {
 			return fmt.Errorf("RoLo-E: miss read: %w", err)

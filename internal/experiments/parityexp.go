@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"github.com/rolo-storage/rolo/internal/array"
 	"github.com/rolo-storage/rolo/internal/disk"
 	"github.com/rolo-storage/rolo/internal/parity"
 	"github.com/rolo-storage/rolo/internal/sim"
@@ -96,11 +97,8 @@ func parityPoint(o Options, disks int, iops float64) ([]string, error) {
 				return c.Responses().Mean(), 0, c.RMWWrites(), 0
 			}
 		}
-		for i := range recs {
-			rec := recs[i]
-			if _, err := eng.Schedule(rec.At, func(sim.Time) { _ = submit(rec) }); err != nil {
-				return 0, 0, 0, 0, err
-			}
+		if err := array.ScheduleArrivals(eng, recs, func(rec trace.Record) { _ = submit(rec) }); err != nil {
+			return 0, 0, 0, 0, err
 		}
 		eng.Run()
 		m, l, r, s := finish()

@@ -54,11 +54,8 @@ func recoverOnDutyMirror(o Options) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := range recs {
-		rec := recs[i]
-		if _, err := eng.Schedule(rec.At, func(sim.Time) { _ = ctrl.Submit(rec) }); err != nil {
-			return nil, err
-		}
+	if err := array.ScheduleArrivals(eng, recs, func(rec trace.Record) { _ = ctrl.Submit(rec) }); err != nil {
+		return nil, err
 	}
 	eng.RunUntil(30 * sim.Second)
 	before := arr.TotalSpinCycles()
@@ -83,11 +80,8 @@ func recoverPrimary(o Options) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := range recs {
-		rec := recs[i]
-		if _, err := eng.Schedule(rec.At, func(sim.Time) { _ = ctrl.Submit(rec) }); err != nil {
-			return nil, err
-		}
+	if err := array.ScheduleArrivals(eng, recs, func(rec trace.Record) { _ = ctrl.Submit(rec) }); err != nil {
+		return nil, err
 	}
 	eng.RunUntil(30 * sim.Second)
 	before := arr.TotalSpinCycles()
@@ -115,11 +109,8 @@ func recoverGRAIDLogDisk(o Options) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := range recs {
-		rec := recs[i]
-		if _, err := eng.Schedule(rec.At, func(sim.Time) { _ = ctrl.Submit(rec) }); err != nil {
-			return nil, err
-		}
+	if err := array.ScheduleArrivals(eng, recs, func(rec trace.Record) { _ = ctrl.Submit(rec) }); err != nil {
+		return nil, err
 	}
 	eng.RunUntil(30 * sim.Second)
 	before := arr.TotalSpinCycles()

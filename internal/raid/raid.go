@@ -57,6 +57,12 @@ func (e Extent) End() int64 { return e.Offset + e.Length }
 // extents, in volume order. Fragments that land adjacently on the same pair
 // are merged.
 func (g Geometry) Map(offset, length int64) ([]Extent, error) {
+	return g.AppendExtents(nil, offset, length)
+}
+
+// AppendExtents is Map appending into dst, so a caller that reuses one
+// scratch slice per request maps without allocating.
+func (g Geometry) AppendExtents(dst []Extent, offset, length int64) ([]Extent, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -65,7 +71,7 @@ func (g Geometry) Map(offset, length int64) ([]Extent, error) {
 			offset, offset+length, g.VolumeBytes())
 	}
 	su := g.StripeUnitBytes
-	var out []Extent
+	out, first := dst, len(dst)
 	for length > 0 {
 		stripe := offset / su
 		within := offset % su
@@ -75,7 +81,7 @@ func (g Geometry) Map(offset, length int64) ([]Extent, error) {
 		}
 		pair := int(stripe % int64(g.Pairs))
 		pairOff := (stripe/int64(g.Pairs))*su + within
-		if n := len(out); n > 0 && out[n-1].Pair == pair && out[n-1].End() == pairOff {
+		if n := len(out); n > first && out[n-1].Pair == pair && out[n-1].End() == pairOff {
 			out[n-1].Length += frag
 		} else {
 			out = append(out, Extent{Pair: pair, Offset: pairOff, Length: frag})

@@ -195,3 +195,35 @@ func BenchmarkMap(b *testing.B) {
 		}
 	}
 }
+
+// TestAppendExtentsKeepsPrefix checks that AppendExtents leaves dst's
+// existing entries alone — a fragment adjacent to the last of them is not
+// merged into it — and reuses dst's capacity without allocating.
+func TestAppendExtentsKeepsPrefix(t *testing.T) {
+	g := Geometry{Pairs: 1, StripeUnitBytes: 64 << 10, DataBytesPerDisk: 1 << 30}
+	prefix := Extent{Pair: 0, Offset: 0, Length: 4096}
+	got, err := g.AppendExtents([]Extent{prefix}, 4096, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Extent{prefix, {Pair: 0, Offset: 4096, Length: 4096}}
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("got %+v, want %+v", got, want)
+	}
+	g = testGeom()
+	scratch := make([]Extent, 0, 16)
+	if n := testing.AllocsPerRun(100, func() {
+		scratch, err = g.AppendExtents(scratch[:0], 1000, 5*g.StripeUnitBytes)
+	}); n != 0 || err != nil {
+		t.Fatalf("AppendExtents into scratch: %v allocs/op, err %v", n, err)
+	}
+	exts, _ := g.Map(1000, 5*g.StripeUnitBytes)
+	if len(exts) != len(scratch) {
+		t.Fatalf("Map gave %d extents, AppendExtents %d", len(exts), len(scratch))
+	}
+	for i := range exts {
+		if exts[i] != scratch[i] {
+			t.Fatalf("extent %d: Map %+v, AppendExtents %+v", i, exts[i], scratch[i])
+		}
+	}
+}

@@ -9,7 +9,9 @@
 // The implementation is allocation-free in steady state (see DESIGN §11):
 // events live in a slab of reusable slots addressed by a value-based 4-ary
 // heap, EventIDs carry a (slot, generation) pair so Cancel is an O(1)
-// generation check with no map, and Pending is a maintained counter.
+// generation check with no map, and Pending is a maintained counter. A
+// time-ordered series of events known up front (a trace's arrivals) is
+// held as a cursor beside the heap rather than in it; see ScheduleSeries.
 package sim
 
 import (
@@ -52,6 +54,10 @@ func FromMilliseconds(ms float64) Time { return Time(math.Round(ms * float64(Mil
 // ErrTimeTravel is returned by Schedule when an event is scheduled before the
 // current simulation time.
 var ErrTimeTravel = errors.New("sim: event scheduled in the past")
+
+// ErrSeriesOrder is returned by ScheduleSeries when the series is not
+// time-ordered or another series is still pending.
+var ErrSeriesOrder = errors.New("sim: invalid event series")
 
 // Handler is a callback invoked when an event fires. The engine passes the
 // current simulation time (the event's due time).
@@ -113,10 +119,33 @@ type Engine struct {
 	dead    int // cancelled entries still sitting in the queue
 	stopped bool
 	fired   uint64
+	ser     series
 
 	// onEvent, if set, runs after each executed event with the clock at
 	// that event's due time (see SetEventHook).
 	onEvent func(now Time)
+}
+
+// series is the pending part of a ScheduleSeries run: member next is due
+// at headAt and carries sequence number base+next+1. Members never enter
+// the heap; only the head competes with the heap top.
+type series struct {
+	n, next int
+	base    uint64
+	headAt  Time
+	at      func(i int) Time
+	fn      func(i int, now Time)
+}
+
+// pending reports whether the series has unfired members.
+func (s *series) pending() bool { return s.next < s.n }
+
+// before reports whether the series head sorts before heap entry ent.
+func (s *series) before(ent heapEntry) bool {
+	if s.headAt != ent.at {
+		return s.headAt < ent.at
+	}
+	return s.base+uint64(s.next)+1 < ent.seq
 }
 
 // New returns an initialized Engine starting at time zero.
@@ -128,9 +157,10 @@ func (e *Engine) Now() Time { return e.now }
 // Fired reports how many events have been executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending reports how many events are currently scheduled. It is O(1): the
-// engine maintains the count across Schedule, Cancel and Step.
-func (e *Engine) Pending() int { return e.live }
+// Pending reports how many events are currently scheduled, counting the
+// unfired members of a pending series (see ScheduleSeries). It is O(1):
+// the engine maintains the count across Schedule, Cancel and Step.
+func (e *Engine) Pending() int { return e.live + e.ser.n - e.ser.next }
 
 // Schedule registers fn to run at absolute time at. It returns an EventID
 // that can be passed to Cancel. Scheduling in the past is an error.
@@ -153,6 +183,40 @@ func (e *Engine) Schedule(at Time, fn Handler) (EventID, error) {
 	e.push(heapEntry{at: at, seq: e.seq, slot: slot, gen: s.gen})
 	e.live++
 	return makeEventID(slot, s.gen), nil
+}
+
+// ScheduleSeries registers n events at once: member i runs fn(i, now) at
+// time at(i). The times must be non-decreasing and not in the past, and
+// at most one series may be pending at a time. The members fire exactly
+// as if they had been scheduled here by n back-to-back Schedule calls:
+// the series reserves the next n sequence numbers, so same-time ties
+// with other events resolve in scheduling order. Unlike those calls it
+// keeps one cursor instead of n heap entries, so the heap holds only
+// the work in flight. Members cannot be cancelled.
+func (e *Engine) ScheduleSeries(n int, at func(i int) Time, fn func(i int, now Time)) error {
+	if e.ser.pending() {
+		return fmt.Errorf("%w: a series is already pending", ErrSeriesOrder)
+	}
+	if n < 0 {
+		return fmt.Errorf("%w: negative length %d", ErrSeriesOrder, n)
+	}
+	if n == 0 {
+		return nil
+	}
+	prev := e.now
+	for i := 0; i < n; i++ {
+		t := at(i)
+		if t < prev {
+			if i == 0 {
+				return fmt.Errorf("%w: at=%v now=%v", ErrTimeTravel, t, e.now)
+			}
+			return fmt.Errorf("%w: member %d at %v after member %d at %v", ErrSeriesOrder, i, t, i-1, prev)
+		}
+		prev = t
+	}
+	e.ser = series{n: n, base: e.seq, headAt: at(0), at: at, fn: fn}
+	e.seq += uint64(n)
+	return nil
 }
 
 // After schedules fn to run d after the current time. Negative delays clamp
@@ -231,9 +295,18 @@ func (e *Engine) Stop() { e.stopped = true }
 func (e *Engine) SetEventHook(fn func(now Time)) { e.onEvent = fn }
 
 // Step executes the next pending event, advancing the clock to its due time.
-// It reports whether an event was executed.
+// It reports whether an event was executed. The series head fires when its
+// (time, sequence) sorts before the heap top, which is exactly where it
+// would sit had its members been scheduled individually.
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
+	for {
+		if e.ser.pending() && (len(e.queue) == 0 || e.ser.before(e.queue[0])) {
+			e.fireSeries()
+			return true
+		}
+		if len(e.queue) == 0 {
+			return false
+		}
 		ent := e.queue[0]
 		e.pop()
 		s := &e.slots[ent.slot]
@@ -251,7 +324,26 @@ func (e *Engine) Step() bool {
 		}
 		return true
 	}
-	return false
+}
+
+// fireSeries executes the series head and advances the cursor. Once the
+// last member is taken the callbacks are dropped, so a finished series
+// pins nothing and the handler may install the next one.
+func (e *Engine) fireSeries() {
+	s := &e.ser
+	i, fn := s.next, s.fn
+	e.now = s.headAt
+	s.next++
+	if s.pending() {
+		s.headAt = s.at(s.next)
+	} else {
+		*s = series{}
+	}
+	e.fired++
+	fn(i, e.now)
+	if e.onEvent != nil {
+		e.onEvent(e.now)
+	}
 }
 
 // RunUntil executes events until the queue is empty, the engine is stopped,
@@ -286,12 +378,15 @@ func (e *Engine) peek() (Time, bool) {
 		ent := e.queue[0]
 		s := &e.slots[ent.slot]
 		if s.live && s.gen == ent.gen {
+			if e.ser.pending() && e.ser.headAt < ent.at {
+				return e.ser.headAt, true
+			}
 			return ent.at, true
 		}
 		e.dead--
 		e.pop()
 	}
-	return 0, false
+	return e.ser.headAt, e.ser.pending()
 }
 
 // push inserts an entry into the 4-ary heap.

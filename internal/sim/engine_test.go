@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -290,5 +292,60 @@ func TestRunUntilExactBoundary(t *testing.T) {
 	e.RunUntil(25) // inclusive boundary
 	if !fired {
 		t.Fatal("event at the deadline did not fire")
+	}
+}
+
+func TestScheduleSeriesValidation(t *testing.T) {
+	e := New()
+	e.After(10, func(Time) {})
+	e.Run()
+	noop := func(int, Time) {}
+	times := func(ts ...Time) func(int) Time { return func(i int) Time { return ts[i] } }
+	if err := e.ScheduleSeries(2, times(5, 20), noop); !errors.Is(err, ErrTimeTravel) {
+		t.Errorf("series starting in the past: err = %v, want ErrTimeTravel", err)
+	}
+	if err := e.ScheduleSeries(3, times(10, 30, 20), noop); !errors.Is(err, ErrSeriesOrder) {
+		t.Errorf("unordered series: err = %v, want ErrSeriesOrder", err)
+	}
+	if err := e.ScheduleSeries(-1, times(), noop); !errors.Is(err, ErrSeriesOrder) {
+		t.Errorf("negative length: err = %v, want ErrSeriesOrder", err)
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("rejected series left %d pending events", e.Pending())
+	}
+	if err := e.ScheduleSeries(0, times(), noop); err != nil {
+		t.Errorf("empty series: %v", err)
+	}
+	if err := e.ScheduleSeries(2, times(10, 10), noop); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.ScheduleSeries(1, times(40), noop); !errors.Is(err, ErrSeriesOrder) {
+		t.Errorf("second pending series: err = %v, want ErrSeriesOrder", err)
+	}
+	e.Run()
+	if err := e.ScheduleSeries(1, times(40), noop); err != nil {
+		t.Errorf("series after the previous one drained: %v", err)
+	}
+}
+
+// TestSeriesFiredAndHook checks that series members count as fired events
+// and run the event hook, like any other event.
+func TestSeriesFiredAndHook(t *testing.T) {
+	e := New()
+	var hooked []Time
+	e.SetEventHook(func(now Time) { hooked = append(hooked, now) })
+	var got []int
+	if err := e.ScheduleSeries(3, func(i int) Time { return Time(10 * i) },
+		func(i int, now Time) { got = append(got, i) }); err != nil {
+		t.Fatal(err)
+	}
+	e.After(15, func(Time) { got = append(got, -1) })
+	e.Run()
+	want := []int{0, 1, -1, 2}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("firing order %v, want %v", got, want)
+	}
+	if e.Fired() != 4 || len(hooked) != 4 || hooked[3] != 20 {
+		t.Fatalf("Fired() = %d, hook saw %v", e.Fired(), hooked)
 	}
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"container/heap"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -34,9 +35,10 @@ func (h *refHeap) Pop() any     { old := *h; n := len(old); ev := old[n-1]; *h =
 // refEngine reproduces the original engine semantics: FIFO among same-time
 // events, lazy cancellation, clock advance on fire.
 type refEngine struct {
-	now   Time
-	seq   uint64
-	queue refHeap
+	now     Time
+	seq     uint64
+	queue   refHeap
+	stopped bool
 }
 
 func (e *refEngine) schedule(at Time, fn Handler) *refEvent {
@@ -78,6 +80,36 @@ func (e *refEngine) step() bool {
 	return false
 }
 
+// runUntil mirrors Engine.RunUntil: fire while the next live event is due
+// by the deadline and no handler has called stop.
+func (e *refEngine) runUntil(deadline Time) {
+	e.stopped = false
+	for !e.stopped {
+		for len(e.queue) > 0 && e.queue[0].dead {
+			heap.Pop(&e.queue)
+		}
+		if len(e.queue) == 0 || e.queue[0].at > deadline {
+			break
+		}
+		e.step()
+	}
+	if e.now < deadline {
+		e.now = deadline
+	}
+}
+
+// pending counts the scheduled events that have neither fired nor been
+// cancelled.
+func (e *refEngine) pending() int {
+	n := 0
+	for _, ev := range e.queue {
+		if !ev.dead {
+			n++
+		}
+	}
+	return n
+}
+
 // firing records one executed event for trajectory comparison.
 type firing struct {
 	label int
@@ -89,8 +121,14 @@ type firing struct {
 // cancellations (including of already-fired and already-cancelled events),
 // partial stepping, and handlers that schedule follow-up events — and
 // asserts both fire the same labels at the same times in the same order.
+// From seed 50 on the script also installs event series: the engine takes
+// each as one ScheduleSeries call, the reference as individual schedules
+// at the same point. Members tie with ordinary and handler-scheduled
+// events at the same microsecond, some members call Stop, RunUntil
+// deadlines fall between members, and Pending must agree after every op.
 func TestSlabEngineMatchesHeapReference(t *testing.T) {
-	for seed := int64(0); seed < 50; seed++ {
+	for seed := int64(0); seed < 100; seed++ {
+		withSeries := seed >= 50
 		rng := rand.New(rand.NewSource(seed))
 
 		eng := New()
@@ -102,39 +140,86 @@ func TestSlabEngineMatchesHeapReference(t *testing.T) {
 		refs := make(map[int]*refEvent)
 		known := make([]int, 0, 64)
 
-		// schedule registers one labeled event on both engines; a third of
-		// the handlers chain a follow-up event when they fire.
-		var schedule func(delay Time)
-		schedule = func(delay Time) {
-			label := nextLabel
-			nextLabel++
+		// handlers builds the engine and reference handlers of one label; a
+		// third of them chain a follow-up event when they fire (a seventh of
+		// those at delay 0, tying with whatever else is due then), and in
+		// series scripts an eleventh call Stop.
+		handlers := func(label int) (eh, rh Handler) {
 			chain := label%3 == 0
-			eh := func(now Time) {
+			stop := withSeries && label%11 == 0
+			eh = func(now Time) {
 				engLog = append(engLog, firing{label, now})
 				if chain {
 					eng.After(Time(label%7)*5, func(now Time) {
 						engLog = append(engLog, firing{-label, now})
 					})
 				}
+				if stop {
+					eng.Stop()
+				}
 			}
-			rh := func(now Time) {
+			rh = func(now Time) {
 				refLog = append(refLog, firing{label, now})
 				if chain {
 					ref.after(Time(label%7)*5, func(now Time) {
 						refLog = append(refLog, firing{-label, now})
 					})
 				}
+				if stop {
+					ref.stopped = true
+				}
 			}
+			return eh, rh
+		}
+
+		// schedule registers one labeled event on both engines.
+		schedule := func(delay Time) {
+			label := nextLabel
+			nextLabel++
+			eh, rh := handlers(label)
 			ids[label] = eng.After(delay, eh)
 			refs[label] = ref.after(delay, rh)
 			known = append(known, label)
 		}
 
+		// series installs m members on the engine as one series and on the
+		// reference as m individual schedules. Offsets are drawn from the
+		// same range as ordinary delays and sorted, so members repeat
+		// times among themselves and with other events.
+		series := func(m int) {
+			at := make([]Time, m)
+			for i := range at {
+				at[i] = eng.Now() + Time(rng.Intn(1000))
+			}
+			sort.Slice(at, func(i, j int) bool { return at[i] < at[j] })
+			first := nextLabel
+			nextLabel += m
+			ehs := make([]Handler, m)
+			for i := range at {
+				var rh Handler
+				ehs[i], rh = handlers(first + i)
+				ref.schedule(at[i], rh)
+			}
+			if err := eng.ScheduleSeries(m, func(i int) Time { return at[i] },
+				func(i int, now Time) { ehs[i](now) }); err != nil {
+				t.Fatalf("seed %d: ScheduleSeries: %v", seed, err)
+			}
+		}
+
 		ops := 300 + rng.Intn(300)
 		for op := 0; op < ops; op++ {
-			switch k := rng.Intn(10); {
+			switch k := rng.Intn(12); {
 			case k < 5:
 				schedule(Time(rng.Intn(1000)))
+			case k == 10 && withSeries && !eng.ser.pending():
+				series(1 + rng.Intn(40))
+			case k == 11 && withSeries:
+				deadline := eng.Now() + Time(rng.Intn(300))
+				eng.RunUntil(deadline)
+				ref.runUntil(deadline)
+				if eng.Now() != ref.now {
+					t.Fatalf("seed %d: RunUntil(%v) left clock %v, reference %v", seed, deadline, eng.Now(), ref.now)
+				}
 			case k < 7 && len(known) > 0:
 				label := known[rng.Intn(len(known))]
 				got := eng.Cancel(ids[label])
@@ -151,6 +236,9 @@ func TestSlabEngineMatchesHeapReference(t *testing.T) {
 				if eng.Now() != ref.now {
 					t.Fatalf("seed %d: clock %v, reference %v", seed, eng.Now(), ref.now)
 				}
+			}
+			if got, want := eng.Pending(), ref.pending(); got != want {
+				t.Fatalf("seed %d op %d: Pending() = %d, reference %d", seed, op, got, want)
 			}
 		}
 		// Drain both and compare the full trajectories.
@@ -248,6 +336,20 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		eng.Run()
 	}); n != 0 {
 		t.Errorf("burst schedule+drain: %v allocs/op, want 0", n)
+	}
+	// A series interleaved with heap events: the members' handler
+	// schedules a follow-up, so the head keeps competing with the heap.
+	var base Time
+	at := func(i int) Time { return base + Time(i/2) }
+	member := func(int, Time) { eng.After(1, fn) }
+	if n := testing.AllocsPerRun(200, func() {
+		base = eng.Now()
+		if err := eng.ScheduleSeries(32, at, member); err != nil {
+			t.Fatal(err)
+		}
+		eng.Run()
+	}); n != 0 {
+		t.Errorf("series schedule+drain: %v allocs/op, want 0", n)
 	}
 }
 

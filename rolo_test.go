@@ -20,7 +20,7 @@ func smallConfig(s Scheme) Config {
 
 // writeHeavy generates a workload that writes several times the logging
 // capacity, forcing rotations/destages.
-func writeHeavy(t *testing.T, cfg Config, iops float64, dur sim.Time, writeRatio float64) []trace.Record {
+func writeHeavy(t testing.TB, cfg Config, iops float64, dur sim.Time, writeRatio float64) []trace.Record {
 	t.Helper()
 	syn := trace.Synthetic{
 		Duration:             dur,

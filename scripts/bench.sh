@@ -2,10 +2,11 @@
 # Perf-trajectory recorder: runs the BenchmarkCore* suite (engine
 # schedule/fire/cancel/churn, interval add/remove/pop, histogram add,
 # telemetry event encoding, pooled disk IO round trip, fleet report
-# merge and end-to-end fleet) with -benchmem and writes the results to
-# BENCH_core.json so successive PRs can diff ns/op and allocs/op against
-# the committed baseline, then times a warm standalone `rololint ./...`
-# run over the whole module and writes the best wall time to
+# merge, end-to-end fleet and one replay per scheme) with -benchmem and
+# writes the results to BENCH_core.json so successive PRs can diff ns/op
+# and allocs/op against the committed baseline, then times a warm
+# standalone `rololint ./...` run over the whole module and writes the
+# best wall time to
 # BENCH_lint.json (the 850 ms budget scripts/check.sh enforces). Run
 # from the repository root (or via `make bench`).
 #
@@ -29,7 +30,7 @@ trap 'rm -f "$raw"' EXIT
 echo "== go test -bench=Core -benchmem -count=$count" >&2
 go test -run '^$' -bench 'Core' -benchmem -benchtime 1s -count "$count" \
 	./internal/sim/ ./internal/intervals/ ./internal/metrics/ ./internal/telemetry/ \
-	./internal/disk/ ./internal/fleet/ | tee "$raw" >&2 || exit 1
+	./internal/disk/ ./internal/fleet/ . | tee "$raw" >&2 || exit 1
 
 # Collapse the -count repetitions into the best (lowest ns/op) run per
 # benchmark — the repetition least disturbed by scheduling noise — and

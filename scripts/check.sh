@@ -148,7 +148,7 @@ if want bench-smoke; then
 	stage "bench smoke: go test -bench=Core -benchtime=1x" \
 		go test -run '^$' -bench 'Core' -benchtime 1x \
 		./internal/sim/ ./internal/intervals/ ./internal/metrics/ ./internal/telemetry/ \
-		./internal/disk/ ./internal/fleet/
+		./internal/disk/ ./internal/fleet/ .
 fi
 
 # Journal smoke: a race-built rolosim writes a rotated, compressed journal
