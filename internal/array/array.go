@@ -1,7 +1,9 @@
 // Package array provides the disk-array scaffolding shared by every scheme
 // controller: disk construction and addressing for a RAID10 layout with
 // per-disk logging regions, sub-I/O join counters, a background
-// interval-copy engine used by all destagers, and the trace-replay runner.
+// interval-copy engine used by all destagers, the trace-replay runner, and
+// Logged — the log bookkeeping, sanitizer hooks and centralized destage
+// the logging schemes embed.
 package array
 
 import (
@@ -118,6 +120,19 @@ func (a *Array) PooledIO(lba, sectors int64, write, background bool) *disk.IO {
 	io.Write = write
 	io.Background = background
 	return io
+}
+
+// MirroredWrite writes extent e in place to both disks of its pair,
+// primary first; each completion calls done.
+func (a *Array) MirroredWrite(e raid.Extent, done func(now sim.Time)) error {
+	for _, d := range [...]*disk.Disk{a.Primaries[e.Pair], a.Mirrors[e.Pair]} {
+		io := a.DataIO(e.Offset, e.Length, true, false)
+		io.OnDone = done
+		if err := d.Submit(io); err != nil {
+			return fmt.Errorf("array: write pair %d: %w", e.Pair, err)
+		}
+	}
+	return nil
 }
 
 // AllDisks returns every disk in the array.

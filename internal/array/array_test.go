@@ -193,7 +193,7 @@ func TestCopierRefillWhileRunning(t *testing.T) {
 
 func TestSpinDownWhenIdleImmediate(t *testing.T) {
 	a, eng := testArray(t, 1, 0)
-	SpinDownWhenIdle(eng, a.Mirrors[0], sim.Second, nil)
+	SpinDownWhenIdle(eng, a.Mirrors[0], nil)
 	eng.Run()
 	if a.Mirrors[0].State() != disk.Standby {
 		t.Fatalf("state = %v, want STANDBY", a.Mirrors[0].State())
@@ -206,7 +206,7 @@ func TestSpinDownWhenIdleWaitsForDrain(t *testing.T) {
 	if err := d.Submit(a.DataIO(0, 8<<20, true, false)); err != nil {
 		t.Fatal(err)
 	}
-	SpinDownWhenIdle(eng, d, 10*sim.Millisecond, nil)
+	SpinDownWhenIdle(eng, d, nil)
 	eng.Run()
 	if d.State() != disk.Standby {
 		t.Fatalf("state = %v, want STANDBY after drain", d.State())
@@ -224,7 +224,7 @@ func TestSpinDownWhenIdleAbortsOnPredicate(t *testing.T) {
 		t.Fatal(err)
 	}
 	keep := false
-	SpinDownWhenIdle(eng, d, 10*sim.Millisecond, func() bool { return keep })
+	SpinDownWhenIdle(eng, d, func() bool { return keep })
 	eng.Run()
 	if d.State() == disk.Standby {
 		t.Fatal("spin-down proceeded despite false predicate")

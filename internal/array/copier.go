@@ -6,6 +6,9 @@ import (
 	"github.com/rolo-storage/rolo/internal/sim"
 )
 
+// DestageChunk caps each background copy I/O of a destage or rebuild.
+const DestageChunk int64 = 256 << 10
+
 // Copier drains an interval set by copying it chunk-by-chunk from a source
 // disk to one or more destination disks, at background priority, keeping a
 // single chunk in flight. This is the destaging engine: it consumes only
@@ -60,6 +63,16 @@ func NewCopier(eng *sim.Engine, src *disk.Disk, dsts []*disk.Disk, work *interva
 	}
 	c.joinDoneFn = c.join.Done
 	return c
+}
+
+// DataCopier returns a copier that drains work from src's data region to
+// the same offsets on dst: a pair's primary-to-mirror destage, or a
+// rebuild onto a replaced disk.
+func (a *Array) DataCopier(src, dst *disk.Disk, work *intervals.Set) *Copier {
+	return NewCopier(a.Eng, src, []*disk.Disk{dst}, work, DestageChunk,
+		func(sp intervals.Span) *disk.IO { return a.DataIO(sp.Start, sp.Len(), false, true) },
+		func(sp intervals.Span) *disk.IO { return a.DataIO(sp.Start, sp.Len(), true, true) },
+	)
 }
 
 // Running reports whether a chunk is in flight.

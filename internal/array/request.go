@@ -2,6 +2,7 @@ package array
 
 import (
 	"github.com/rolo-storage/rolo/internal/metrics"
+	"github.com/rolo-storage/rolo/internal/raid"
 	"github.com/rolo-storage/rolo/internal/sim"
 	"github.com/rolo-storage/rolo/internal/telemetry"
 	"github.com/rolo-storage/rolo/internal/trace"
@@ -32,11 +33,27 @@ type Requests struct {
 
 	tel  *telemetry.Recorder
 	free []*Request
+	exts []raid.Extent // Arrive's extent scratch
 }
 
-// SetTelemetry makes completions emit RequestDone events to rec (nil
-// disables them).
+// SetTelemetry makes arrivals and completions emit RequestStart and
+// RequestDone events to rec (nil disables them).
 func (p *Requests) SetTelemetry(rec *telemetry.Recorder) { p.tel = rec }
+
+// Arrive journals rec's arrival and maps it onto geom's per-pair extents.
+// The extents live in a scratch slice reused by the next arrival, so the
+// controller must consume them before Submit returns.
+func (p *Requests) Arrive(geom raid.Geometry, rec trace.Record) ([]raid.Extent, error) {
+	exts, err := geom.AppendExtents(p.exts[:0], rec.Offset, rec.Size)
+	if err != nil {
+		return nil, err
+	}
+	p.exts = exts
+	if p.tel != nil {
+		p.tel.RequestStart(rec.At, rec.Op == trace.Write, rec.Size)
+	}
+	return exts, nil
+}
 
 // Start returns a join for rec that completes after n sub-I/Os; n must be
 // > 0, since a zero-count join never completes.

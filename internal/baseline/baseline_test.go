@@ -225,10 +225,7 @@ func TestGRAIDMirrorConsistencyAfterDestage(t *testing.T) {
 	for i := range a.Mirrors {
 		mirrorBytes += a.Mirrors[i].Stats().BytesWritten
 	}
-	var remaining int64
-	for p := range c.dirty {
-		remaining += c.dirty[p].Total()
-	}
+	_, _, remaining := c.TelemetryGauges()
 	total := int64(300 * 64 << 10)
 	if mirrorBytes+remaining < total {
 		t.Fatalf("mirror bytes %d + remaining dirty %d < written %d: lost updates",
@@ -277,7 +274,7 @@ func TestGRAIDGenerationIsolation(t *testing.T) {
 		}
 	}
 	eng.RunUntil(recs[len(recs)-1].At)
-	if !c.destaging {
+	if !c.Destaging() {
 		t.Skip("destage completed before mid-flight writes could be injected")
 	}
 	// ...then log more while the destage runs.
@@ -295,7 +292,7 @@ func TestGRAIDGenerationIsolation(t *testing.T) {
 		t.Fatal("no destage happened")
 	}
 	// The during-destage generation remains live in the log.
-	if got := c.logSpace.UsedBytes(); got < int64(during)*(64<<10) {
+	if got, _, _ := c.TelemetryGauges(); got < int64(during)*(64<<10) {
 		t.Fatalf("log holds %d bytes, want >= %d (mid-destage writes reclaimed too early)",
 			got, during*(64<<10))
 	}

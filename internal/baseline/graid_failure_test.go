@@ -23,8 +23,8 @@ func TestGRAIDLogDiskFailureTriggersEmergencyDestage(t *testing.T) {
 	if exposed <= 0 {
 		t.Fatal("no exposed bytes reported despite dirty mirrors")
 	}
-	if !c.LogFailed() {
-		t.Fatal("LogFailed not set")
+	if !c.LogDown() {
+		t.Fatal("LogDown not set")
 	}
 	eng.Run()
 	// The emergency destage ran: mirrors spun up and were brought current.
@@ -71,7 +71,7 @@ func TestGRAIDWritesContinueWithoutLogDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Run()
-	if c.LogFailed() {
+	if c.LogDown() {
 		t.Fatal("log still marked failed after replacement")
 	}
 	logBytesBefore := a.Extras[0].Stats().BytesWritten

@@ -8,8 +8,8 @@ import (
 	"fmt"
 
 	"github.com/rolo-storage/rolo/internal/array"
+	"github.com/rolo-storage/rolo/internal/invariant"
 	"github.com/rolo-storage/rolo/internal/metrics"
-	"github.com/rolo-storage/rolo/internal/raid"
 	"github.com/rolo-storage/rolo/internal/sim"
 	"github.com/rolo-storage/rolo/internal/telemetry"
 	"github.com/rolo-storage/rolo/internal/trace"
@@ -20,13 +20,12 @@ import (
 type RAID10 struct {
 	arr  *array.Array
 	reqs array.Requests
-	tel  *telemetry.Recorder
-	exts []raid.Extent // Submit's extent scratch, reused per request
 }
 
 var (
 	_ array.Controller       = (*RAID10)(nil)
 	_ telemetry.Instrumented = (*RAID10)(nil)
+	_ invariant.Source       = (*RAID10)(nil)
 )
 
 // NewRAID10 returns a RAID10 controller over the array. As in the paper,
@@ -43,35 +42,20 @@ func NewRAID10(arr *array.Array) *RAID10 {
 func (c *RAID10) Responses() *metrics.ResponseStats { return &c.reqs.Resp }
 
 // SetTelemetry implements telemetry.Instrumented.
-func (c *RAID10) SetTelemetry(rec *telemetry.Recorder) {
-	c.tel = rec
-	c.reqs.SetTelemetry(rec)
-}
+func (c *RAID10) SetTelemetry(rec *telemetry.Recorder) { c.reqs.SetTelemetry(rec) }
 
 // Submit implements array.Controller.
 func (c *RAID10) Submit(rec trace.Record) error {
-	exts, err := c.arr.Geom.AppendExtents(c.exts[:0], rec.Offset, rec.Size)
+	exts, err := c.reqs.Arrive(c.arr.Geom, rec)
 	if err != nil {
 		return fmt.Errorf("raid10: %w", err)
-	}
-	c.exts = exts
-	if c.tel != nil {
-		c.tel.RequestStart(rec.At, rec.Op == trace.Write, rec.Size)
 	}
 	switch rec.Op {
 	case trace.Write:
 		req := c.reqs.Start(rec, 2*len(exts))
 		for _, e := range exts {
-			for _, d := range [...]int{0, 1} {
-				io := c.arr.DataIO(e.Offset, e.Length, true, false)
-				io.OnDone = req.Done
-				target := c.arr.Primaries[e.Pair]
-				if d == 1 {
-					target = c.arr.Mirrors[e.Pair]
-				}
-				if err := target.Submit(io); err != nil {
-					return fmt.Errorf("raid10: write pair %d: %w", e.Pair, err)
-				}
+			if err := c.arr.MirroredWrite(e, req.Done); err != nil {
+				return fmt.Errorf("raid10: %w", err)
 			}
 		}
 	case trace.Read:
@@ -96,3 +80,20 @@ func (c *RAID10) Submit(rec trace.Record) error {
 
 // Close implements array.Controller.
 func (c *RAID10) Close(sim.Time) {}
+
+// SanitizerState implements invariant.Source. RAID10 keeps both copies
+// current synchronously and has no log, so the snapshot is trivially
+// clean; the interesting checks for this baseline live at the disk layer
+// (no disk may ever leave ACTIVE/IDLE).
+func (c *RAID10) SanitizerState() invariant.State {
+	return invariant.State{
+		Scheme:           "RAID10",
+		Pairs:            c.arr.Geom.Pairs,
+		LogPrimaryBacked: true,
+	}
+}
+
+// SanitizerCounters implements invariant.Source.
+func (c *RAID10) SanitizerCounters() invariant.Counters {
+	return invariant.Counters{}
+}

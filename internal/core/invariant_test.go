@@ -24,7 +24,8 @@ import (
 //  4. a live destage only runs for pairs with a healthy primary.
 func checkRoLoInvariants(t *testing.T, r *RoLo, allowStaleTags bool) {
 	t.Helper()
-	for i, sp := range r.spaces {
+	st := r.SanitizerState()
+	for i, sp := range st.Spaces {
 		if err := sp.CheckInvariants(); err != nil {
 			t.Fatalf("logger %d: %v", i, err)
 		}
@@ -41,11 +42,11 @@ func checkRoLoInvariants(t *testing.T, r *RoLo, allowStaleTags bool) {
 	}
 	if !allowStaleTags {
 		for p := 0; p < r.arr.Geom.Pairs; p++ {
-			if !r.dirty[p].Empty() {
+			if st.DirtyBytes[p] != 0 {
 				continue
 			}
-			for i, sp := range r.spaces {
-				if got := sp.TagBytes(p); got != 0 {
+			for i := range st.Spaces {
+				if got := r.TagBytes(i, p); got != 0 {
 					t.Fatalf("pair %d clean but logger %d holds %d bytes", p, i, got)
 				}
 			}

@@ -7,17 +7,21 @@ import (
 	"testing"
 
 	"github.com/rolo-storage/rolo/internal/array"
+	"github.com/rolo-storage/rolo/internal/baseline"
+	"github.com/rolo-storage/rolo/internal/disk"
 	"github.com/rolo-storage/rolo/internal/invariant"
+	"github.com/rolo-storage/rolo/internal/raid"
 	"github.com/rolo-storage/rolo/internal/sim"
 	"github.com/rolo-storage/rolo/internal/trace"
 )
 
 // These are RoloSan's mutation tests: each test seeds one deliberate
 // corruption of the bookkeeping — the kind of bug the sanitizer exists to
-// catch — and asserts that it is detected with the right invariant family
-// in the diagnostic. The clean-run tests at the bottom are the flip side:
-// legitimate fault injection (disk failures, rebuilds, mid-destage
-// traffic) must NOT trip the sanitizer.
+// catch — into every logging scheme it applies to, and asserts that it is
+// detected with the right invariant family in the diagnostic. The
+// clean-run tests at the bottom are the flip side: legitimate fault
+// injection (disk failures, rebuilds, mid-destage traffic) must NOT trip
+// the sanitizer.
 
 // attachSanitizer wires a sanitizer to a controller the same way rolo.Run
 // does for Config.Check.
@@ -29,6 +33,85 @@ func attachSanitizer(scheme string, eng *sim.Engine, a *array.Array, src invaria
 	san.WatchDisks(a.AllDisks(), false)
 	san.Install()
 	return san
+}
+
+// sanitized is one logging scheme's controller over a fresh 4-pair test
+// array, with a sanitizer attached.
+type sanitized struct {
+	ctrl array.Controller
+	*array.Logged
+	arr *array.Array
+	san *invariant.Sanitizer
+}
+
+func newSanitized(t *testing.T, scheme string) sanitized {
+	t.Helper()
+	eng := sim.New()
+	extras := 0
+	if scheme == "GRAID" {
+		extras = 1 // the dedicated log disk
+	}
+	geom := raid.Geometry{Pairs: 4, StripeUnitBytes: 64 << 10, DataBytesPerDisk: 256 << 20}
+	a, err := array.New(eng, geom, disk.Ultrastar36Z15().WithCapacity(320<<20), extras)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := sanitized{arr: a}
+	switch scheme {
+	case "RoLo-P":
+		r, err := New(a, FlavorP, scaledConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.ctrl, c.Logged = r, r.Logged
+	case "RoLo-E":
+		e, err := NewE(a, DefaultEConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.ctrl, c.Logged = e, e.Logged
+	case "GRAID":
+		g, err := baseline.NewGRAID(a, baseline.GRAIDConfig{LogCapacityBytes: 16 << 20, DestageThreshold: 0.8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.ctrl, c.Logged = g, g.Logged
+	default:
+		t.Fatalf("no mutation harness for scheme %q", scheme)
+	}
+	c.san = attachSanitizer(scheme, eng, a, c.Logged, c.Logged)
+	return c
+}
+
+// mutation is one scheme's row of a mutation test: corrupt seeds the
+// corruption, and check and frag name the violation the sanitizer must
+// report. An empty check marks a legitimate state the sanitizer must
+// accept.
+type mutation struct {
+	scheme      string
+	corrupt     func(t *testing.T, c sanitized)
+	check, frag string
+}
+
+func runMutations(t *testing.T, rows []mutation) {
+	for _, m := range rows {
+		name := m.scheme
+		if m.check == "" {
+			name += "_clean"
+		}
+		t.Run(name, func(t *testing.T) {
+			c := newSanitized(t, m.scheme)
+			m.corrupt(t, c)
+			c.san.Final(c.arr.Eng.Now())
+			if m.check == "" {
+				if err := c.san.Err(); err != nil {
+					t.Fatalf("sanitizer tripped on a legitimate state: %v", err)
+				}
+				return
+			}
+			wantViolation(t, c.san, m.check, m.frag)
+		})
+	}
 }
 
 // wantViolation asserts that the sanitizer tripped, with the expected
@@ -50,38 +133,28 @@ func wantViolation(t *testing.T, san *invariant.Sanitizer, check, frag string) {
 // TestMutationUnauditedAlloc allocates log space behind the audited
 // helpers' back; the conservation sweep must notice ledger divergence.
 func TestMutationUnauditedAlloc(t *testing.T) {
-	a, eng := testArray(t, 4)
-	r, err := New(a, FlavorP, scaledConfig())
-	if err != nil {
-		t.Fatal(err)
+	unaudited := func(t *testing.T, c sanitized) {
+		if _, ok := c.SanitizerState().Spaces[0].Alloc(8192, 3); !ok { // bypasses Logged.Alloc
+			t.Fatal("direct alloc failed")
+		}
 	}
-	san := attachSanitizer("RoLo-P", eng, a, r, r)
-
-	if _, ok := r.spaces[0].Alloc(8192, 3); !ok { // bypasses r.logAlloc
-		t.Fatal("direct alloc failed")
-	}
-	san.Final(eng.Now())
-	wantViolation(t, san, "conservation", "bypassed the audited helpers")
+	runMutations(t, []mutation{
+		{"RoLo-P", unaudited, "conservation", "bypassed the audited helpers"},
+		{"GRAID", unaudited, "conservation", "bypassed the audited helpers"},
+	})
 }
 
 // TestMutationEarlyRelease reclaims a pair's log extents while the pair
 // still has dirty bytes — the reclamation-safety rule (paper §III-E: only
 // a drained destage may release).
 func TestMutationEarlyRelease(t *testing.T) {
-	a, eng := testArray(t, 4)
-	r, err := New(a, FlavorP, scaledConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	san := attachSanitizer("RoLo-P", eng, a, r, r)
-
-	sp := r.spaces[0]
-	if _, ok := r.logAlloc(sp, 8192, 2); !ok {
-		t.Fatal("log alloc failed")
-	}
-	r.markDirty(2, 0, 8192)
-	r.releaseTag(sp, 2) // destage never drained: live log copies reclaimed
-	wantViolation(t, san, "recoverability", "dirty bytes outstanding")
+	runMutations(t, []mutation{{"RoLo-P", func(t *testing.T, c sanitized) {
+		if _, ok := c.Alloc(0, 8192, 2); !ok {
+			t.Fatal("log alloc failed")
+		}
+		c.MarkDirty(2, 0, 8192)
+		c.ReleaseTag(2) // destage never drained: live log copies reclaimed
+	}, "recoverability", "dirty bytes outstanding"}})
 }
 
 // TestMutationMidDestageReset resets a RoLo-E log that still covers dirty
@@ -89,33 +162,30 @@ func TestMutationEarlyRelease(t *testing.T) {
 // data loss (the exact bug class the centralized-destage write path must
 // avoid).
 func TestMutationMidDestageReset(t *testing.T) {
-	a, eng := testArray(t, 4)
-	e, err := NewE(a, DefaultEConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	san := attachSanitizer("RoLo-E", eng, a, e, e)
-
-	e.markDirty(0, 0, 4096)
-	e.resetSpace(e.spaces[0])
-	wantViolation(t, san, "recoverability", "only copy was logged")
+	runMutations(t, []mutation{{"RoLo-E", func(_ *testing.T, c sanitized) {
+		c.MarkDirty(0, 0, 4096)
+		c.ResetSpace(0)
+	}, "recoverability", "only copy was logged"}})
 }
 
-// TestMutationPhantomDirty marks a span dirty with no log backing, then
-// fails the pair's primary: no valid source remains for the span and the
-// recoverability sweep must report the double exposure.
+// TestMutationPhantomDirty marks a span dirty with no log backing. Under
+// RoLo-P the pair's primary then fails, leaving the span no valid source;
+// under GRAID the generation log no longer covers the aggregate dirt. Once
+// GRAID's log disk has failed, that exposure is known and the aggregate
+// check is suspended.
 func TestMutationPhantomDirty(t *testing.T) {
-	a, eng := testArray(t, 4)
-	r, err := New(a, FlavorP, scaledConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	san := attachSanitizer("RoLo-P", eng, a, r, r)
-
-	r.markDirty(1, 0, 1<<20)
-	a.Primaries[1].Fail()
-	san.Final(eng.Now())
-	wantViolation(t, san, "recoverability", "failed primary")
+	phantom := func(_ *testing.T, c sanitized) { c.MarkDirty(1, 0, 1<<20) }
+	runMutations(t, []mutation{
+		{"RoLo-P", func(t *testing.T, c sanitized) {
+			phantom(t, c)
+			c.arr.Primaries[1].Fail()
+		}, "recoverability", "failed primary"},
+		{"GRAID", phantom, "recoverability", "log device"},
+		{"GRAID", func(t *testing.T, c sanitized) {
+			c.ctrl.(*baseline.GRAID).FailLogDisk()
+			phantom(t, c)
+		}, "", ""},
+	})
 }
 
 // TestMutationForbiddenSpinDown watches disks under the RAID10 policy

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"github.com/rolo-storage/rolo/internal/array"
 	"github.com/rolo-storage/rolo/internal/disk"
 	"github.com/rolo-storage/rolo/internal/intervals"
 	"github.com/rolo-storage/rolo/internal/sim"
@@ -58,7 +57,7 @@ func (r *RoLo) FailMirror(m int) (RecoveryPlan, error) {
 		// Log extents on the failed mirror are gone; the data they
 		// protected is still safe on the primaries, so the corresponding
 		// pairs simply stay dirty until their next destage.
-		r.resetSpace(r.spaces[m])
+		r.ResetSpace(m)
 		slot := 0
 		for i, d := range r.onDuty {
 			if d == m {
@@ -75,10 +74,9 @@ func (r *RoLo) FailMirror(m int) (RecoveryPlan, error) {
 				_ = r.arr.Mirrors[next].SpinUp()
 				plan.SpunUp = append(plan.SpunUp, next)
 			}
-			r.onDuty[slot] = next
-			r.spinningUp = -1
-			r.rotations++
-			r.startDestage(next)
+			// The failed mirror is already down, so rotate's sleep of
+			// the outgoing logger is a no-op.
+			r.rotate(slot, next)
 			plan.NewOnDuty = next
 		}
 	}
@@ -116,21 +114,19 @@ func (r *RoLo) FailPrimary(p int) (RecoveryPlan, error) {
 		plan.SpunUp = append(plan.SpunUp, p)
 	}
 	// Wake every logger holding live extents for pair p.
-	for i, sp := range r.spaces {
-		if sp.TagBytes(p) == 0 {
+	plan.RebuildBytes = r.arr.Geom.DataBytesPerDisk
+	for i, m := range r.arr.Mirrors {
+		logged := r.TagBytes(i, p)
+		if logged == 0 {
 			continue
 		}
 		plan.LogSourceLoggers = append(plan.LogSourceLoggers, i)
-		if r.arr.Mirrors[i].State() == disk.Standby && !r.arr.Mirrors[i].Failed() {
-			_ = r.arr.Mirrors[i].SpinUp()
+		plan.RebuildBytes += logged
+		if m.State() == disk.Standby && !m.Failed() {
+			_ = m.SpinUp()
 			plan.SpunUp = append(plan.SpunUp, i)
 		}
 	}
-	var logBytes int64
-	for _, i := range plan.LogSourceLoggers {
-		logBytes += r.spaces[i].TagBytes(p)
-	}
-	plan.RebuildBytes = r.arr.Geom.DataBytesPerDisk + logBytes
 	return plan, nil
 }
 
@@ -156,11 +152,7 @@ func (r *RoLo) Rebuild(p int, mirrorFailed bool, done func(now sim.Time)) error 
 	}
 	work := &intervals.Set{}
 	work.Add(0, r.arr.Geom.DataBytesPerDisk)
-	cp := array.NewCopier(r.arr.Eng, src, []*disk.Disk{failed}, work,
-		r.cfg.DestageChunkBytes,
-		func(sp intervals.Span) *disk.IO { return r.arr.DataIO(sp.Start, sp.Len(), false, true) },
-		func(sp intervals.Span) *disk.IO { return r.arr.DataIO(sp.Start, sp.Len(), true, true) },
-	)
+	cp := r.arr.DataCopier(src, failed, work)
 	fired := false
 	cp.OnDrained = func(at sim.Time) {
 		if fired {
@@ -170,10 +162,8 @@ func (r *RoLo) Rebuild(p int, mirrorFailed bool, done func(now sim.Time)) error 
 		// The rebuilt mirror is current: its pair is clean and any log
 		// extents for it are stale.
 		if mirrorFailed {
-			r.clearDirty(p)
-			for _, sp := range r.spaces {
-				r.releaseTag(sp, p)
-			}
+			r.ClearDirty(p)
+			r.ReleaseTag(p)
 		}
 		if done != nil {
 			done(at)
@@ -198,7 +188,7 @@ func (r *RoLo) submitSurviving(rec trace.Record, ios []targetIO) error {
 	if live == 0 {
 		return fmt.Errorf("%v: no surviving copy target", r.flavor)
 	}
-	req := r.reqs.Start(rec, live)
+	req := r.Reqs.Start(rec, live)
 	for _, t := range ios {
 		if t.disk.Failed() {
 			t.io.Recycle() // never submitted; return it to the array pool

@@ -6,6 +6,7 @@ import (
 	"github.com/rolo-storage/rolo/internal/array"
 	"github.com/rolo-storage/rolo/internal/disk"
 	"github.com/rolo-storage/rolo/internal/sim"
+	"github.com/rolo-storage/rolo/internal/telemetry"
 	"github.com/rolo-storage/rolo/internal/trace"
 )
 
@@ -35,6 +36,9 @@ func failSetup(t *testing.T) (*RoLo, *array.Array, *sim.Engine) {
 
 func TestFailOnDutyMirrorRotatesImmediately(t *testing.T) {
 	r, a, eng := failSetup(t)
+	var journal telemetry.CountingSink
+	r.SetTelemetry(telemetry.NewRecorder(&journal))
+	rotationsBefore := r.Rotations()
 	prevDuty := r.OnDuty()
 	plan, err := r.FailMirror(prevDuty)
 	if err != nil {
@@ -64,6 +68,12 @@ func TestFailOnDutyMirrorRotatesImmediately(t *testing.T) {
 	if a.Mirrors[prevDuty].State() != disk.Standby || !a.Mirrors[prevDuty].Failed() {
 		t.Fatalf("failed mirror state = %v failed=%v", a.Mirrors[prevDuty].State(), a.Mirrors[prevDuty].Failed())
 	}
+	// The emergency rotation is journaled like any other, so the journal
+	// agrees with the report's rotation count.
+	rotated := int64(r.Rotations() - rotationsBefore)
+	if got := journal.Count(telemetry.KindRotation); got != rotated || rotated == 0 {
+		t.Fatalf("journal holds %d rotation events, controller counted %d", got, rotated)
+	}
 }
 
 func TestFailPrimaryWakesOnlyEssentialDisks(t *testing.T) {
@@ -71,7 +81,7 @@ func TestFailPrimaryWakesOnlyEssentialDisks(t *testing.T) {
 	// Pick a pair whose mirror sleeps and which has logged extents.
 	victim := -1
 	for p := 0; p < a.Geom.Pairs; p++ {
-		if p != r.OnDuty() && a.Mirrors[p].State() == disk.Standby && r.spaces[r.OnDuty()].TagBytes(p) > 0 {
+		if p != r.OnDuty() && a.Mirrors[p].State() == disk.Standby && r.TagBytes(r.OnDuty(), p) > 0 {
 			victim = p
 			break
 		}
@@ -103,7 +113,7 @@ func TestFailPrimaryWakesOnlyEssentialDisks(t *testing.T) {
 		if p == victim || p == r.OnDuty() {
 			continue
 		}
-		if r.spaces[p].TagBytes(victim) > 0 {
+		if r.TagBytes(p, victim) > 0 {
 			continue
 		}
 		involved := false
@@ -169,7 +179,7 @@ func TestRebuildMirror(t *testing.T) {
 	if a.Mirrors[victim].Failed() {
 		t.Fatal("mirror still marked failed after rebuild")
 	}
-	if !r.dirty[victim].Empty() {
+	if r.SanitizerState().DirtyBytes[victim] != 0 {
 		t.Fatal("rebuilt pair still dirty")
 	}
 	// The rebuilt mirror received at least a full data region.

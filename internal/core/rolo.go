@@ -16,10 +16,8 @@ import (
 
 	"github.com/rolo-storage/rolo/internal/array"
 	"github.com/rolo-storage/rolo/internal/disk"
-	"github.com/rolo-storage/rolo/internal/intervals"
 	"github.com/rolo-storage/rolo/internal/invariant"
 	"github.com/rolo-storage/rolo/internal/logspace"
-	"github.com/rolo-storage/rolo/internal/metrics"
 	"github.com/rolo-storage/rolo/internal/raid"
 	"github.com/rolo-storage/rolo/internal/sim"
 	"github.com/rolo-storage/rolo/internal/telemetry"
@@ -63,10 +61,6 @@ type Config struct {
 	// this, RoLo is deactivated for the request and writes go directly to
 	// the mirrors (Section III-E's 5% rule).
 	DeactivateFreeFraction float64
-	// DestageChunkBytes caps each background destage copy I/O.
-	DestageChunkBytes int64
-	// SpinDownRetry is the retry interval for deferred spin-downs.
-	SpinDownRetry sim.Time
 	// OnDutyLoggers is how many mirrors serve as on-duty loggers at once
 	// (Section III-D: "one or a few mirrored disks take turns"). More
 	// loggers raise log bandwidth at the cost of more spinning disks.
@@ -80,8 +74,6 @@ func DefaultConfig() Config {
 		RotateFreeFraction:     0.10,
 		SpinUpLeadFreeFraction: 0.20,
 		DeactivateFreeFraction: 0.05,
-		DestageChunkBytes:      256 << 10,
-		SpinDownRetry:          sim.Second,
 	}
 }
 
@@ -94,10 +86,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: spin-up lead %g must be in [rotate threshold, 1)", c.SpinUpLeadFreeFraction)
 	case c.DeactivateFreeFraction < 0 || c.DeactivateFreeFraction > c.RotateFreeFraction:
 		return fmt.Errorf("core: deactivate threshold %g outside [0, rotate threshold]", c.DeactivateFreeFraction)
-	case c.DestageChunkBytes <= 0:
-		return fmt.Errorf("core: non-positive destage chunk %d", c.DestageChunkBytes)
-	case c.SpinDownRetry <= 0:
-		return fmt.Errorf("core: non-positive spin-down retry %v", c.SpinDownRetry)
 	case c.OnDutyLoggers < 0:
 		return fmt.Errorf("core: negative on-duty logger count %d", c.OnDutyLoggers)
 	}
@@ -112,42 +100,30 @@ func (c Config) loggers() int {
 	return c.OnDutyLoggers
 }
 
-// RoLo is the RoLo-P / RoLo-R controller.
+// RoLo is the RoLo-P / RoLo-R controller. Its log has one space per
+// mirror (P) or per pair (R; the pair's two disks hold identical log
+// contents, so one allocator covers both), tagged by pair and backed by
+// the always-spinning primaries. Pair p's dirt doubles as its destage
+// work queue.
 type RoLo struct {
+	*array.Logged
+
 	arr    *array.Array
 	cfg    Config
 	flavor Flavor
-
-	// spaces[i] tracks logger space per mirror (P) or per pair (R; the
-	// pair's two disks hold identical log contents, so one allocator
-	// covers both).
-	spaces []*logspace.Space
-	// dirty[p] is the set of pair-p data-region spans whose mirror copy
-	// is stale. It doubles as the destage work queue for pair p.
-	dirty []intervals.Set
 
 	onDuty      []int           // on-duty logger indices (usually one)
 	spinningUp  int             // logger index being woken ahead of rotation, or -1
 	destagers   []*array.Copier // per pair; nil when no destage ever started
 	destageLive []bool          // destage in progress for pair p
 
-	reqs array.Requests
-	tel  *telemetry.Recorder
-
-	rotations    int
-	directWrites int // writes that bypassed logging (deactivation fallback)
-	closed       bool
-
-	// Per-Submit scratch buffers. Submit builds its extent, placement and
-	// target lists, hands them to synchronous consumers and returns, so
-	// the backing arrays are reused across requests (DESIGN §11). The
+	// Per-Submit scratch buffers. Submit builds its placement and target
+	// lists, hands them to synchronous consumers and returns, so the
+	// backing arrays are reused across requests (DESIGN §11). The
 	// simulation is single-threaded per engine, so no locking is needed.
-	extScratch    []raid.Extent
 	orderScratch  []int
 	allocScratch  []placedAlloc
 	targetScratch []targetIO
-
-	san *invariant.Audit // nil unless a sanitizer is attached (audit.go)
 }
 
 // placedAlloc records where one extent's log copy was placed.
@@ -160,6 +136,7 @@ var (
 	_ array.Controller       = (*RoLo)(nil)
 	_ telemetry.Instrumented = (*RoLo)(nil)
 	_ telemetry.GaugeSource  = (*RoLo)(nil)
+	_ invariant.Attachable   = (*RoLo)(nil)
 )
 
 // New builds a RoLo-P or RoLo-R controller over the array. Logger 0 starts
@@ -183,25 +160,24 @@ func New(arr *array.Array, flavor Flavor, cfg Config) (*RoLo, error) {
 		return nil, fmt.Errorf("core: %d on-duty loggers need at least %d pairs for rotation",
 			cfg.loggers(), cfg.loggers()+1)
 	}
+	lg, err := array.NewLogged(arr, array.LogLayout{
+		Scheme: flavor.String(), Spaces: arr.Geom.Pairs, SpaceBytes: arr.LogRegionBytes(),
+		PrimaryBacked: true,
+	})
+	if err != nil {
+		return nil, err
+	}
 	r := &RoLo{
+		Logged:      lg,
 		arr:         arr,
 		cfg:         cfg,
 		flavor:      flavor,
-		spaces:      make([]*logspace.Space, arr.Geom.Pairs),
-		dirty:       make([]intervals.Set, arr.Geom.Pairs),
 		destagers:   make([]*array.Copier, arr.Geom.Pairs),
 		destageLive: make([]bool, arr.Geom.Pairs),
 		spinningUp:  -1,
 	}
 	for i := 0; i < cfg.loggers(); i++ {
 		r.onDuty = append(r.onDuty, i)
-	}
-	for i := range r.spaces {
-		sp, err := logspace.New(arr.LogRegionBytes())
-		if err != nil {
-			return nil, err
-		}
-		r.spaces[i] = sp
 	}
 	for i, m := range arr.Mirrors {
 		if r.isOnDuty(i) {
@@ -224,32 +200,6 @@ func (r *RoLo) isOnDuty(i int) bool {
 	return false
 }
 
-// Responses returns response-time statistics.
-func (r *RoLo) Responses() *metrics.ResponseStats { return &r.reqs.Resp }
-
-// SetTelemetry implements telemetry.Instrumented.
-func (r *RoLo) SetTelemetry(rec *telemetry.Recorder) {
-	r.tel = rec
-	r.reqs.SetTelemetry(rec)
-}
-
-// TelemetryGauges implements telemetry.GaugeSource: log occupancy summed
-// over every logger's space, and the stale bytes awaiting destage.
-func (r *RoLo) TelemetryGauges() (logUsed, logCap, backlog int64) {
-	for _, sp := range r.spaces {
-		logUsed += sp.UsedBytes()
-		logCap += sp.Capacity()
-	}
-	return logUsed, logCap, r.DirtyBytes()
-}
-
-// Rotations returns the number of logger rotations performed.
-func (r *RoLo) Rotations() int { return r.rotations }
-
-// DirectWrites returns how many writes bypassed logging because every
-// logger was (nearly) full.
-func (r *RoLo) DirectWrites() int { return r.directWrites }
-
 // OnDuty returns the first on-duty logger index, or -1 when logging is
 // deactivated.
 func (r *RoLo) OnDuty() int {
@@ -266,27 +216,14 @@ func (r *RoLo) OnDutyLoggers() []int {
 	return out
 }
 
-// DirtyBytes returns the total stale bytes awaiting destage.
-func (r *RoLo) DirtyBytes() int64 {
-	var t int64
-	for i := range r.dirty {
-		t += r.dirty[i].Total()
-	}
-	return t
-}
-
 // Submit implements array.Controller.
 func (r *RoLo) Submit(rec trace.Record) error {
-	exts, err := r.arr.Geom.AppendExtents(r.extScratch[:0], rec.Offset, rec.Size)
+	exts, err := r.Reqs.Arrive(r.arr.Geom, rec)
 	if err != nil {
 		return fmt.Errorf("%v: %w", r.flavor, err)
 	}
-	r.extScratch = exts
-	if r.tel != nil {
-		r.tel.RequestStart(rec.At, rec.Op == trace.Write, rec.Size)
-	}
 	if rec.Op == trace.Read {
-		req := r.reqs.Start(rec, len(exts))
+		req := r.Reqs.Start(rec, len(exts))
 		for _, e := range exts {
 			io := r.arr.DataIO(e.Offset, e.Length, false, false)
 			io.OnDone = req.Done
@@ -348,7 +285,7 @@ func (r *RoLo) Submit(rec trace.Record) error {
 				disk: r.arr.Mirrors[e.Pair],
 				io:   r.arr.DataIO(e.Offset, e.Length, true, false),
 			})
-			r.cleanDirty(e.Pair, e.Offset, e.Offset+e.Length)
+			r.CleanDirty(e.Pair, e.Offset, e.Offset+e.Length)
 		} else {
 			targets = append(targets, targetIO{
 				disk: prim,
@@ -391,12 +328,12 @@ func (r *RoLo) allocOnDuty(n int64, tag int) (logger int, a logspace.Alloc, ok b
 	r.orderScratch = order[:0]
 	// Emptiest first: balances fill level so rotations stagger.
 	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && r.spaces[order[j]].FreeBytes() > r.spaces[order[j-1]].FreeBytes(); j-- {
+		for j := i; j > 0 && r.FreeBytes(order[j]) > r.FreeBytes(order[j-1]); j-- {
 			order[j], order[j-1] = order[j-1], order[j]
 		}
 	}
 	for _, lg := range order {
-		if a, ok := r.logAlloc(r.spaces[lg], n, tag); ok {
+		if a, ok := r.Alloc(lg, n, tag); ok {
 			return lg, a, true
 		}
 	}
@@ -412,10 +349,7 @@ func (r *RoLo) reactivate() {
 			return
 		}
 		r.onDuty = append(r.onDuty, next)
-		r.rotations++
-		if r.tel != nil {
-			r.tel.Rotation(r.arr.Eng.Now(), next)
-		}
+		r.Rotated(r.arr.Eng.Now(), next)
 		_ = r.arr.Mirrors[next].SpinUp()
 		r.startDestage(next)
 	}
@@ -423,10 +357,8 @@ func (r *RoLo) reactivate() {
 
 // markDirty records staleness and feeds the live destager if pair p is
 // currently being destaged.
-//
-// rolosan:audited
 func (r *RoLo) markDirty(p int, start, end int64) {
-	r.dirty[p].Add(start, end)
+	r.MarkDirty(p, start, end)
 	if r.destageLive[p] && r.destagers[p] != nil {
 		r.destagers[p].Kick()
 	}
@@ -435,7 +367,7 @@ func (r *RoLo) markDirty(p int, start, end int64) {
 // directWrite is the deactivation fallback: write both copies in place,
 // waking the target mirrors if needed (Section III-E).
 func (r *RoLo) directWrite(rec trace.Record, exts []raid.Extent) error {
-	r.directWrites++
+	r.Bypassed()
 	targets := r.targetScratch[:0]
 	for _, e := range exts {
 		for _, mirror := range [...]bool{false, true} {
@@ -450,7 +382,7 @@ func (r *RoLo) directWrite(rec trace.Record, exts []raid.Extent) error {
 		}
 		// The surviving mirror copy is now current for this span.
 		if !r.arr.Mirrors[e.Pair].Failed() {
-			r.cleanDirty(e.Pair, e.Offset, e.Offset+e.Length)
+			r.CleanDirty(e.Pair, e.Offset, e.Offset+e.Length)
 		}
 	}
 	r.targetScratch = targets[:0]
@@ -469,11 +401,11 @@ func (r *RoLo) checkRotation() {
 	// The fullest on-duty logger drives the rotation pipeline.
 	slot := 0
 	for i := range r.onDuty {
-		if r.spaces[r.onDuty[i]].FreeBytes() < r.spaces[r.onDuty[slot]].FreeBytes() {
+		if r.FreeBytes(r.onDuty[i]) < r.FreeBytes(r.onDuty[slot]) {
 			slot = i
 		}
 	}
-	free := r.spaces[r.onDuty[slot]].FreeFraction()
+	free := r.FreeFraction(r.onDuty[slot])
 	if free >= r.cfg.SpinUpLeadFreeFraction {
 		return
 	}
@@ -504,15 +436,15 @@ func (r *RoLo) checkRotation() {
 // requiring it to beat the deactivation threshold.
 func (r *RoLo) pickNext() int {
 	best, bestFree := -1, int64(-1)
-	for i, sp := range r.spaces {
-		if r.isOnDuty(i) || i == r.spinningUp || r.arr.Mirrors[i].Failed() {
+	for i, m := range r.arr.Mirrors {
+		if r.isOnDuty(i) || i == r.spinningUp || m.Failed() {
 			continue
 		}
-		if f := sp.FreeBytes(); f > bestFree {
+		if f := r.FreeBytes(i); f > bestFree {
 			best, bestFree = i, f
 		}
 	}
-	if best >= 0 && r.spaces[best].FreeFraction() <= r.cfg.DeactivateFreeFraction {
+	if best >= 0 && r.FreeFraction(best) <= r.cfg.DeactivateFreeFraction {
 		return -1
 	}
 	return best
@@ -524,11 +456,7 @@ func (r *RoLo) rotate(slot, next int) {
 	prev := r.onDuty[slot]
 	r.onDuty[slot] = next
 	r.spinningUp = -1
-	r.rotations++
-	if r.tel != nil {
-		r.tel.Rotation(r.arr.Eng.Now(), next)
-	}
-
+	r.Rotated(r.arr.Eng.Now(), next)
 	r.startDestage(next)
 
 	// The previous logger spins down once the destage that writes to it
@@ -544,16 +472,11 @@ func (r *RoLo) startDestage(p int) {
 		return
 	}
 	r.destageLive[p] = true
-	if r.tel != nil {
-		r.tel.DestageStart(r.arr.Eng.Now(), p)
+	if r.Tel != nil {
+		r.Tel.DestageStart(r.arr.Eng.Now(), p)
 	}
 	if r.destagers[p] == nil {
-		r.destagers[p] = array.NewCopier(r.arr.Eng,
-			r.arr.Primaries[p], []*disk.Disk{r.arr.Mirrors[p]},
-			&r.dirty[p], r.cfg.DestageChunkBytes,
-			func(sp intervals.Span) *disk.IO { return r.arr.DataIO(sp.Start, sp.Len(), false, true) },
-			func(sp intervals.Span) *disk.IO { return r.arr.DataIO(sp.Start, sp.Len(), true, true) },
-		)
+		r.destagers[p] = r.Destager(p)
 		r.destagers[p].OnDrained = func(at sim.Time) { r.destageDrained(p, at) }
 	}
 	r.destagers[p].Kick()
@@ -567,15 +490,11 @@ func (r *RoLo) destageDrained(p int, at sim.Time) {
 		return
 	}
 	r.destageLive[p] = false
-	if r.tel != nil {
-		r.tel.DestageDone(at, p)
+	if r.Tel != nil {
+		r.Tel.DestageDone(at, p)
 	}
-	var freed int64
-	for _, sp := range r.spaces {
-		freed += r.releaseTag(sp, p)
-	}
-	if r.tel != nil && freed > 0 {
-		r.tel.LogInvalidate(at, p, freed)
+	if freed := r.ReleaseTag(p); r.Tel != nil && freed > 0 {
+		r.Tel.LogInvalidate(at, p, freed)
 	}
 	r.maybeSleepMirror(p)
 }
@@ -586,14 +505,9 @@ func (r *RoLo) maybeSleepMirror(m int) {
 	if r.isOnDuty(m) || m == r.spinningUp || r.destageLive[m] {
 		return
 	}
-	array.SpinDownWhenIdle(r.arr.Eng, r.arr.Mirrors[m], r.cfg.SpinDownRetry, func() bool {
-		return !r.isOnDuty(m) && m != r.spinningUp && !r.destageLive[m] && !r.closed
+	array.SpinDownWhenIdle(r.arr.Eng, r.arr.Mirrors[m], func() bool {
+		return !r.isOnDuty(m) && m != r.spinningUp && !r.destageLive[m] && !r.Closed()
 	})
-}
-
-// Close implements array.Controller.
-func (r *RoLo) Close(sim.Time) {
-	r.closed = true
 }
 
 // CheckErr returns the first destager addressing error, if any. Tests call

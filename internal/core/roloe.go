@@ -9,7 +9,6 @@ import (
 	"github.com/rolo-storage/rolo/internal/intervals"
 	"github.com/rolo-storage/rolo/internal/invariant"
 	"github.com/rolo-storage/rolo/internal/logspace"
-	"github.com/rolo-storage/rolo/internal/metrics"
 	"github.com/rolo-storage/rolo/internal/raid"
 	"github.com/rolo-storage/rolo/internal/sim"
 	"github.com/rolo-storage/rolo/internal/telemetry"
@@ -29,10 +28,6 @@ type EConfig struct {
 	// MissIdleSpinDown is how long a miss-awakened disk stays up after
 	// its last foreground I/O before spinning back down.
 	MissIdleSpinDown sim.Time
-	// DestageChunkBytes caps each destage copy I/O.
-	DestageChunkBytes int64
-	// SpinDownRetry is the retry interval for deferred spin-downs.
-	SpinDownRetry sim.Time
 	// OnDutyPairs is how many mirrored pairs serve as log disks at once
 	// (the paper's "one or several mirrored disk pairs"). Zero means one.
 	OnDutyPairs int
@@ -45,8 +40,6 @@ func DefaultEConfig() EConfig {
 		CacheFraction:       0.25,
 		CacheBlockBytes:     64 << 10,
 		MissIdleSpinDown:    sim.Minute,
-		DestageChunkBytes:   256 << 10,
-		SpinDownRetry:       sim.Second,
 	}
 }
 
@@ -61,10 +54,6 @@ func (c EConfig) Validate() error {
 		return fmt.Errorf("core: non-positive cache block %d", c.CacheBlockBytes)
 	case c.MissIdleSpinDown <= 0:
 		return fmt.Errorf("core: non-positive miss idle timeout %v", c.MissIdleSpinDown)
-	case c.DestageChunkBytes <= 0:
-		return fmt.Errorf("core: non-positive destage chunk %d", c.DestageChunkBytes)
-	case c.SpinDownRetry <= 0:
-		return fmt.Errorf("core: non-positive spin-down retry %v", c.SpinDownRetry)
 	case c.OnDutyPairs < 0:
 		return fmt.Errorf("core: negative on-duty pair count %d", c.OnDutyPairs)
 	}
@@ -82,43 +71,25 @@ func (c EConfig) pairs() int {
 // RoLoE is the energy-oriented flavor: only the on-duty mirrored pair
 // spins; it logs both copies of every write and caches popular read blocks
 // in its logging space. A read miss pays a disk spin-up; a full log forces
-// a centralized destage that wakes the whole array.
+// a centralized destage that wakes the whole array. Log space i belongs
+// to on-duty slot i and moves with it across rotations (each destage
+// resets it); it holds the only current copy of the pairs' dirt.
 type RoLoE struct {
+	*array.Logged
+
 	arr *array.Array
 	cfg EConfig
 
-	onDuty []int // on-duty pair indices (usually one)
-	// spaces[i] is the logging allocator of on-duty slot i; it moves with
-	// the slot across rotations (each destage resets it).
-	spaces []*logspace.Space
-	// dirty[p]: spans of pair p's data region whose only current copy
-	// lives in the on-duty log.
-	dirty []intervals.Set
-
-	readCache  *cache.LRU
-	cacheBytes int64 // reserved cache capacity (informational)
-
-	destaging bool
-
-	reqs  array.Requests
-	phase metrics.PhaseLog
-	tel   *telemetry.Recorder
-
+	onDuty    []int // on-duty pair indices (usually one)
+	readCache *cache.LRU
 	lastFG    []sim.Time // per disk id, last foreground completion
-	rotations int
-	destages  int
 	readHits  int64
 	readMiss  int64
-	overflow  int64 // writes bypassing the log during destage
-	closed    bool
 
-	// extScratch and allocScratch back Submit's extent and placement
-	// lists; both are fully consumed before Submit returns, so the arrays
-	// are reused per request (DESIGN §11).
-	extScratch   []raid.Extent
+	// allocScratch backs Submit's placement list; it is fully consumed
+	// before Submit returns, so the array is reused per request
+	// (DESIGN §11).
 	allocScratch []placedSlot
-
-	san *invariant.Audit // nil unless a sanitizer is attached (audit.go)
 }
 
 // placedSlot records where one extent's log copy was placed.
@@ -131,6 +102,7 @@ var (
 	_ array.Controller       = (*RoLoE)(nil)
 	_ telemetry.Instrumented = (*RoLoE)(nil)
 	_ telemetry.GaugeSource  = (*RoLoE)(nil)
+	_ invariant.Attachable   = (*RoLoE)(nil)
 )
 
 // NewE builds a RoLo-E controller. Pair 0 starts on duty; every other disk
@@ -159,21 +131,21 @@ func NewE(arr *array.Array, cfg EConfig) (*RoLoE, error) {
 	if err != nil {
 		return nil, err
 	}
+	lg, err := array.NewLogged(arr, array.LogLayout{
+		Scheme: "RoLo-E", Spaces: cfg.pairs(), SpaceBytes: logBytes,
+	})
+	if err != nil {
+		return nil, err
+	}
 	e := &RoLoE{
-		arr:        arr,
-		cfg:        cfg,
-		dirty:      make([]intervals.Set, arr.Geom.Pairs),
-		readCache:  lru,
-		cacheBytes: cacheBytes,
-		lastFG:     make([]sim.Time, 2*arr.Geom.Pairs),
+		Logged:    lg,
+		arr:       arr,
+		cfg:       cfg,
+		readCache: lru,
+		lastFG:    make([]sim.Time, 2*arr.Geom.Pairs),
 	}
 	for i := 0; i < cfg.pairs(); i++ {
 		e.onDuty = append(e.onDuty, i)
-		space, err := logspace.New(logBytes)
-		if err != nil {
-			return nil, err
-		}
-		e.spaces = append(e.spaces, space)
 	}
 	for p := 0; p < arr.Geom.Pairs; p++ {
 		if e.isOnDuty(p) {
@@ -186,34 +158,9 @@ func NewE(arr *array.Array, cfg EConfig) (*RoLoE, error) {
 			return nil, fmt.Errorf("core: init mirror %d: %w", p, err)
 		}
 	}
-	e.phase.Begin(metrics.Logging, arr.Eng.Now(), arr.TotalEnergyJ())
+	e.BeginLogging(arr.Eng.Now())
 	return e, nil
 }
-
-// Responses returns response-time statistics.
-func (e *RoLoE) Responses() *metrics.ResponseStats { return &e.reqs.Resp }
-
-// SetTelemetry implements telemetry.Instrumented.
-func (e *RoLoE) SetTelemetry(rec *telemetry.Recorder) {
-	e.tel = rec
-	e.reqs.SetTelemetry(rec)
-}
-
-// TelemetryGauges implements telemetry.GaugeSource: occupancy of the
-// on-duty logging spaces and the bytes whose only current copy is logged.
-func (e *RoLoE) TelemetryGauges() (logUsed, logCap, backlog int64) {
-	for _, sp := range e.spaces {
-		logUsed += sp.UsedBytes()
-		logCap += sp.Capacity()
-	}
-	for i := range e.dirty {
-		backlog += e.dirty[i].Total()
-	}
-	return logUsed, logCap, backlog
-}
-
-// Phases returns the logging/destaging phase log.
-func (e *RoLoE) Phases() *metrics.PhaseLog { return &e.phase }
 
 // ReadHitRate returns the fraction of reads served by the on-duty pair
 // (the paper's Table V metric).
@@ -231,15 +178,9 @@ func (e *RoLoE) ReadHits() int64 { return e.readHits }
 // ReadMisses returns the number of reads that needed an off-duty disk.
 func (e *RoLoE) ReadMisses() int64 { return e.readMiss }
 
-// Destages returns the number of centralized destages.
-func (e *RoLoE) Destages() int { return e.destages }
-
-// Rotations returns the number of on-duty pair rotations.
-func (e *RoLoE) Rotations() int { return e.rotations }
-
-// Overflows returns the number of writes that bypassed the log because a
-// destage was reclaiming it.
-func (e *RoLoE) Overflows() int64 { return e.overflow }
+// Overflows returns the number of writes that bypassed the log because it
+// was full or a destage was reclaiming it.
+func (e *RoLoE) Overflows() int64 { return e.DirectWrites() }
 
 // isOnDuty reports whether pair p currently serves as a logger.
 func (e *RoLoE) isOnDuty(p int) bool {
@@ -266,14 +207,14 @@ func (e *RoLoE) slotDisks(i int) (*disk.Disk, *disk.Disk) {
 // allocSlot places a log extent on the emptiest on-duty slot.
 func (e *RoLoE) allocSlot(n int64, tag int) (int, logspace.Alloc, bool) {
 	best := -1
-	for i := range e.spaces {
-		if best == -1 || e.spaces[i].FreeBytes() > e.spaces[best].FreeBytes() {
+	for i := range e.onDuty {
+		if best == -1 || e.FreeBytes(i) > e.FreeBytes(best) {
 			best = i
 		}
 	}
-	for off := 0; off < len(e.spaces); off++ {
-		i := (best + off) % len(e.spaces)
-		if a, ok := e.logAlloc(e.spaces[i], n, tag); ok {
+	for off := range e.onDuty {
+		i := (best + off) % len(e.onDuty)
+		if a, ok := e.Alloc(i, n, tag); ok {
 			return i, a, true
 		}
 	}
@@ -296,13 +237,9 @@ func (e *RoLoE) hitTarget() *disk.Disk {
 
 // Submit implements array.Controller.
 func (e *RoLoE) Submit(rec trace.Record) error {
-	exts, err := e.arr.Geom.AppendExtents(e.extScratch[:0], rec.Offset, rec.Size)
+	exts, err := e.Reqs.Arrive(e.arr.Geom, rec)
 	if err != nil {
 		return fmt.Errorf("RoLo-E: %w", err)
-	}
-	e.extScratch = exts
-	if e.tel != nil {
-		e.tel.RequestStart(rec.At, rec.Op == trace.Write, rec.Size)
 	}
 	if rec.Op == trace.Write {
 		return e.submitWrite(rec, exts)
@@ -322,7 +259,7 @@ func (e *RoLoE) submitWrite(rec trace.Record, exts []raid.Extent) error {
 	// of the destage while its dirty span persisted — the log would no
 	// longer cover every dirty byte. The array is fully awake during a
 	// destage anyway, so these writes take the in-place path below.
-	allOK := !e.destaging
+	allOK := !e.Destaging()
 	for _, ext := range exts {
 		if !allOK {
 			break
@@ -338,29 +275,22 @@ func (e *RoLoE) submitWrite(rec trace.Record, exts []raid.Extent) error {
 	if !allOK {
 		// Log full or mid-destage: the whole array is awake (or waking),
 		// so write both copies in place.
-		e.overflow++
-		req := e.reqs.Start(rec, 2*len(exts))
+		e.Bypassed()
+		req := e.Reqs.Start(rec, 2*len(exts))
 		for _, ext := range exts {
-			for _, mirror := range [...]bool{false, true} {
-				io := e.arr.DataIO(ext.Offset, ext.Length, true, false)
-				io.OnDone = req.Done
-				target := e.arr.Primaries[ext.Pair]
-				if mirror {
-					target = e.arr.Mirrors[ext.Pair]
-				}
-				if err := target.Submit(io); err != nil {
-					return fmt.Errorf("RoLo-E: overflow write: %w", err)
-				}
-				e.touchFG(target)
+			if err := e.arr.MirroredWrite(ext, req.Done); err != nil {
+				return fmt.Errorf("RoLo-E: overflow write: %w", err)
 			}
+			e.touchFG(e.arr.Primaries[ext.Pair])
+			e.touchFG(e.arr.Mirrors[ext.Pair])
 			// In-place writes supersede whatever the log held.
-			e.cleanDirty(ext.Pair, ext.Offset, ext.Offset+ext.Length)
+			e.CleanDirty(ext.Pair, ext.Offset, ext.Offset+ext.Length)
 		}
 		e.maybeDestage()
 		return nil
 	}
 
-	req := e.reqs.Start(rec, 2*len(exts))
+	req := e.Reqs.Start(rec, 2*len(exts))
 	for i, ext := range exts {
 		prim, mirr := e.slotDisks(allocs[i].slot)
 		for _, target := range [...]*disk.Disk{prim, mirr} {
@@ -370,7 +300,7 @@ func (e *RoLoE) submitWrite(rec trace.Record, exts []raid.Extent) error {
 				return fmt.Errorf("RoLo-E: log write: %w", err)
 			}
 		}
-		e.markDirty(ext.Pair, ext.Offset, ext.Offset+ext.Length)
+		e.MarkDirty(ext.Pair, ext.Offset, ext.Offset+ext.Length)
 	}
 	e.maybeDestage()
 	return nil
@@ -381,7 +311,7 @@ func (e *RoLoE) submitRead(rec trace.Record, exts []raid.Extent) error {
 	// either its latest version lives in the log (dirty) or it is cached.
 	hit := true
 	for _, ext := range exts {
-		if e.dirty[ext.Pair].Contains(ext.Offset, ext.Offset+ext.Length) {
+		if e.Dirty(ext.Pair, ext.Offset, ext.Offset+ext.Length) {
 			continue
 		}
 		if !e.cachedRange(rec.Offset, rec.Size) {
@@ -389,11 +319,11 @@ func (e *RoLoE) submitRead(rec trace.Record, exts []raid.Extent) error {
 			break
 		}
 	}
-	req := e.reqs.Start(rec, len(exts))
+	req := e.Reqs.Start(rec, len(exts))
 	if hit {
 		e.readHits++
-		if e.tel != nil {
-			e.tel.CacheHit(rec.At, e.onDuty[0], rec.Size)
+		if e.Tel != nil {
+			e.Tel.CacheHit(rec.At, e.onDuty[0], rec.Size)
 		}
 		for _, ext := range exts {
 			// Serve from the least-loaded on-duty disk; address the read
@@ -410,8 +340,8 @@ func (e *RoLoE) submitRead(rec trace.Record, exts []raid.Extent) error {
 	}
 
 	e.readMiss++
-	if e.tel != nil {
-		e.tel.CacheMiss(rec.At, e.onDuty[0], rec.Size)
+	if e.Tel != nil {
+		e.Tel.CacheMiss(rec.At, e.onDuty[0], rec.Size)
 	}
 	// Unlike the other paths, a miss allocates its completion closures.
 	// It allocates anyway — the standby disk it wakes allocates per spin
@@ -443,7 +373,7 @@ func (e *RoLoE) submitRead(rec trace.Record, exts []raid.Extent) error {
 // an approximation of the sequential log layout; clamping keeps the IO
 // within the region.
 func (e *RoLoE) logOffFor(off, length int64) int64 {
-	region := e.spaces[0].Capacity()
+	region := e.Capacity(0)
 	lo := off % region
 	if lo+length > region {
 		lo = region - length
@@ -501,26 +431,26 @@ func (e *RoLoE) touchFG(d *disk.Disk) {
 func (e *RoLoE) armSpinDown(d *disk.Disk, pair int) {
 	at := e.arr.Eng.Now()
 	e.arr.Eng.After(e.cfg.MissIdleSpinDown, func(now sim.Time) {
-		if e.closed || e.destaging || e.isOnDuty(pair) {
+		if e.Closed() || e.Destaging() || e.isOnDuty(pair) {
 			return
 		}
 		if e.lastFG[d.ID()] > at {
 			return // newer activity re-armed its own timer
 		}
-		array.SpinDownWhenIdle(e.arr.Eng, d, e.cfg.SpinDownRetry, func() bool {
-			return !e.closed && !e.destaging && !e.isOnDuty(pair) && e.lastFG[d.ID()] <= at
+		array.SpinDownWhenIdle(e.arr.Eng, d, func() bool {
+			return !e.Closed() && !e.Destaging() && !e.isOnDuty(pair) && e.lastFG[d.ID()] <= at
 		})
 	})
 }
 
 func (e *RoLoE) maybeDestage() {
-	if e.destaging {
+	if e.Destaging() {
 		return
 	}
 	var free, capTotal int64
-	for _, sp := range e.spaces {
-		free += sp.FreeBytes()
-		capTotal += sp.Capacity()
+	for i := range e.onDuty {
+		free += e.FreeBytes(i)
+		capTotal += e.Capacity(i)
 	}
 	if capTotal == 0 || float64(free)/float64(capTotal) >= e.cfg.DestageFreeFraction {
 		return
@@ -532,12 +462,7 @@ func (e *RoLoE) maybeDestage() {
 // logged data is applied to both disks of every dirty pair, the log is
 // reset, and the on-duty role rotates to the next pair.
 func (e *RoLoE) startDestage(now sim.Time) {
-	e.destaging = true
-	e.destages++
-	if e.tel != nil {
-		e.tel.DestageStart(now, -1)
-	}
-	e.phase.Begin(metrics.Destaging, now, e.arr.TotalEnergyJ())
+	e.BeginDestage(now)
 	for _, d := range e.arr.AllDisks() {
 		_ = d.SpinUp()
 	}
@@ -548,18 +473,9 @@ func (e *RoLoE) startDestage(now sim.Time) {
 		prim, mirr := e.slotDisks(i)
 		srcs = append(srcs, prim, mirr)
 	}
-	join := array.NewJoin(e.arr.Geom.Pairs, func(at sim.Time) { e.endDestage(at) })
-	for p := 0; p < e.arr.Geom.Pairs; p++ {
-		p := p
-		work := &intervals.Set{}
-		for _, sp := range e.dirty[p].Spans() {
-			work.Add(sp.Start, sp.End)
-		}
-		e.clearDirty(p)
-		src := srcs[p%len(srcs)]
-		cp := array.NewCopier(e.arr.Eng, src,
-			[]*disk.Disk{e.arr.Primaries[p], e.arr.Mirrors[p]},
-			work, e.cfg.DestageChunkBytes,
+	e.DestageEach(func(p int, work *intervals.Set) *array.Copier {
+		return array.NewCopier(e.arr.Eng, srcs[p%len(srcs)],
+			[]*disk.Disk{e.arr.Primaries[p], e.arr.Mirrors[p]}, work, array.DestageChunk,
 			func(sp intervals.Span) *disk.IO {
 				// The logged copy is read back from the logging region;
 				// its placement approximates the sequential log layout.
@@ -569,30 +485,15 @@ func (e *RoLoE) startDestage(now sim.Time) {
 				return e.arr.DataIO(sp.Start, sp.Len(), true, true)
 			},
 		)
-		fired := false
-		cp.OnDrained = func(at sim.Time) {
-			if fired {
-				return
-			}
-			fired = true
-			join.Done(at)
-		}
-		cp.Kick()
-	}
+	}, e.endDestage)
 }
 
 func (e *RoLoE) endDestage(now sim.Time) {
-	if e.tel != nil {
-		e.tel.DestageDone(now, -1)
-	}
 	var freed int64
-	for _, sp := range e.spaces {
-		freed += sp.UsedBytes()
-		e.resetSpace(sp)
+	for i := range e.onDuty {
+		freed += e.ResetSpace(i)
 	}
-	if e.tel != nil && freed > 0 {
-		e.tel.LogInvalidate(now, -1, freed)
-	}
+	e.EndDestage(now, freed)
 	e.readCache.Clear()
 	// Advance every slot by the slot count: with K on-duty pairs the duty
 	// walks the array in strides of K, so distinctness is preserved.
@@ -600,28 +501,15 @@ func (e *RoLoE) endDestage(now sim.Time) {
 	for i := range e.onDuty {
 		e.onDuty[i] = (e.onDuty[i] + k) % e.arr.Geom.Pairs
 	}
-	e.rotations++
-	if e.tel != nil {
-		e.tel.Rotation(now, e.onDuty[0])
-	}
-	e.destaging = false
-	e.phase.Begin(metrics.Logging, now, e.arr.TotalEnergyJ())
+	e.Rotated(now, e.onDuty[0])
 	for p := 0; p < e.arr.Geom.Pairs; p++ {
 		if e.isOnDuty(p) {
 			continue
 		}
 		for _, d := range [...]*disk.Disk{e.arr.Primaries[p], e.arr.Mirrors[p]} {
-			d := d
-			pp := p
-			array.SpinDownWhenIdle(e.arr.Eng, d, e.cfg.SpinDownRetry, func() bool {
-				return !e.closed && !e.destaging && !e.isOnDuty(pp)
+			array.SpinDownWhenIdle(e.arr.Eng, d, func() bool {
+				return !e.Closed() && !e.Destaging() && !e.isOnDuty(p)
 			})
 		}
 	}
-}
-
-// Close implements array.Controller.
-func (e *RoLoE) Close(now sim.Time) {
-	e.closed = true
-	e.phase.End(now, e.arr.TotalEnergyJ())
 }

@@ -19,8 +19,6 @@ func TestEConfigValidate(t *testing.T) {
 		func(c *EConfig) { c.CacheFraction = -0.1 },
 		func(c *EConfig) { c.CacheBlockBytes = 0 },
 		func(c *EConfig) { c.MissIdleSpinDown = 0 },
-		func(c *EConfig) { c.DestageChunkBytes = 0 },
-		func(c *EConfig) { c.SpinDownRetry = 0 },
 	}
 	for i, m := range mutations {
 		cfg := DefaultEConfig()

@@ -3,7 +3,7 @@ package intervals
 import "testing"
 
 // Core benchmarks: the in-place Set mutators controllers hit per write
-// (markDirty/cleanDirty) and per destage chunk (PopFirst). scripts/check.sh
+// (MarkDirty/CleanDirty) and per destage chunk (PopFirst). scripts/check.sh
 // runs them once per commit (bench-smoke) and `make bench` records them in
 // BENCH_core.json. All of them must report 0 allocs/op once the backing
 // array is at its high-water span count (DESIGN §11).

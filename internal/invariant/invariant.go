@@ -96,10 +96,9 @@ type State struct {
 	// where the log holds the only current copy.
 	LogPrimaryBacked bool
 
-	// PrimaryOK[p] / MirrorOK[p] report pair-p disk health. Nil slices
-	// mean "all healthy".
+	// PrimaryOK[p] reports pair p's primary health. A nil slice means
+	// "all healthy".
 	PrimaryOK []bool
-	MirrorOK  []bool
 
 	// LogDown reports that a dedicated log device has failed (GRAID):
 	// logged redundancy is knowingly exposed until replacement, so the

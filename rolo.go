@@ -320,63 +320,12 @@ func Run(cfg Config, recs []trace.Record) (rep Report, err error) {
 		return rep, err
 	}
 
-	var (
-		ctrl  array.Controller
-		resp  *metrics.ResponseStats
-		after func(*Report) error
-	)
-	switch cfg.Scheme {
-	case SchemeRAID10:
-		c := baseline.NewRAID10(arr)
-		ctrl, resp = c, c.Responses()
-	case SchemeGRAID:
-		c, err := baseline.NewGRAID(arr, cfg.GRAID)
-		if err != nil {
-			return rep, err
-		}
-		ctrl, resp = c, c.Responses()
-		after = func(r *Report) error {
-			r.Destages = c.Destages()
-			r.DirectWrites = int64(c.LogOverflows())
-			r.DestagingIntervalRatio = c.Phases().DestagingIntervalRatio()
-			r.DestagingEnergyRatio = c.Phases().DestagingEnergyRatio()
-			return nil
-		}
-	case SchemeRoLoP, SchemeRoLoR:
-		flavor := core.FlavorP
-		if cfg.Scheme == SchemeRoLoR {
-			flavor = core.FlavorR
-		}
-		c, err := core.New(arr, flavor, cfg.RoLo)
-		if err != nil {
-			return rep, err
-		}
-		ctrl, resp = c, c.Responses()
-		after = func(r *Report) error {
-			r.Rotations = c.Rotations()
-			r.DirectWrites = int64(c.DirectWrites())
-			return c.CheckErr()
-		}
-	case SchemeRoLoE:
-		c, err := core.NewE(arr, cfg.RoLoE)
-		if err != nil {
-			return rep, err
-		}
-		ctrl, resp = c, c.Responses()
-		after = func(r *Report) error {
-			r.Rotations = c.Rotations()
-			r.Destages = c.Destages()
-			r.DirectWrites = c.Overflows()
-			r.ReadHitRate = c.ReadHitRate()
-			r.DestagingIntervalRatio = c.Phases().DestagingIntervalRatio()
-			r.DestagingEnergyRatio = c.Phases().DestagingEnergyRatio()
-			return nil
-		}
-	default:
-		// Validate has vetted the scheme already; keep the switch total
-		// anyway so ctrl and resp are assigned on every path out.
-		return rep, fmt.Errorf("rolo: unknown scheme %q", cfg.Scheme)
+	scheme, err := newController(cfg, arr)
+	if err != nil {
+		return rep, err
 	}
+	var ctrl array.Controller = scheme
+	resp := scheme.Responses()
 
 	// RoloSan attaches to the raw scheme controller, before any cache
 	// wrapper, so its snapshots see the real bookkeeping.
@@ -487,12 +436,54 @@ func Run(cfg Config, recs []trace.Record) (rep Report, err error) {
 		rep.PeakDestageBacklogBytes = prober.PeakBacklog()
 		rep.PeakSpinningDisks = prober.PeakSpinning()
 	}
-	if after != nil {
-		if err := after(&rep); err != nil {
-			return rep, err
-		}
+	if lg, ok := scheme.(logger); ok {
+		rep.Rotations = lg.Rotations()
+		rep.Destages = lg.Destages()
+		rep.DirectWrites = lg.DirectWrites()
+		rep.DestagingIntervalRatio = lg.Phases().DestagingIntervalRatio()
+		rep.DestagingEnergyRatio = lg.Phases().DestagingEnergyRatio()
+	}
+	if e, ok := scheme.(interface{ ReadHitRate() float64 }); ok {
+		rep.ReadHitRate = e.ReadHitRate()
+	}
+	if c, ok := scheme.(interface{ CheckErr() error }); ok {
+		return rep, c.CheckErr()
 	}
 	return rep, nil
+}
+
+// controller is a scheme controller as Run drives it.
+type controller interface {
+	array.Controller
+	Responses() *metrics.ResponseStats
+}
+
+// logger is a logging scheme's controller (every scheme but RAID10); its
+// accessors are promoted from the array.Logged bookkeeping it embeds.
+type logger interface {
+	Rotations() int
+	Destages() int
+	DirectWrites() int64
+	Phases() *metrics.PhaseLog
+}
+
+// newController builds cfg's scheme controller over arr.
+func newController(cfg Config, arr *array.Array) (controller, error) {
+	switch cfg.Scheme {
+	case SchemeRAID10:
+		return baseline.NewRAID10(arr), nil
+	case SchemeGRAID:
+		return baseline.NewGRAID(arr, cfg.GRAID)
+	case SchemeRoLoP:
+		return core.New(arr, core.FlavorP, cfg.RoLo)
+	case SchemeRoLoR:
+		return core.New(arr, core.FlavorR, cfg.RoLo)
+	case SchemeRoLoE:
+		return core.NewE(arr, cfg.RoLoE)
+	default:
+		// Validate has vetted the scheme already; keep the switch total.
+		return nil, fmt.Errorf("rolo: unknown scheme %q", cfg.Scheme)
+	}
 }
 
 func breakdown(c *metrics.ClassStats) LatencyBreakdown {

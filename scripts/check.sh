@@ -144,11 +144,26 @@ fi
 # Bench smoke: run every BenchmarkCore* hot-path benchmark exactly once so
 # the suite compiles and its 0-alloc setup code keeps working; `make bench`
 # runs the timed version and records BENCH_core.json.
+#
+# It also gates on the frozen end-to-end benchmark harness, perfbench/ (its
+# own module, compiled against the simulator's internal API): vet and test
+# it (TestAssemblyMatchesRun checks it rebuilds rolo.Run exactly), then run
+# each workload once at seed 0, where every report must match the digests
+# in perfbench/digests.json ("correct":true on the last line). Those
+# digests are recorded on linux/amd64; another platform's floating point
+# may legitimately differ.
 if want bench-smoke; then
 	stage "bench smoke: go test -bench=Core -benchtime=1x" \
 		go test -run '^$' -bench 'Core' -benchtime 1x \
 		./internal/sim/ ./internal/intervals/ ./internal/metrics/ ./internal/telemetry/ \
 		./internal/disk/ ./internal/fleet/ .
+	stage "perfbench: go vet, go test, build" \
+		sh -c 'cd perfbench && go vet . && go test . && go build -o ../bin/perfbench .'
+	for w in replay_write replay_read fleet observed; do
+		stage "perfbench -workload $w -seed 0 -seconds 0.1 (report digests)" \
+			sh -c "./bin/perfbench -workload $w -seed 0 -seconds 0.1 -out bin/perfbench-out/trace \
+				-scratch bin/perfbench-out/journal 2>/dev/null | tail -n 1 | grep -q '\"correct\":true'"
+	done
 fi
 
 # Journal smoke: a race-built rolosim writes a rotated, compressed journal
