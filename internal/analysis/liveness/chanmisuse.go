@@ -445,7 +445,7 @@ type chanUse struct {
 	escapes       bool
 	receives      bool
 	capturedByLit bool
-	selectSends   bool          // some send sits inside a select (may have other ready cases)
+	selectSends   bool           // some send sits inside a select (may have other ready cases)
 	sendLits      []*ast.FuncLit // innermost literal of each plain send; nil entry = send in this body
 	goLits        map[*ast.FuncLit]bool
 }

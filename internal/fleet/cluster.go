@@ -153,10 +153,10 @@ type ClusterReport struct {
 	ShardEnergyP95 float64 `json:"shard_energy_p95_j"`
 	ShardEnergyMax float64 `json:"shard_energy_max_j"`
 
-	SpinCycles    int64   `json:"spin_cycles"`
-	ShardSpinsP50 int64   `json:"shard_spins_p50"`
-	ShardSpinsP95 int64   `json:"shard_spins_p95"`
-	ShardSpinsMax int64   `json:"shard_spins_max"`
+	SpinCycles    int64 `json:"spin_cycles"`
+	ShardSpinsP50 int64 `json:"shard_spins_p50"`
+	ShardSpinsP95 int64 `json:"shard_spins_p95"`
+	ShardSpinsMax int64 `json:"shard_spins_max"`
 
 	Rotations    int64 `json:"rotations"`
 	Destages     int64 `json:"destages"`

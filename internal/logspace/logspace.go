@@ -9,6 +9,7 @@
 package logspace
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -35,17 +36,19 @@ type Space struct {
 	// behaves as the circular log of Section III-A).
 	cursor int64
 
-	// Scratch buffers reused by CheckInvariants: the sanitizer sweeps call
-	// it on every log region periodically during checked runs, and the
-	// ownership sort would otherwise allocate on each sweep (DESIGN §11).
-	chkScratch []ownedSpan
-	tagScratch []int
+	// runs is CheckInvariants' merge scratch, one cursor per set, kept
+	// across the sanitizer's sweeps so that they do not allocate
+	// (DESIGN §11).
+	runs []run
 }
 
-// ownedSpan attributes a span to its owner for the disjointness check; tag
-// -1 marks a free span.
-type ownedSpan struct {
-	sp  intervals.Span
+// run walks one sorted, coalesced set during CheckInvariants' merge: the
+// free set (tag -1) or one tag's extents. It caches its current span so
+// that heap comparisons need not index back into the set.
+type run struct {
+	cur intervals.Span
+	set *intervals.Set
+	i   int
 	tag int
 }
 
@@ -236,64 +239,55 @@ func (s *Space) Shrink(n int64) bool {
 // CheckInvariants validates the allocator's bookkeeping: free and used
 // extents are disjoint, within bounds, and account for every byte.
 func (s *Space) CheckInvariants() error {
-	if err := s.free.CheckInvariants(); err != nil {
-		return err
+	runs := append(s.runs[:0], run{set: &s.free, tag: -1})
+	for tag, set := range s.used {
+		runs = append(runs, run{set: set, tag: tag})
 	}
-	// Gather every live span (free plus per-tag used) and verify mutual
-	// disjointness with one sort and a linear scan. Building an
-	// intervals.Set span by span would cost a quadratic memmove on
-	// fragmented spaces, which matters because the sanitizer sweeps call
-	// this on every log region periodically during checked runs. Both
-	// scratch slices are kept on the Space and reused across sweeps.
-	all := s.chkScratch[:0]
-	for i := 0; i < s.free.Count(); i++ {
-		sp := s.free.At(i)
-		if sp.Start < 0 || sp.End > s.addrSpace {
-			return fmt.Errorf("logspace: free span %+v out of bounds", sp)
-		}
-		all = append(all, ownedSpan{sp, -1})
-	}
-	tags := s.tagScratch[:0]
-	for tag := range s.used {
-		tags = append(tags, tag)
-	}
-	slices.Sort(tags)
-	s.tagScratch = tags[:0]
+	s.runs = runs[:0]
+	slices.SortFunc(runs, func(a, b run) int { return cmp.Compare(a.tag, b.tag) })
+	h := runs[:0]
 	var usedTotal int64
-	for _, tag := range tags {
-		set := s.used[tag]
-		if err := set.CheckInvariants(); err != nil {
-			return fmt.Errorf("logspace: tag %d: %w", tag, err)
-		}
-		for i := 0; i < set.Count(); i++ {
-			sp := set.At(i)
-			if sp.Start < 0 || sp.End > s.addrSpace {
-				return fmt.Errorf("logspace: tag %d span %+v out of bounds", tag, sp)
+	for _, r := range runs {
+		if err := r.set.CheckInvariants(); err != nil {
+			if r.tag < 0 {
+				return err
 			}
-			all = append(all, ownedSpan{sp, tag})
-			usedTotal += sp.Len()
+			return fmt.Errorf("logspace: tag %d: %w", r.tag, err)
+		}
+		if r.tag >= 0 {
+			usedTotal += r.set.Total()
+		}
+		if r.set.Count() > 0 {
+			r.cur = r.set.At(0)
+			h = append(h, r)
 		}
 	}
-	s.chkScratch = all[:0]
-	// slices.SortFunc, unlike sort.Slice, sorts without allocating.
-	slices.SortFunc(all, func(a, b ownedSpan) int {
-		switch {
-		case a.sp.Start < b.sp.Start:
-			return -1
-		case a.sp.Start > b.sp.Start:
-			return 1
+	// Every set is sorted and coalesced, so their union is disjoint iff a
+	// k-way merge by start never meets a span that begins before its
+	// predecessor ends: O(n log k) over n spans and k sets, with no copy
+	// of the spans. prevEnd starts at 0, which no in-bounds span precedes.
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	var total, prevEnd int64
+	for len(h) > 0 {
+		r := &h[0]
+		sp := r.cur
+		if sp.Start < 0 || sp.End > s.addrSpace {
+			return spanError(r.tag, sp, "out of bounds")
 		}
-		return 0
-	})
-	var total int64
-	for i, o := range all {
-		if i > 0 && o.sp.Start < all[i-1].sp.End {
-			if o.tag < 0 {
-				return fmt.Errorf("logspace: free span %+v overlaps", o.sp)
-			}
-			return fmt.Errorf("logspace: tag %d span %+v overlaps", o.tag, o.sp)
+		if sp.Start < prevEnd {
+			return spanError(r.tag, sp, "overlaps")
 		}
-		total += o.sp.Len()
+		prevEnd = sp.End
+		total += sp.Len()
+		if r.i++; r.i < r.set.Count() {
+			r.cur = r.set.At(r.i)
+		} else {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		siftDown(h, 0)
 	}
 	if usedTotal != s.usedBy {
 		return fmt.Errorf("logspace: used accounting %d != tracked %d", usedTotal, s.usedBy)
@@ -302,4 +296,35 @@ func (s *Space) CheckInvariants() error {
 		return fmt.Errorf("logspace: accounted %d of %d live bytes", got, want)
 	}
 	return nil
+}
+
+// siftDown restores the min-heap order on current span start below h[i].
+func siftDown(h []run, i int) {
+	if i >= len(h) {
+		return
+	}
+	x := h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1].cur.Start < h[c].cur.Start {
+			c++
+		}
+		if x.cur.Start <= h[c].cur.Start {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = x
+}
+
+// spanError reports a span that breaks a rule, naming its owner.
+func spanError(tag int, sp intervals.Span, what string) error {
+	if tag < 0 {
+		return fmt.Errorf("logspace: free span %+v %s", sp, what)
+	}
+	return fmt.Errorf("logspace: tag %d span %+v %s", tag, sp, what)
 }

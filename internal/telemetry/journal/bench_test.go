@@ -1,6 +1,8 @@
 package journal
 
 import (
+	"bytes"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -112,5 +114,45 @@ func BenchmarkAsyncSinkEmitNullIO(b *testing.B) {
 	b.StopTimer()
 	if err := s.Close(); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// replaySegment encodes at least n bytes of events shaped like a replay
+// journal, which is mostly request start/done pairs: mostly-write
+// requests of 4 KiB multiples, a latency of up to 20 ms each, and a probe
+// every 256 requests.
+func replaySegment(n int) []byte {
+	rng := rand.New(rand.NewSource(1))
+	var out []byte
+	var at sim.Time
+	for i := 0; len(out) < n; i++ {
+		if i%256 == 0 {
+			out = telemetry.AppendEvent(out, telemetry.Event{At: at, Kind: telemetry.KindProbe, Disk: -1, Pair: -1,
+				States: "AISSSSSSSSSSSSSSSSSSAISSSSSSSSSSSSSSSSSS", LogUsed: rng.Int63n(1 << 27), LogCap: 1 << 27})
+		}
+		at += sim.Time(rng.Intn(100000))
+		write, lat := rng.Intn(10) > 0, rng.Int63n(20000)
+		out = telemetry.AppendEvent(out, telemetry.Event{At: at, Kind: telemetry.KindRequestStart, Disk: -1, Pair: -1,
+			Write: write, Bytes: int64(rng.Intn(16)+1) * 4096})
+		out = telemetry.AppendEvent(out, telemetry.Event{At: at + sim.Time(lat), Kind: telemetry.KindRequestDone, Disk: -1, Pair: -1,
+			Write: write, LatencyUs: lat})
+	}
+	return out
+}
+
+// BenchmarkCoreJournalArchive measures the archival of one completed
+// segment, which RotatingWriter performs at every rotation of a
+// compressed journal: gzip a fixed 4 MiB segment into a new .gz file.
+// MB/s is over the uncompressed bytes.
+func BenchmarkCoreJournalArchive(b *testing.B) {
+	seg := replaySegment(4 << 20)
+	path := filepath.Join(b.TempDir(), segmentName(1)+".gz")
+	b.SetBytes(int64(len(seg)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := writeArchive(path, bytes.NewReader(seg)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

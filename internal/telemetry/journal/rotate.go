@@ -208,15 +208,21 @@ func (w *RotatingWriter) compress(info *SegmentInfo) error {
 // archive so an error never strands a stray .gz next to the plain
 // segment it was meant to replace (the plain file is only removed by the
 // caller after a fully successful archival).
+//
+// Archival runs at gzip.BestSpeed: deflate at the default level cost more
+// CPU than the simulation in checked, journaled runs, and BestSpeed
+// compresses ~4× faster for archives ~27% larger (DESIGN §12).
 func writeArchive(path string, src io.Reader) error {
 	dst, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	gz := gzip.NewWriter(dst)
-	_, err = io.Copy(gz, src)
-	if cerr := gz.Close(); err == nil {
-		err = cerr
+	gz, err := gzip.NewWriterLevel(dst, gzip.BestSpeed)
+	if err == nil {
+		_, err = io.Copy(gz, src)
+		if cerr := gz.Close(); err == nil {
+			err = cerr
+		}
 	}
 	if cerr := dst.Close(); err == nil {
 		err = cerr

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Perf-trajectory recorder: runs the BenchmarkCore* suite (engine
-# schedule/fire/cancel/churn, interval add/remove/pop, histogram add,
-# telemetry event encoding, pooled disk IO round trip, fleet report
-# merge, end-to-end fleet and one replay per scheme) with -benchmem and
+# schedule/fire/cancel/churn, interval add/remove/pop, log-space
+# invariant check, histogram add, telemetry event encoding, journal
+# segment archival, pooled disk IO round trip, fleet report merge,
+# end-to-end fleet and one replay per scheme) with -benchmem and
 # writes the results to BENCH_core.json so successive PRs can diff ns/op
 # and allocs/op against the committed baseline, then times a warm
 # standalone `rololint ./...` run over the whole module and writes the
@@ -29,23 +30,30 @@ trap 'rm -f "$raw"' EXIT
 
 echo "== go test -bench=Core -benchmem -count=$count" >&2
 go test -run '^$' -bench 'Core' -benchmem -benchtime 1s -count "$count" \
-	./internal/sim/ ./internal/intervals/ ./internal/metrics/ ./internal/telemetry/ \
-	./internal/disk/ ./internal/fleet/ . | tee "$raw" >&2 || exit 1
+	./internal/sim/ ./internal/intervals/ ./internal/logspace/ ./internal/metrics/ \
+	./internal/telemetry/ ./internal/telemetry/journal/ ./internal/disk/ ./internal/fleet/ . \
+	| tee "$raw" >&2 || exit 1
 
 # Collapse the -count repetitions into the best (lowest ns/op) run per
 # benchmark — the repetition least disturbed by scheduling noise — and
-# emit one JSON object per benchmark.
+# emit one JSON object per benchmark. Each value is read by the unit that
+# follows it: b.SetBytes adds an MB/s column, which shifts the columns
+# after ns/op.
 awk -v goversion="$(go env GOVERSION)" '
 /^pkg: /       { pkg = $2 }
 /^Benchmark/ && / ns\/op/ && / allocs\/op/ {
 	name = $1
 	sub(/-[0-9]+$/, "", name)
 	key = pkg "\t" name
-	ns = $3 + 0
+	for (i = 3; i <= NF; i++) {
+		if ($i == "ns/op") ns = $(i - 1) + 0
+		if ($i == "B/op") b = $(i - 1) + 0
+		if ($i == "allocs/op") a = $(i - 1) + 0
+	}
 	if (!(key in best) || ns < best[key]) {
 		best[key] = ns
-		bytes[key] = $5 + 0
-		allocs[key] = $7 + 0
+		bytes[key] = b
+		allocs[key] = a
 		if (!(key in seen)) { order[++n] = key; seen[key] = 1 }
 	}
 }

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Full verification gate: build, vet, rololint, race-enabled tests, a
+# Full verification gate: build, vet, gofmt, rololint, race-enabled tests, a
 # race-enabled parallel experiment smoke, and a short fuzz smoke. Run from
 # the repository root (or via `make check`).
 #
@@ -60,6 +60,9 @@ stage() {
 if want build; then
 	stage "go build ./..." go build ./...
 	stage "go vet ./..." go vet ./...
+	stage "gofmt -l (tracked .go files)" \
+		sh -c 'out=$(gofmt -l $(git ls-files "*.go")) && \
+			{ [ -z "$out" ] || { echo "gofmt needed on:" >&2; echo "$out" >&2; exit 1; }; }'
 fi
 
 if want lint; then
@@ -155,8 +158,8 @@ fi
 if want bench-smoke; then
 	stage "bench smoke: go test -bench=Core -benchtime=1x" \
 		go test -run '^$' -bench 'Core' -benchtime 1x \
-		./internal/sim/ ./internal/intervals/ ./internal/metrics/ ./internal/telemetry/ \
-		./internal/disk/ ./internal/fleet/ .
+		./internal/sim/ ./internal/intervals/ ./internal/logspace/ ./internal/metrics/ \
+		./internal/telemetry/ ./internal/telemetry/journal/ ./internal/disk/ ./internal/fleet/ .
 	stage "perfbench: go vet, go test, build" \
 		sh -c 'cd perfbench && go vet . && go test . && go build -o ../bin/perfbench .'
 	for w in replay_write replay_read fleet observed; do
