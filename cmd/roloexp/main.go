@@ -20,6 +20,7 @@ import (
 	"os"
 	"time"
 
+	"github.com/rolo-storage/rolo/internal/cliprof"
 	"github.com/rolo-storage/rolo/internal/experiments"
 	"github.com/rolo-storage/rolo/internal/sim"
 )
@@ -31,7 +32,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	var (
 		id         = flag.String("run", "", "experiment id to run, or \"all\"")
 		list       = flag.Bool("list", false, "list available experiments")
@@ -45,7 +46,16 @@ func run() error {
 		probeIv    = flag.Duration("probe-interval", 0, "periodic telemetry probe spacing (e.g. 30s; 0 disables)")
 		check      = flag.Bool("check", false, "enable RoloSan: validate simulation invariants in every run and fail on the first violation")
 	)
+	prof := cliprof.Flags()
 	flag.Parse()
+	if err := prof.Start(); err != nil {
+		return err
+	}
+	defer func() {
+		if perr := prof.Stop(); perr != nil && err == nil {
+			err = perr
+		}
+	}()
 
 	if *list || *id == "" {
 		fmt.Println("Available experiments:")

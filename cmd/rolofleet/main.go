@@ -25,6 +25,7 @@ import (
 	"os"
 	"time"
 
+	"github.com/rolo-storage/rolo/internal/cliprof"
 	"github.com/rolo-storage/rolo/internal/fleet"
 	"github.com/rolo-storage/rolo/internal/trace"
 )
@@ -36,7 +37,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	var (
 		specFile   = flag.String("fleet", "", "fleet spec file (flags below override its keys)")
 		shards     = flag.Int("shards", 0, "number of tenant shards (overrides spec)")
@@ -57,10 +58,19 @@ func run() error {
 		jCompress  = flag.Bool("journal-compress", false, "gzip completed journal segments (requires -journal)")
 		jRetain    = flag.Int("journal-retain", 0, "keep only the newest N segments per shard (0 = all; requires -journal)")
 	)
+	prof := cliprof.Flags()
 	flag.Parse()
 	if flag.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments %q", flag.Args())
 	}
+	if err := prof.Start(); err != nil {
+		return err
+	}
+	defer func() {
+		if perr := prof.Stop(); perr != nil && err == nil {
+			err = perr
+		}
+	}()
 
 	spec := fleet.DefaultSpec()
 	if *specFile != "" {

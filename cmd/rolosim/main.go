@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"github.com/rolo-storage/rolo"
+	"github.com/rolo-storage/rolo/internal/cliprof"
 	"github.com/rolo-storage/rolo/internal/sim"
 	"github.com/rolo-storage/rolo/internal/telemetry"
 	"github.com/rolo-storage/rolo/internal/telemetry/journal"
@@ -61,7 +62,16 @@ func run() (err error) {
 		check     = flag.Bool("check", false, "enable RoloSan: validate simulation invariants during the run and fail on the first violation")
 		asJSON    = flag.Bool("json", false, "emit the full report as JSON instead of text")
 	)
+	prof := cliprof.Flags()
 	flag.Parse()
+	if err := prof.Start(); err != nil {
+		return err
+	}
+	defer func() {
+		if perr := prof.Stop(); perr != nil && err == nil {
+			err = perr
+		}
+	}()
 
 	s, err := rolo.ParseScheme(*scheme)
 	if err != nil {

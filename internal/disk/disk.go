@@ -203,6 +203,12 @@ type Disk struct {
 	cfg Config
 	eng *sim.Engine
 
+	// Per-I/O constants derived from cfg once in New: the addressable
+	// sectors, the average rotational latency and the seek curve's span.
+	sectors    int64
+	rotLatency sim.Time
+	seekSpan   float64
+
 	state      PowerState
 	stateSince sim.Time
 	born       sim.Time // creation time: stateDur accrues from here
@@ -303,6 +309,9 @@ func New(id int, cfg Config, eng *sim.Engine) (*Disk, error) {
 		id:            id,
 		cfg:           cfg,
 		eng:           eng,
+		sectors:       cfg.Sectors(),
+		rotLatency:    cfg.AvgRotationalLatency(),
+		seekSpan:      float64(cfg.MaxSeek - cfg.TrackSeek),
 		state:         Idle,
 		stateSince:    eng.Now(),
 		born:          eng.Now(),
@@ -415,19 +424,18 @@ func (d *Disk) ServiceTime(io *IO) sim.Time {
 	if dist < 0 {
 		dist = -dist
 	}
-	return d.seekTime(dist) + d.cfg.AvgRotationalLatency() + transfer
+	return d.seekTime(dist) + d.rotLatency + transfer
 }
 
 func (d *Disk) seekTime(distSectors int64) sim.Time {
 	if distSectors == 0 {
 		return 0
 	}
-	frac := float64(distSectors) / float64(d.cfg.Sectors())
+	frac := float64(distSectors) / float64(d.sectors)
 	if frac > 1 {
 		frac = 1
 	}
-	span := float64(d.cfg.MaxSeek - d.cfg.TrackSeek)
-	return d.cfg.TrackSeek + sim.Time(math.Round(span*math.Sqrt(frac)))
+	return d.cfg.TrackSeek + sim.Time(math.Round(d.seekSpan*math.Sqrt(frac)))
 }
 
 // Failed reports whether the drive has failed.
@@ -492,8 +500,8 @@ func (d *Disk) Submit(io *IO) error {
 	if io.Sectors <= 0 {
 		return ErrZeroSectors
 	}
-	if io.LBA < 0 || io.LBA+io.Sectors > d.cfg.Sectors() {
-		return fmt.Errorf("%w: lba=%d sectors=%d capacity=%d", ErrOutOfRange, io.LBA, io.Sectors, d.cfg.Sectors())
+	if io.LBA < 0 || io.LBA+io.Sectors > d.sectors {
+		return fmt.Errorf("%w: lba=%d sectors=%d capacity=%d", ErrOutOfRange, io.LBA, io.Sectors, d.sectors)
 	}
 	if io.submitted {
 		return errDoubleSubmit

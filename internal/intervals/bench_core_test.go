@@ -1,6 +1,9 @@
 package intervals
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // Core benchmarks: the in-place Set mutators controllers hit per write
 // (MarkDirty/CleanDirty) and per destage chunk (PopFirst). scripts/check.sh
@@ -50,5 +53,64 @@ func BenchmarkCoreIntervalsPopFirst(b *testing.B) {
 				break
 			}
 		}
+	}
+}
+
+// BenchmarkCoreIntervalsMarkDirty marks a random 64 KiB extent and cleans
+// another per op, in a dirty set held near 1.5k spans: the size of a busy
+// pair's set under replay_write, where a mark is a search plus an insert
+// that shifts the spans above it.
+func BenchmarkCoreIntervalsMarkDirty(b *testing.B) {
+	const (
+		extent = 64 << 10
+		slots  = 6000 // half dirty at random: about slots/4 spans
+	)
+	rng := rand.New(rand.NewSource(1))
+	picks := make([]int64, 1<<12)
+	for i := range picks {
+		picks[i] = rng.Int63n(slots) * extent
+	}
+	var s Set
+	for i := 0; i < 4*slots; i++ {
+		s.Add(picks[i%len(picks)], picks[i%len(picks)]+extent)
+		at := picks[(i*7+3)%len(picks)]
+		s.Remove(at, at+extent)
+	}
+	if s.Count() < 1000 {
+		b.Fatalf("set holds %d spans, want about 1.5k", s.Count())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		at := picks[i%len(picks)]
+		s.Add(at, at+extent)
+		at = picks[(i*7+3)%len(picks)]
+		s.Remove(at, at+extent)
+	}
+}
+
+// BenchmarkCoreIntervalsDrain drains a 3k-span set in 256 KiB destage
+// chunks while appending, as a live destager does while writes keep
+// dirtying its pair: per op, one 512 KiB span leaves in two pops (a
+// partial and a whole-span one) and one is appended past the highest.
+func BenchmarkCoreIntervalsDrain(b *testing.B) {
+	const (
+		spans = 3000
+		span  = 512 << 10
+		chunk = 256 << 10
+		pitch = span + 64<<10
+	)
+	var s Set
+	next := int64(0)
+	for ; next < spans; next++ {
+		s.Add(next*pitch, next*pitch+span)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.PopFirst(chunk)
+		s.PopFirst(chunk)
+		s.Add(next*pitch, next*pitch+span)
+		next++
 	}
 }

@@ -1,6 +1,7 @@
 package intervals
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -10,13 +11,12 @@ import (
 // obviousness, not speed. The bitmap extends past the generation range so
 // ranges straddling the universe edge are still tracked exactly.
 type naiveSet struct {
-	covered [maxAddr]bool
+	covered []bool
+	hi      int64  // no byte at or past hi has ever been covered
+	buf     []Span // spans' result, reused
 }
 
-const (
-	universe = 512           // generated starts are in [0, universe+20)
-	maxAddr  = universe + 60 // bitmap bound: start < universe+20, len < 40
-)
+func newNaiveSet(size int) *naiveSet { return &naiveSet{covered: make([]bool, size)} }
 
 func (n *naiveSet) add(start, end int64)    { n.set(start, end, true) }
 func (n *naiveSet) remove(start, end int64) { n.set(start, end, false) }
@@ -25,24 +25,19 @@ func (n *naiveSet) set(start, end int64, v bool) {
 	if end <= start {
 		return
 	}
-	for i := clamp(start); i < clamp(end); i++ {
+	for i := n.clamp(start); i < n.clamp(end); i++ {
 		n.covered[i] = v
+	}
+	if v {
+		n.hi = max(n.hi, n.clamp(end))
 	}
 }
 
-func clamp(v int64) int64 {
-	if v < 0 {
-		return 0
-	}
-	if v > maxAddr {
-		return maxAddr
-	}
-	return v
-}
+func (n *naiveSet) clamp(v int64) int64 { return min(max(v, 0), int64(len(n.covered))) }
 
 func (n *naiveSet) total() int64 {
 	var t int64
-	for _, c := range n.covered {
+	for _, c := range n.covered[:n.hi] {
 		if c {
 			t++
 		}
@@ -55,7 +50,7 @@ func (n *naiveSet) contains(start, end int64) bool {
 		return true
 	}
 	for i := start; i < end; i++ {
-		if i < 0 || i >= maxAddr || !n.covered[i] {
+		if i < 0 || i >= int64(len(n.covered)) || !n.covered[i] {
 			return false
 		}
 	}
@@ -63,7 +58,7 @@ func (n *naiveSet) contains(start, end int64) bool {
 }
 
 func (n *naiveSet) overlaps(start, end int64) bool {
-	for i := clamp(start); i < clamp(end); i++ {
+	for i := n.clamp(start); i < n.clamp(end); i++ {
 		if n.covered[i] {
 			return true
 		}
@@ -71,22 +66,24 @@ func (n *naiveSet) overlaps(start, end int64) bool {
 	return false
 }
 
-// spans reconstructs the coalesced span list from the bitmap.
+// spans reconstructs the coalesced span list from the bitmap. The result
+// is valid until the next call.
 func (n *naiveSet) spans() []Span {
-	var out []Span
+	out := n.buf[:0]
 	i := int64(0)
-	for i < maxAddr {
+	for i < n.hi {
 		if !n.covered[i] {
 			i++
 			continue
 		}
 		j := i
-		for j < maxAddr && n.covered[j] {
+		for j < n.hi && n.covered[j] {
 			j++
 		}
 		out = append(out, Span{Start: i, End: j})
 		i = j
 	}
+	n.buf = out
 	return out
 }
 
@@ -104,57 +101,183 @@ func (n *naiveSet) popFirst(max int64) (Span, bool) {
 	return sp, true
 }
 
+// agree fails the test unless s holds its invariants and matches ref span
+// for span. It returns ref's spans.
+func agree(t *testing.T, s *Set, ref *naiveSet, where string) []Span {
+	t.Helper()
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatalf("%s: %v", where, err)
+	}
+	if got, want := s.Total(), ref.total(); got != want {
+		t.Fatalf("%s: Total() = %d, want %d", where, got, want)
+	}
+	want := ref.spans()
+	if s.Count() != len(want) {
+		t.Fatalf("%s: %d spans %v, want %d spans %v", where, s.Count(), s.Spans(), len(want), want)
+	}
+	for i, w := range want {
+		if got := s.At(i); got != w {
+			t.Fatalf("%s: span %d = %+v, want %+v", where, i, got, w)
+		}
+	}
+	return want
+}
+
 // TestSetMatchesNaiveReference fuzzes the in-place Set against the bitmap
 // reference with a rapid add/remove/pop loop, checking CheckInvariants and
-// full span-list agreement after every mutation.
+// full span-list agreement after every mutation. The large universe holds
+// more than a thousand spans at once, so the searches run many halving
+// steps and inserts shift long tails.
 func TestSetMatchesNaiveReference(t *testing.T) {
-	for seed := int64(0); seed < 40; seed++ {
+	for _, u := range []struct {
+		name           string
+		universe       int // generated starts are in [0, universe+20)
+		maxLen         int // generated lengths are in [0, maxLen)
+		seeds, ops     int
+		minPeakSpans   int
+		addsPerRemoval int // of every 10 operations, this many are adds
+	}{
+		{"small", 512, 40, 40, 2000, 0, 4},
+		{"large", 12288, 4, 1, 6000, 1000, 6},
+	} {
+		t.Run(u.name, func(t *testing.T) {
+			peak := 0
+			for seed := int64(0); seed < int64(u.seeds); seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				var s Set
+				ref := newNaiveSet(u.universe + 20 + u.maxLen)
+				for op := 0; op < u.ops; op++ {
+					start := int64(rng.Intn(u.universe + 20)) // occasionally out past the edge
+					end := start + int64(rng.Intn(u.maxLen))
+					where := fmt.Sprintf("seed %d op %d", seed, op)
+					switch k := rng.Intn(10); {
+					case k < u.addsPerRemoval:
+						s.Add(start, end)
+						ref.add(start, end)
+					case k < 7:
+						s.Remove(start, end)
+						ref.remove(start, end)
+					case k < 8:
+						max := int64(rng.Intn(30))
+						got, gotOK := s.PopFirst(max)
+						want, wantOK := ref.popFirst(max)
+						if gotOK != wantOK || got != want {
+							t.Fatalf("%s: PopFirst(%d) = %+v,%v, want %+v,%v",
+								where, max, got, gotOK, want, wantOK)
+						}
+					case k < 9:
+						if got, want := s.Contains(start, end), ref.contains(start, end); got != want {
+							t.Fatalf("%s: Contains(%d,%d) = %v, want %v", where, start, end, got, want)
+						}
+					default:
+						if got, want := s.Overlaps(start, end), ref.overlaps(start, end); got != want {
+							t.Fatalf("%s: Overlaps(%d,%d) = %v, want %v", where, start, end, got, want)
+						}
+					}
+					want := agree(t, &s, ref, where)
+					if got, want := s.FirstAfter(start), firstAfterRef(want, start); got != want {
+						t.Fatalf("%s: FirstAfter(%d) = %d, want %d", where, start, got, want)
+					}
+					peak = max(peak, s.Count())
+				}
+			}
+			t.Logf("peak of %d spans", peak)
+			if peak < u.minPeakSpans {
+				t.Fatalf("peak of %d spans, want at least %d", peak, u.minPeakSpans)
+			}
+		})
+	}
+}
+
+// firstAfterRef is a linear scan for FirstAfter.
+func firstAfterRef(sps []Span, x int64) int {
+	for i, sp := range sps {
+		if sp.End > x {
+			return i
+		}
+	}
+	return len(sps)
+}
+
+// TestSetDrainWhileMarking alternates marking phases with pop-heavy
+// phases that keep adding at the tail, as a pair's live destager does
+// while new writes dirty the pair: whole-span pops advance the head,
+// tail adds fill the slack behind the live spans until the backing array
+// is full and they move down into the front slack, and both tail fast
+// paths run. Every operation is checked span for span against the bitmap
+// reference; the test also asserts that each of those paths ran.
+func TestSetDrainWhileMarking(t *testing.T) {
+	const size = 1 << 14
+	var headAdvances, compactions, tailAppends, tailMerges int
+	for seed := int64(0); seed < 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var s Set
-		var ref naiveSet
-		for op := 0; op < 2000; op++ {
-			start := int64(rng.Intn(universe + 20)) // occasionally out past the edge
-			end := start + int64(rng.Intn(40))
-			switch k := rng.Intn(10); {
-			case k < 4:
+		ref := newNaiveSet(size)
+		tailStart := func() int64 {
+			if s.Empty() {
+				return int64(rng.Intn(64))
+			}
+			// Adjacent to, overlapping or just past the last span.
+			return max(s.At(s.Count()-1).End+int64(rng.Intn(6))-3, 0)
+		}
+		for phase := 0; phase < 30; phase++ {
+			pops := phase%2 == 1
+			for op := 0; op < 120; op++ {
+				where := fmt.Sprintf("seed %d phase %d op %d", seed, phase, op)
+				head, capBefore, n := s.head, cap(s.spans), s.Count()
+				var lastBefore, prevBefore Span
+				if n > 0 {
+					lastBefore = s.At(n - 1)
+				}
+				if n > 1 {
+					prevBefore = s.At(n - 2)
+				}
+				var start, end int64
+				switch k := rng.Intn(10); {
+				case pops && k < 5:
+					max := int64(rng.Intn(12) + 1)
+					got, gotOK := s.PopFirst(max)
+					want, wantOK := ref.popFirst(max)
+					if gotOK != wantOK || got != want {
+						t.Fatalf("%s: PopFirst(%d) = %+v,%v, want %+v,%v", where, max, got, gotOK, want, wantOK)
+					}
+					if s.head > head {
+						headAdvances++
+					}
+					agree(t, &s, ref, where)
+					continue
+				case pops || k < 6:
+					start = tailStart()
+				default:
+					start = int64(rng.Intn(size / 8))
+				}
+				end = min(start+int64(rng.Intn(6)+1), size)
 				s.Add(start, end)
 				ref.add(start, end)
-			case k < 7:
-				s.Remove(start, end)
-				ref.remove(start, end)
-			case k < 8:
-				max := int64(rng.Intn(30))
-				got, gotOK := s.PopFirst(max)
-				want, wantOK := ref.popFirst(max)
-				if gotOK != wantOK || got != want {
-					t.Fatalf("seed %d op %d: PopFirst(%d) = %+v,%v, want %+v,%v",
-						seed, op, max, got, gotOK, want, wantOK)
+				agree(t, &s, ref, where)
+				switch {
+				case n > 0 && start > lastBefore.End:
+					tailAppends++
+				case n > 0 && end >= lastBefore.Start && (n == 1 || start > prevBefore.End):
+					tailMerges++
 				}
-			case k < 9:
-				if got, want := s.Contains(start, end), ref.contains(start, end); got != want {
-					t.Fatalf("seed %d op %d: Contains(%d,%d) = %v, want %v", seed, op, start, end, got, want)
-				}
-			default:
-				if got, want := s.Overlaps(start, end), ref.overlaps(start, end); got != want {
-					t.Fatalf("seed %d op %d: Overlaps(%d,%d) = %v, want %v", seed, op, start, end, got, want)
+				if head > 0 && s.head == 0 && cap(s.spans) == capBefore && !s.Empty() {
+					compactions++
 				}
 			}
-			if err := s.CheckInvariants(); err != nil {
-				t.Fatalf("seed %d op %d: %v", seed, op, err)
-			}
-			if got, want := s.Total(), ref.total(); got != want {
-				t.Fatalf("seed %d op %d: Total() = %d, want %d", seed, op, got, want)
-			}
-			gotSpans, wantSpans := s.Spans(), ref.spans()
-			if len(gotSpans) != len(wantSpans) {
-				t.Fatalf("seed %d op %d: %d spans %v, want %d spans %v",
-					seed, op, len(gotSpans), gotSpans, len(wantSpans), wantSpans)
-			}
-			for i := range gotSpans {
-				if gotSpans[i] != wantSpans[i] {
-					t.Fatalf("seed %d op %d: span %d = %+v, want %+v", seed, op, i, gotSpans[i], wantSpans[i])
-				}
-			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		n    int
+	}{
+		{"head advances", headAdvances},
+		{"compactions into front slack", compactions},
+		{"tail appends", tailAppends},
+		{"tail merges", tailMerges},
+	} {
+		if c.n == 0 {
+			t.Errorf("no %s ran", c.name)
 		}
 	}
 }
@@ -201,5 +324,33 @@ func TestSetSteadyStateZeroAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("steady-state Add/Remove/PopFirst: %v allocs/op, want 0", n)
+	}
+
+	// Drain while marking, as a pair's live destager does: pop the lowest
+	// span and append one past the highest, holding 512 live spans in a
+	// backing array warmed to 1024. The head keeps advancing, so the array
+	// stays allocation-free only because grow moves the live spans down
+	// into the slack the pops left. Without that, the cycle's 4096 appends
+	// outgrow the array in every run, warm-up included.
+	s.Clear()
+	for i := int64(0); i < 1024; i++ {
+		s.Add(i*20, i*20+10)
+	}
+	s.Clear()
+	next := int64(0)
+	for ; next < 512; next++ {
+		s.Add(next*20, next*20+10)
+	}
+	if n := testing.AllocsPerRun(1, func() {
+		for k := 0; k < 4096; k++ {
+			s.PopFirst(1 << 20)
+			s.Add(next*20, next*20+10)
+			next++
+		}
+		if s.Count() != 512 {
+			t.Fatalf("drain-while-marking holds %d spans, want 512", s.Count())
+		}
+	}); n != 0 {
+		t.Errorf("drain-while-marking PopFirst/Add: %v allocs/op, want 0", n)
 	}
 }

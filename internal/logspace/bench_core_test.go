@@ -30,3 +30,35 @@ func BenchmarkLogspaceCheckSortScan(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCoreLogspaceReset resets a region fragmented by ~1.5k donated
+// extents, which interleave with ~1.5k free ones: Reset rebuilds the free
+// set as the region minus the donated set, so this is its worst case. A
+// rotation resets the outgoing logger's region, so Reset must not
+// allocate.
+func BenchmarkCoreLogspaceReset(b *testing.B) {
+	const chunk = 4096
+	const n = 3000
+	s, err := New((n + n/4) * chunk)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if _, ok := s.Alloc(chunk, i%2); !ok {
+			b.Fatalf("alloc %d failed", i)
+		}
+	}
+	s.ReleaseTag(1)
+	if !s.Shrink(s.FreeBytes()) {
+		b.Fatal("shrink failed")
+	}
+	s.Reset()
+	if err := s.CheckInvariants(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Reset()
+	}
+}

@@ -19,23 +19,29 @@ type sortScan struct {
 	tags []int
 }
 
-// refSpan attributes a span to its owner; tag -1 marks a free span.
+// refSpan attributes a span to its owner: an allocation tag, or freeTag or
+// donatedTag.
 type refSpan struct {
 	sp  intervals.Span
 	tag int
 }
 
 func (c *sortScan) check(s *Space) error {
-	if err := s.free.CheckInvariants(); err != nil {
-		return err
-	}
 	all := c.all[:0]
-	for i := 0; i < s.free.Count(); i++ {
-		sp := s.free.At(i)
-		if sp.Start < 0 || sp.End > s.addrSpace {
-			return fmt.Errorf("logspace: free span %+v out of bounds", sp)
+	for _, o := range []struct {
+		set *intervals.Set
+		tag int
+	}{{&s.free, freeTag}, {&s.donated, donatedTag}} {
+		if err := o.set.CheckInvariants(); err != nil {
+			return err
 		}
-		all = append(all, refSpan{sp, -1})
+		for i := 0; i < o.set.Count(); i++ {
+			sp := o.set.At(i)
+			if sp.Start < 0 || sp.End > s.addrSpace {
+				return fmt.Errorf("logspace: %s span %+v out of bounds", owner(o.tag), sp)
+			}
+			all = append(all, refSpan{sp, o.tag})
+		}
 	}
 	tags := c.tags[:0]
 	for tag := range s.used {
@@ -72,7 +78,7 @@ func (c *sortScan) check(s *Space) error {
 	for i, o := range all {
 		if i > 0 && o.sp.Start < all[i-1].sp.End {
 			if o.tag < 0 {
-				return fmt.Errorf("logspace: free span %+v overlaps", o.sp)
+				return fmt.Errorf("logspace: %s span %+v overlaps", owner(o.tag), o.sp)
 			}
 			return fmt.Errorf("logspace: tag %d span %+v overlaps", o.tag, o.sp)
 		}
@@ -81,8 +87,8 @@ func (c *sortScan) check(s *Space) error {
 	if usedTotal != s.usedBy {
 		return fmt.Errorf("logspace: used accounting %d != tracked %d", usedTotal, s.usedBy)
 	}
-	if got, want := total, s.addrSpace-s.donated; got != want {
-		return fmt.Errorf("logspace: accounted %d of %d live bytes", got, want)
+	if total != s.addrSpace {
+		return fmt.Errorf("logspace: accounted %d of %d bytes", total, s.addrSpace)
 	}
 	return nil
 }
@@ -144,6 +150,21 @@ var corruptions = []struct {
 		sp := from.At(rng.Intn(from.Count()))
 		to.Add(sp.Start, sp.End)
 		return true
+	}},
+	{"donated overlaps free", "overlaps", func(s *Space, rng *rand.Rand) bool {
+		if s.free.Count() == 0 {
+			return false
+		}
+		sp := s.free.At(rng.Intn(s.free.Count()))
+		s.donated.Add(sp.Start, sp.Start+1)
+		return true
+	}},
+	{"donated overlaps tag", "overlaps", func(s *Space, rng *rand.Rand) bool {
+		_, sp, ok := randomTagSpan(s, rng)
+		if ok {
+			s.donated.Add(sp.End-1, sp.End)
+		}
+		return ok
 	}},
 	{"free span out of bounds", "out of bounds", func(s *Space, rng *rand.Rand) bool {
 		if rng.Intn(2) == 0 {

@@ -26,8 +26,8 @@ type Alloc struct {
 // relative to the start of the region; callers translate them to LBAs.
 type Space struct {
 	addrSpace int64 // immutable size of the region's address range
-	donated   int64 // bytes permanently given to the data region
 	free      intervals.Set
+	donated   intervals.Set          // extents permanently given to the data region
 	used      map[int]*intervals.Set // tag -> extents
 	usedBy    int64
 	// cursor is the append head: allocation is next-fit from here with
@@ -36,6 +36,11 @@ type Space struct {
 	// behaves as the circular log of Section III-A).
 	cursor int64
 
+	// tagCache holds used[tag] for take in slot tag mod tagSlots, so that an
+	// allocation usually skips the map lookup. A nil set marks an empty
+	// slot; ReleaseTag and Reset clear the slots they invalidate.
+	tagCache [tagSlots]tagSlot
+
 	// runs is CheckInvariants' merge scratch, one cursor per set, kept
 	// across the sanitizer's sweeps so that they do not allocate
 	// (DESIGN §11).
@@ -43,14 +48,34 @@ type Space struct {
 }
 
 // run walks one sorted, coalesced set during CheckInvariants' merge: the
-// free set (tag -1) or one tag's extents. It caches its current span so
-// that heap comparisons need not index back into the set.
+// donated set (tag donatedTag), the free set (tag freeTag) or one tag's
+// extents. It caches its current span so that heap comparisons need not
+// index back into the set.
 type run struct {
 	cur intervals.Span
 	set *intervals.Set
 	i   int
 	tag int
 }
+
+// tagSlots is the size of take's tag cache. Log writes interleave tags:
+// RoLo-P/R/E tag each extent with its pair, so a one-entry cache misses
+// most allocations, while 32 slots hold every pair of the paper's 20-pair
+// array. GRAID allocates under one generation tag at a time.
+const tagSlots = 32
+
+// tagSlot is one entry of take's tag cache.
+type tagSlot struct {
+	tag int
+	set *intervals.Set
+}
+
+// Run tags of the two sets that belong to no allocation tag; allocation
+// tags are non-negative.
+const (
+	donatedTag = -2
+	freeTag    = -1
+)
 
 // New returns a Space over a region of the given size.
 func New(capacity int64) (*Space, error) {
@@ -64,7 +89,7 @@ func New(capacity int64) (*Space, error) {
 
 // Capacity returns the logging capacity in bytes (the region size minus any
 // space donated to the data region).
-func (s *Space) Capacity() int64 { return s.addrSpace - s.donated }
+func (s *Space) Capacity() int64 { return s.addrSpace - s.donated.Total() }
 
 // FreeBytes returns the number of unallocated bytes.
 func (s *Space) FreeBytes() int64 { return s.Capacity() - s.usedBy }
@@ -100,18 +125,13 @@ func (s *Space) Alloc(n int64, tag int) (Alloc, bool) {
 		return Alloc{}, false
 	}
 	// First pass: at or after the cursor (a true append when the cursor
-	// sits inside a free span). Indexed iteration (Count/At) avoids the
-	// snapshot copy Spans() would make on this per-write path; take is
-	// only called once a span is chosen, after iteration ends.
-	for i := 0; i < s.free.Count(); i++ {
+	// sits inside a free span), starting at the first free span that ends
+	// past it. Indexed iteration (Count/At) avoids the snapshot copy
+	// Spans() would make on this per-write path; take is only called once
+	// a span is chosen, after iteration ends.
+	for i := s.free.FirstAfter(s.cursor); i < s.free.Count(); i++ {
 		sp := s.free.At(i)
-		if sp.End <= s.cursor {
-			continue
-		}
-		start := sp.Start
-		if start < s.cursor {
-			start = s.cursor
-		}
+		start := max(sp.Start, s.cursor)
 		if sp.End-start >= n {
 			return s.take(start, n, tag), true
 		}
@@ -126,17 +146,20 @@ func (s *Space) Alloc(n int64, tag int) (Alloc, bool) {
 }
 
 func (s *Space) take(start, n int64, tag int) Alloc {
-	a := Alloc{Offset: start, Length: n}
 	s.free.Remove(start, start+n)
-	set, ok := s.used[tag]
-	if !ok {
-		set = &intervals.Set{}
-		s.used[tag] = set
+	slot := &s.tagCache[uint(tag)%tagSlots]
+	if slot.set == nil || slot.tag != tag {
+		set, ok := s.used[tag]
+		if !ok {
+			set = &intervals.Set{}
+			s.used[tag] = set
+		}
+		*slot = tagSlot{tag: tag, set: set}
 	}
-	set.Add(start, start+n)
+	slot.set.Add(start, start+n)
 	s.usedBy += n
 	s.cursor = start + n
-	return a
+	return Alloc{Offset: start, Length: n}
 }
 
 // ReleaseTag invalidates every extent allocated under tag and returns the
@@ -154,6 +177,9 @@ func (s *Space) ReleaseTag(tag int) int64 {
 		freed += sp.Len()
 	}
 	delete(s.used, tag)
+	if slot := &s.tagCache[uint(tag)%tagSlots]; slot.tag == tag {
+		slot.set = nil
+	}
 	s.usedBy -= freed
 	return freed
 }
@@ -179,44 +205,27 @@ func (s *Space) Tags() []int {
 }
 
 // Reset releases all allocations, returning every non-donated byte to the
-// free list.
+// free list: the free set becomes [0, addrSpace) minus the donated set.
 func (s *Space) Reset() {
-	donatedSpans := s.donatedSpans()
 	s.free.Clear()
-	s.free.Add(0, s.addrSpace)
-	for _, sp := range donatedSpans {
-		s.free.Remove(sp.Start, sp.End)
+	var from int64
+	for i := 0; i < s.donated.Count(); i++ {
+		sp := s.donated.At(i)
+		s.free.Add(from, sp.Start)
+		from = sp.End
 	}
-	s.used = make(map[int]*intervals.Set)
+	s.free.Add(from, s.addrSpace)
+	clear(s.used)
+	s.tagCache = [tagSlots]tagSlot{}
 	s.usedBy = 0
 	s.cursor = 0
-}
-
-// donatedSpans reconstructs which address ranges were donated: everything
-// not free and not used. Donations only ever move bytes out of the free
-// list, so this is exact.
-func (s *Space) donatedSpans() []intervals.Span {
-	var live intervals.Set
-	for _, sp := range s.free.Spans() {
-		live.Add(sp.Start, sp.End)
-	}
-	for _, set := range s.used {
-		for _, sp := range set.Spans() {
-			live.Add(sp.Start, sp.End)
-		}
-	}
-	var donated intervals.Set
-	donated.Add(0, s.addrSpace)
-	for _, sp := range live.Spans() {
-		donated.Remove(sp.Start, sp.End)
-	}
-	return donated.Spans()
 }
 
 // Shrink permanently donates n free bytes to the data region (the paper's
 // data-region expansion: an unused logger region is freed from the unused
 // region list when the data region fills). It reports false if less than n
-// bytes are free.
+// bytes are free. No controller calls it yet: every simulated logging
+// region keeps its full size for the whole run.
 func (s *Space) Shrink(n int64) bool {
 	if n <= 0 || n > s.FreeBytes() {
 		return false
@@ -230,16 +239,17 @@ func (s *Space) Shrink(n int64) bool {
 			take = remaining
 		}
 		s.free.Remove(sp.End-take, sp.End)
+		s.donated.Add(sp.End-take, sp.End)
 		remaining -= take
 	}
-	s.donated += n
 	return true
 }
 
-// CheckInvariants validates the allocator's bookkeeping: free and used
-// extents are disjoint, within bounds, and account for every byte.
+// CheckInvariants validates the allocator's bookkeeping: the free, donated
+// and per-tag extents lie within bounds, are pairwise disjoint and together
+// tile the whole region, and the tags account for every used byte.
 func (s *Space) CheckInvariants() error {
-	runs := append(s.runs[:0], run{set: &s.free, tag: -1})
+	runs := append(s.runs[:0], run{set: &s.donated, tag: donatedTag}, run{set: &s.free, tag: freeTag})
 	for tag, set := range s.used {
 		runs = append(runs, run{set: set, tag: tag})
 	}
@@ -250,7 +260,7 @@ func (s *Space) CheckInvariants() error {
 	for _, r := range runs {
 		if err := r.set.CheckInvariants(); err != nil {
 			if r.tag < 0 {
-				return err
+				return fmt.Errorf("logspace: %s set: %w", owner(r.tag), err)
 			}
 			return fmt.Errorf("logspace: tag %d: %w", r.tag, err)
 		}
@@ -292,8 +302,10 @@ func (s *Space) CheckInvariants() error {
 	if usedTotal != s.usedBy {
 		return fmt.Errorf("logspace: used accounting %d != tracked %d", usedTotal, s.usedBy)
 	}
-	if got, want := total, s.addrSpace-s.donated; got != want {
-		return fmt.Errorf("logspace: accounted %d of %d live bytes", got, want)
+	// Disjoint and in bounds, the spans tile [0, addrSpace) exactly when
+	// they cover all of it.
+	if total != s.addrSpace {
+		return fmt.Errorf("logspace: accounted %d of %d bytes", total, s.addrSpace)
 	}
 	return nil
 }
@@ -324,7 +336,15 @@ func siftDown(h []run, i int) {
 // spanError reports a span that breaks a rule, naming its owner.
 func spanError(tag int, sp intervals.Span, what string) error {
 	if tag < 0 {
-		return fmt.Errorf("logspace: free span %+v %s", sp, what)
+		return fmt.Errorf("logspace: %s span %+v %s", owner(tag), sp, what)
 	}
 	return fmt.Errorf("logspace: tag %d span %+v %s", tag, sp, what)
+}
+
+// owner names the set behind a negative run tag.
+func owner(tag int) string {
+	if tag == donatedTag {
+		return "donated"
+	}
+	return "free"
 }

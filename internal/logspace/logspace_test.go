@@ -2,8 +2,11 @@ package logspace
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"github.com/rolo-storage/rolo/internal/intervals"
 )
 
 func mustSpace(t *testing.T, cap int64) *Space {
@@ -163,6 +166,89 @@ func TestShrink(t *testing.T) {
 	}
 	if s.Shrink(0) {
 		t.Fatal("Shrink(0) succeeded")
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestResetAfterShrinkMatchesReconstruction holds Reset to the rule it
+// replaced: the donated extents are exactly the bytes neither free nor
+// allocated, and Reset frees every other byte.
+func TestResetAfterShrinkMatchesReconstruction(t *testing.T) {
+	const capacity = 1 << 16
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := mustSpace(t, capacity)
+		for i, steps := 0, rng.Intn(120); i < steps; i++ {
+			switch op := rng.Intn(10); {
+			case op < 6:
+				s.Alloc(rng.Int63n(2048)+1, rng.Intn(6))
+			case op < 9:
+				s.ReleaseTag(rng.Intn(6))
+			default:
+				s.Shrink(rng.Int63n(1024) + 1)
+			}
+		}
+		var live, donated, wantFree intervals.Set
+		for _, sp := range s.free.Spans() {
+			live.Add(sp.Start, sp.End)
+		}
+		for _, tag := range s.Tags() {
+			for _, sp := range s.used[tag].Spans() {
+				live.Add(sp.Start, sp.End)
+			}
+		}
+		donated.Add(0, capacity)
+		wantFree.Add(0, capacity)
+		for _, sp := range live.Spans() {
+			donated.Remove(sp.Start, sp.End)
+		}
+		for _, sp := range donated.Spans() {
+			wantFree.Remove(sp.Start, sp.End)
+		}
+
+		s.Reset()
+		if got, want := s.free.Spans(), wantFree.Spans(); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: free after Reset = %v, want %v", seed, got, want)
+		}
+		if got, want := s.donated.Spans(), donated.Spans(); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: donated = %v, want %v", seed, got, want)
+		}
+		if got, want := s.Capacity(), capacity-donated.Total(); got != want || s.FreeBytes() != want {
+			t.Fatalf("seed %d: Capacity %d, FreeBytes %d, want %d", seed, got, s.FreeBytes(), want)
+		}
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// TestTagCacheSlotsShared interleaves allocations under tags that share a
+// slot of take's tag cache, then releases one of them: each tag must keep
+// exactly its own extents.
+func TestTagCacheSlotsShared(t *testing.T) {
+	s := mustSpace(t, 1<<20)
+	tags := []int{3, 3 + tagSlots, 3 + 2*tagSlots, 3 + 3*tagSlots}
+	for i := 0; i < 40; i++ {
+		if _, ok := s.Alloc(100, tags[i%len(tags)]); !ok {
+			t.Fatalf("alloc %d failed", i)
+		}
+	}
+	if freed := s.ReleaseTag(tags[1]); freed != 1000 {
+		t.Fatalf("ReleaseTag(%d) = %d, want 1000", tags[1], freed)
+	}
+	for i := 0; i < 8; i++ {
+		s.Alloc(100, tags[i%len(tags)])
+	}
+	for i, tag := range tags {
+		want := int64(1200)
+		if i == 1 {
+			want = 200
+		}
+		if got := s.TagBytes(tag); got != want {
+			t.Errorf("TagBytes(%d) = %d, want %d", tag, got, want)
+		}
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Perf-trajectory recorder: runs the BenchmarkCore* suite (engine
-# schedule/fire/cancel/churn, interval add/remove/pop, log-space
-# invariant check, histogram add, telemetry event encoding, journal
+# schedule/fire/cancel/churn, interval add/remove/pop/mark/drain, log-space
+# invariant check and reset, histogram add, telemetry event encoding, journal
 # segment archival, pooled disk IO round trip, fleet report merge,
 # end-to-end fleet and one replay per scheme) with -benchmem and
 # writes the results to BENCH_core.json so successive PRs can diff ns/op
