@@ -10,11 +10,11 @@ build:
 vet: build
 	$(GO) vet ./...
 
-# lint builds the repo's own analyzer suite and runs it over the tree via
-# the go vet -vettool protocol.
+# lint builds the repo's own analyzer suite and runs it over the tree's
+# non-test files.
 lint: build
 	$(GO) build -o bin/rololint ./cmd/rololint
-	$(GO) vet -vettool=bin/rololint ./...
+	./bin/rololint ./...
 
 test: vet
 	$(GO) test ./...

@@ -1,74 +1,41 @@
 // Command rololint is the repository's static-analysis gate: a
-// multichecker for the eighteen analyzers under internal/analysis that
-// enforce simulation determinism, telemetry discipline, sim-time hygiene,
-// error propagation, resource Close obligations (resourcelifecycle),
-// phase-log pairing, power-state-machine legality (statetransition), the
-// sanitizer's audited-mutation-helper discipline (invariantguard), the
-// concurrency discipline of the parallel experiment runner — mutex-guarded
-// field access (guardedby), interprocedural lock contracts (lockcontract),
-// goroutine capture hygiene (gocapture) and goroutine join pairing
-// (waitpairing) — the liveness family: global lock-order cycles with
-// deadlock witness paths (lockorder), blocking channel operations under
-// mutexes and channels nothing closes (chanmisuse), and goroutines with no
-// provable termination path (goroleak) — and the valueflow family, built
-// on the SSA-lite value lattice: dereferences of provably or possibly nil
-// values (nilness), arithmetic and assignment mixing time/byte/block/
-// sector units (unitflow), and allocation sizes, indexes and append
-// growth tainted by trace/CSV/flag/env input without a bound check
-// (taintbounds). A nineteenth entry, the lintallow meta-check, audits the
-// waivers themselves: a //lint:allow that suppresses nothing, lacks a
-// reason, or names an unknown analyzer is a finding.
+// multichecker for the ten analyzers under internal/analysis that enforce
+// this repository's declared contracts — simulation determinism
+// (simdeterminism), telemetry discipline (telemetryguard), sim-time
+// hygiene (simtimeunits), error propagation (errpropagation), resource
+// Close obligations (resourcelifecycle), phase-log pairing
+// (phasepairing), power-state-machine legality (statetransition), the
+// sanitizer's audited-mutation-helper discipline (invariantguard), and
+// the mutex discipline of the three concurrent harness components —
+// mutex-guarded field access (guardedby) and interprocedural lock
+// contracts (lockcontract). An eleventh entry, the lintallow meta-check,
+// audits the waivers themselves: a //lint:allow that suppresses nothing,
+// lacks a reason, or names an unknown analyzer is a finding.
 //
-// The analyzers understand three declaration directives:
-//
-//	//rolosan:lockorder A < B   // declared acquisition order; violations
-//	                            // are findings even before a cycle closes
-//	//rolosan:daemon <reason>   // this goroutine intentionally runs for
-//	                            // the process lifetime
-//	//rolosan:unit <name>       // tags a type, package-level var, const
-//	                            // or struct field with a unit dimension
-//	                            // for unitflow ("time", "bytes", ...)
-//
-// placed on (or above) the relevant line, or in a function's doc comment
-// for //rolosan:daemon.
-//
-// It speaks the `go vet -vettool` protocol, so the canonical invocation —
-// the one scripts/check.sh and CI run — is:
+// It loads packages itself, via `go list -deps -export`, so the gate — the
+// one scripts/check.sh and CI run — is:
 //
 //	go build -o bin/rololint ./cmd/rololint
-//	go vet -vettool=bin/rololint ./...
+//	./bin/rololint ./...
 //
-// which analyzes every package including _test.go files, with build-cache
-// integration; interprocedural facts (lock contracts, resource
-// dispositions, resource-type annotations) ride the vetx files the go
-// command caches and schedules dependency-first. For quick local
-// iteration it can also load packages itself:
-//
-//	rololint ./...
-//
-// (standalone mode skips test files; the vettool form is the gate).
-// Standalone mode additionally hosts the remediation and reporting modes:
+// Only non-test files are analyzed, and packages under testdata are
+// skipped. Interprocedural facts (lock contracts, resource dispositions,
+// resource-type annotations) flow in memory from each package to its
+// importers, dependencies first.
 //
 //	rololint -fix ./...            # apply suggested fixes in place
 //	rololint -fix -diff ./...      # dry run: print unified diffs instead
-//	rololint -sarif report.sarif ./...  # write a SARIF 2.1.0 report
-//	rololint -allows ./...         # audit every //lint:allow waiver
 //
 // -fix applies each finding's first suggested fix, leaves the files
 // gofmt-clean, and is idempotent (an applied fix never reproduces its
 // diagnostic); CI verifies that property. When two findings' fixes
 // overlap, the earlier one is applied and the skipped fix is reported —
 // rerunning -fix picks it up. -fix -diff applies nothing and prints the
-// unified diff of what -fix would change. -sarif writes the report to
-// the named file ("-" for stdout) for GitHub code-scanning upload.
-// -allows prints every waiver with its rule, live/stale status, and
-// reason, and exits 2 when any waiver is stale or inert — the audit
-// stage scripts/check.sh runs; the lintallow meta-check reports the
-// same conditions inside the normal gate.
+// unified diff of what -fix would change.
 //
-// Individual analyzers can be selected the same way as with go vet:
+// Naming analyzers runs only those; naming none runs the full suite:
 //
-//	go vet -vettool=bin/rololint -simdeterminism ./...
+//	rololint -simdeterminism ./...
 //
 // Findings are suppressed by a `//lint:allow <analyzer>:<category>
 // <reason>` comment on the offending line or the line above; the reason
@@ -77,29 +44,21 @@
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"github.com/rolo-storage/rolo/internal/analysis"
 	"github.com/rolo-storage/rolo/internal/analysis/errpropagation"
 	"github.com/rolo-storage/rolo/internal/analysis/invariantguard"
-	"github.com/rolo-storage/rolo/internal/analysis/liveness"
-	"github.com/rolo-storage/rolo/internal/analysis/nilness"
 	"github.com/rolo-storage/rolo/internal/analysis/phasepairing"
 	"github.com/rolo-storage/rolo/internal/analysis/raceguard"
 	"github.com/rolo-storage/rolo/internal/analysis/resourcelifecycle"
 	"github.com/rolo-storage/rolo/internal/analysis/simdeterminism"
 	"github.com/rolo-storage/rolo/internal/analysis/simtimeunits"
 	"github.com/rolo-storage/rolo/internal/analysis/statetransition"
-	"github.com/rolo-storage/rolo/internal/analysis/taintbounds"
 	"github.com/rolo-storage/rolo/internal/analysis/telemetryguard"
-	"github.com/rolo-storage/rolo/internal/analysis/unitflow"
 )
 
 // suite lists every analyzer in the gate, in reporting order.
@@ -114,14 +73,6 @@ var suite = []*analysis.Analyzer{
 	invariantguard.Analyzer,
 	raceguard.GuardedBy,
 	raceguard.LockContract,
-	raceguard.GoCapture,
-	raceguard.WaitPairing,
-	liveness.LockOrder,
-	liveness.ChanMisuse,
-	liveness.GoroLeak,
-	nilness.Analyzer,
-	unitflow.Analyzer,
-	taintbounds.Analyzer,
 	analysis.LintAllow,
 }
 
@@ -131,19 +82,15 @@ func main() {
 
 func run(args []string) int {
 	fs := flag.NewFlagSet("rololint", flag.ExitOnError)
-	versionFlag := fs.String("V", "", "print version and exit (-V=full for a build ID)")
-	flagsFlag := fs.Bool("flags", false, "print analyzer flags in JSON (used by the go command)")
-	fixFlag := fs.Bool("fix", false, "apply suggested fixes in place (standalone mode only)")
+	fixFlag := fs.Bool("fix", false, "apply suggested fixes in place")
 	diffFlag := fs.Bool("diff", false, "with -fix: apply nothing, print unified diffs of what -fix would change")
-	sarifFlag := fs.String("sarif", "", "write a SARIF 2.1.0 report to the named `file`, \"-\" for stdout (standalone mode only)")
-	allowsFlag := fs.Bool("allows", false, "audit //lint:allow waivers: list each with rule, live/stale status, and reason (standalone mode only)")
 	enabled := make(map[string]*bool, len(suite))
 	for _, a := range suite {
 		enabled[a.Name] = fs.Bool(a.Name, false,
 			"enable only the named analyzers ("+firstLine(a.Doc)+")")
 	}
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: rololint [flags] [package pattern... | unit.cfg]\n\nanalyzers:\n")
+		fmt.Fprintf(fs.Output(), "usage: rololint [flags] package pattern...\n\nanalyzers:\n")
 		for _, a := range suite {
 			fmt.Fprintf(fs.Output(), "  %-16s %s\n", a.Name, firstLine(a.Doc))
 		}
@@ -154,15 +101,6 @@ func run(args []string) int {
 		return 2
 	}
 
-	if *versionFlag != "" {
-		return printVersion(*versionFlag)
-	}
-	if *flagsFlag {
-		return printFlagsJSON()
-	}
-
-	// go vet semantics: naming any analyzer runs only the named ones;
-	// naming none runs the full suite.
 	var selected []*analysis.Analyzer
 	for _, a := range suite {
 		if *enabled[a.Name] {
@@ -173,93 +111,16 @@ func run(args []string) int {
 		selected = suite
 	}
 
-	rest := fs.Args()
 	if *diffFlag && !*fixFlag {
 		fmt.Fprintln(os.Stderr, "rololint: -diff only modifies -fix; run `rololint -fix -diff ./...`")
 		return 2
 	}
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		if *fixFlag || *sarifFlag != "" || *allowsFlag {
-			fmt.Fprintln(os.Stderr, "rololint: -fix, -sarif, and -allows are standalone-mode flags; run `rololint -fix ./...` directly")
-			return 2
-		}
-		return analysis.RunUnitchecker(rest[0], selected, os.Stderr)
-	}
-	if len(rest) == 0 {
+	if fs.NArg() == 0 {
 		fs.Usage()
 		return 2
 	}
-	opts := analysis.StandaloneOptions{Fix: *fixFlag, Diff: *diffFlag, Allows: *allowsFlag}
-	switch *sarifFlag {
-	case "":
-	case "-":
-		opts.SARIF = os.Stdout
-	default:
-		f, err := os.Create(*sarifFlag)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rololint: %v\n", err)
-			return 1
-		}
-		opts.SARIF = f
-		code := analysis.RunStandalone(rest, selected, os.Stderr, opts)
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "rololint: %v\n", err)
-			return 1
-		}
-		return code
-	}
-	return analysis.RunStandalone(rest, selected, os.Stderr, opts)
-}
-
-// printVersion implements -V. The go command requires the exact shape
-// `<name> version devel ... buildID=<contentID>` (see
-// cmd/go/internal/work.(*Builder).toolID) and uses the content ID to key
-// its action cache, so the ID must change whenever the binary does: a
-// hash of the executable itself serves.
-func printVersion(mode string) int {
-	progname := filepath.Base(os.Args[0])
-	if mode != "full" {
-		fmt.Printf("%s version devel\n", progname)
-		return 0
-	}
-	h := sha256.New()
-	exe, err := os.Executable()
-	if err == nil {
-		f, ferr := os.Open(exe)
-		if ferr == nil {
-			_, err = io.Copy(h, f)
-			_ = f.Close() // read-only; the hash either succeeded or err is set
-		} else {
-			err = ferr
-		}
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rololint: -V=full: %v\n", err)
-		return 1
-	}
-	fmt.Printf("%s version devel buildID=%x\n", progname, h.Sum(nil))
-	return 0
-}
-
-// printFlagsJSON implements -flags, the go command's query for the flags
-// it may forward to a vettool.
-func printFlagsJSON() int {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	flags := make([]jsonFlag, 0, len(suite))
-	for _, a := range suite {
-		flags = append(flags, jsonFlag{Name: a.Name, Bool: true, Usage: firstLine(a.Doc)})
-	}
-	out, err := json.Marshal(flags)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rololint: %v\n", err)
-		return 1
-	}
-	fmt.Println(string(out))
-	return 0
+	opts := analysis.StandaloneOptions{Fix: *fixFlag, Diff: *diffFlag}
+	return analysis.RunStandalone(fs.Args(), selected, os.Stderr, opts)
 }
 
 func firstLine(s string) string {

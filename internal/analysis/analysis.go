@@ -10,18 +10,15 @@
 // hermetic environments with no module proxy, so the linter must compile
 // from the standard library alone. The subset implemented here is small
 // but no longer purely intra-package: analyzers may export JSON-encoded
-// facts keyed by function (see facts.go), which the drivers ship across
-// package boundaries — through vetx files under `go vet -vettool`, and
-// in memory in the standalone and analysistest drivers.
+// facts keyed by function (see facts.go), which the drivers keep in
+// memory and hand to downstream packages.
 //
-// Three drivers sit on top of this package:
+// Two drivers sit on top of this package:
 //
-//   - unitchecker.go speaks the `go vet -vettool` JSON protocol, so the
-//     suite runs under the go command with full build-cache integration
-//     (including _test.go files);
-//   - standalone.go loads packages itself via `go list -export`, for
-//     direct `rololint ./...` invocations during development, and hosts
-//     the `-fix` and `-sarif` modes;
+//   - standalone.go loads packages itself via `go list -deps -export`
+//     (non-test files only), analyzes dependencies first so their facts
+//     reach the targets, and hosts the `-fix` mode and its `-diff` dry
+//     run — the `rololint ./...` gate;
 //   - analysistest runs analyzers over fixture trees with `// want`
 //     expectations and golden-file fix verification.
 package analysis
@@ -162,14 +159,6 @@ func NewInfo() *types.Info {
 	}
 }
 
-// RunAnalyzers applies every analyzer to the unit with no imported facts
-// and discards exported ones — the entry point for purely intra-package
-// callers (tests, single-package tools).
-func RunAnalyzers(u *Unit, analyzers []*Analyzer) ([]Finding, error) {
-	findings, _, err := RunAnalyzersFacts(u, analyzers, nil)
-	return findings, err
-}
-
 // LintAllow is the waiver-audit meta-check. It reports nothing of its
 // own from Run; instead, when it is part of the analyzer list, the
 // framework judges every `//lint:allow` directive after the other
@@ -201,15 +190,6 @@ var LintAllow = &Analyzer{
 // scoping is deliberate, so one escape hatch cannot blanket-silence an
 // analyzer's other checks on the same line.
 func RunAnalyzersFacts(u *Unit, analyzers []*Analyzer, imported Facts) ([]Finding, Facts, error) {
-	findings, facts, _, err := RunAnalyzersAudit(u, analyzers, imported)
-	return findings, facts, err
-}
-
-// RunAnalyzersAudit is RunAnalyzersFacts with the waiver audit trail: it
-// additionally returns one AllowRecord per `//lint:allow` directive in
-// the unit, each carrying the number of diagnostics it suppressed during
-// this run. The records are in file/position order.
-func RunAnalyzersAudit(u *Unit, analyzers []*Analyzer, imported Facts) ([]Finding, Facts, []AllowRecord, error) {
 	allow := collectAllows(u.Fset, u.Files)
 	exported := make(Facts)
 	var findings []Finding
@@ -244,7 +224,7 @@ func RunAnalyzersAudit(u *Unit, analyzers []*Analyzer, imported Facts) ([]Findin
 		}
 		pass.report = report(a.Name)
 		if err := a.Run(pass); err != nil {
-			return nil, nil, nil, fmt.Errorf("analyzer %s: %w", a.Name, err)
+			return nil, nil, fmt.Errorf("analyzer %s: %w", a.Name, err)
 		}
 	}
 	if auditing {
@@ -268,7 +248,7 @@ func RunAnalyzersAudit(u *Unit, analyzers []*Analyzer, imported Facts) ([]Findin
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	return findings, exported, allow.records(), nil
+	return findings, exported, nil
 }
 
 // resolveFixes turns position-based edits into file/offset edits so they
@@ -303,15 +283,6 @@ func resolveFixes(fset *token.FileSet, fixes []SuggestedFix) []Fix {
 		}
 	}
 	return out
-}
-
-// An AllowRecord describes one `//lint:allow` directive found in a unit,
-// as returned by RunAnalyzersAudit for the `-allows` audit mode.
-type AllowRecord struct {
-	Pos    token.Position // position of the directive comment
-	Rule   string         // "analyzer" or "analyzer:category"
-	Reason string         // "" when the directive omitted its reason
-	Hits   int            // diagnostics it suppressed during the run
 }
 
 // allowKey identifies one suppressed (file, line, rule) cell.
@@ -356,18 +327,6 @@ func (s *allowSet) match(analyzer, category string, posn token.Position) bool {
 	}
 	d.hits++
 	return true
-}
-
-// records renders the directives as AllowRecords.
-func (s *allowSet) records() []AllowRecord {
-	if len(s.all) == 0 {
-		return nil
-	}
-	out := make([]AllowRecord, len(s.all))
-	for i, d := range s.all {
-		out[i] = AllowRecord{Pos: d.posn, Rule: d.rule, Reason: d.reason, Hits: d.hits}
-	}
-	return out
 }
 
 // AllowDirective is the comment prefix of the suppression escape hatch.

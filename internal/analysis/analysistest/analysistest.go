@@ -42,7 +42,7 @@ import (
 //
 // Fixture dependencies under testdata/src are analyzed first (their
 // findings discarded) so the facts they export are available to the
-// package under test — the in-memory equivalent of the vetx transport.
+// package under test, as the standalone driver does for module packages.
 //
 // If a fixture file has a sibling named <file>.go.golden, the harness
 // additionally applies the suggested fixes of the run's findings to the

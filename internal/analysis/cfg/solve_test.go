@@ -1,10 +1,10 @@
 package cfg
 
-// Solver edge cases the interprocedural summary propagation and the SSA
-// φ-placement lean on: panic-terminated paths, loops with no exit (whose
-// exit blocks must stay unreached rather than absorb a zero-value set),
-// labeled break/continue across nested loops, range-over-int loops, and
-// fallthrough-merged switch cases.
+// Solver edge cases the lock and resource dataflows lean on:
+// panic-terminated paths, loops with no exit (whose exit blocks must stay
+// unreached rather than absorb a zero-value set), labeled break/continue
+// across nested loops, range-over-int loops, and fallthrough-merged
+// switch cases.
 
 import (
 	"testing"
@@ -93,8 +93,7 @@ func TestForeverLoopWithBreakReachesExit(t *testing.T) {
 func TestLabeledBreakCrossesNestedLoops(t *testing.T) {
 	// `break L` from the inner loop exits the outer loop directly: the
 	// probe must see only the state at the break, never the inner loop's
-	// other assignments. SSA φ-placement relies on this edge landing on
-	// the outer exit block.
+	// other assignments: the edge must land on the outer exit block.
 	g := buildFunc(t, `
 		x = A
 	L:

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/types"
-	"sort"
 )
 
 // This file is the fact mechanism: the cross-package half of the
@@ -21,9 +20,8 @@ import (
 // share one summary family (guardedby and lockcontract both read the
 // "lockcontract" namespace, and both export it, so either works alone).
 //
-// Transport is driver-specific: the unitchecker serializes facts into the
-// vetx file the go command caches per package; the standalone and
-// analysistest drivers keep them in memory, analyzing dependencies first.
+// Both drivers, standalone and analysistest, keep facts in memory and
+// analyze dependencies first.
 
 // A FactKey identifies one object's fact in one namespace.
 type FactKey struct {
@@ -93,49 +91,4 @@ func (p *Pass) ImportFact(ns string, obj types.Object, v any) bool {
 		return false
 	}
 	return json.Unmarshal(data, v) == nil
-}
-
-// factRecord is the serialized form of one fact, used by the vetx
-// transport.
-type factRecord struct {
-	NS     string          `json:"ns"`
-	Object string          `json:"obj"`
-	Value  json.RawMessage `json:"v"`
-}
-
-// EncodeFacts serializes a fact set deterministically (sorted by key), so
-// vetx files are byte-stable for the go command's content-based cache.
-func EncodeFacts(f Facts) ([]byte, error) {
-	records := make([]factRecord, 0, len(f))
-	for k, v := range f {
-		records = append(records, factRecord{NS: k.NS, Object: k.Object, Value: v})
-	}
-	sort.Slice(records, func(i, j int) bool {
-		if records[i].NS != records[j].NS {
-			return records[i].NS < records[j].NS
-		}
-		return records[i].Object < records[j].Object
-	})
-	return json.Marshal(records)
-}
-
-// DecodeFacts parses a serialized fact set into dst (allocating it when
-// nil). Empty input is a valid empty set — the vetx files of packages
-// with no facts (and of standard-library packages, which are skipped
-// wholesale) are empty.
-func DecodeFacts(dst Facts, data []byte) (Facts, error) {
-	if dst == nil {
-		dst = make(Facts)
-	}
-	if len(data) == 0 {
-		return dst, nil
-	}
-	var records []factRecord
-	if err := json.Unmarshal(data, &records); err != nil {
-		return dst, fmt.Errorf("decoding facts: %w", err)
-	}
-	for _, r := range records {
-		dst[FactKey{r.NS, r.Object}] = r.Value
-	}
-	return dst, nil
 }

@@ -59,19 +59,6 @@ func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// IsPkgFunc reports whether the call invokes the package-level function
-// pkgPath.name (not a method).
-func IsPkgFunc(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {
-	fn := CalleeFunc(info, call)
-	if fn == nil || fn.Name() != name || fn.Pkg() == nil {
-		return false
-	}
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		return false
-	}
-	return fn.Pkg().Path() == pkgPath
-}
-
 // WalkStack traverses root in depth-first order, calling fn with each
 // node and the stack of its ancestors (outermost first, not including n).
 // If fn returns false the node's children are skipped.

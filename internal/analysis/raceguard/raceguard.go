@@ -1,8 +1,9 @@
-// Package raceguard is rololint's concurrency-discipline analyzer family:
-// three CFG-powered checks that make the data-race patterns the parallel
-// experiment runner must avoid into lint failures, so the discipline is
-// enforced at the first `go` statement rather than discovered under
-// `go test -race` (which only sees the schedules the test happens to run).
+// Package raceguard is rololint's mutex-discipline analyzer family: two
+// CFG-powered checks over the three concurrent harness components (the
+// journal AsyncSink, the experiments pool and the fleet runner), so the
+// locking discipline is enforced at every build rather than discovered
+// under `go test -race` (which only sees the schedules the test happens
+// to run).
 //
 //   - guardedby: struct fields annotated `//rolosan:guardedby <mu>` may
 //     only be read or written on paths where the named sibling mutex is
@@ -11,24 +12,19 @@
 //     treated as end-of-function). `//lint:allow guardedby:unheld
 //     <reason>` covers init-before-share construction.
 //
-//   - gocapture: `go` statements whose function literals capture an
-//     enclosing loop variable (goroutine inputs belong in parameters,
-//     where review can see them) or assign to captured variables without
-//     holding a lock — the classic shared-results-slice race.
+//   - lockcontract: functions declared `//rolosan:requires <mu>` must be
+//     called with the lock held, and a function that touches guarded
+//     state without locking must declare the contract. Per-function lock
+//     summaries (acquires, releases, requires) are folded bottom-up over
+//     the call graph and exported as facts, so helpers that lock or
+//     unlock count at their call sites across packages.
 //
-//   - waitpairing: every `go` statement must be joinable: its function
-//     literal signals completion on all paths (sync.WaitGroup.Done, a
-//     channel send, or close), and a Done-signalling goroutine must be
-//     preceded by the matching WaitGroup.Add on every path to the `go`
-//     statement, mirroring phasepairing's Begin/End shape.
-//
-// Like the rest of the suite the analyses are intraprocedural and
-// over-approximate: unrecognized control flow assumes the full value set
-// (guardedby and waitpairing then err toward reporting, with the
-// mandatory-reason escape hatch for intentional exceptions). Lock
-// identity is textual — the rendered receiver chain (`m.mu`, `p.inner.mu`)
-// scoped to one function — which is exactly the per-instance discipline
-// the runner uses and cheap enough to run under `go vet` on every build.
+// Like the rest of the suite the analyses over-approximate: unrecognized
+// control flow assumes the full value set and errs toward reporting,
+// with the mandatory-reason escape hatch for intentional exceptions. Lock
+// identity is textual — the rendered receiver chain (`m.mu`,
+// `p.inner.mu`) scoped to one function — which is exactly the
+// per-instance discipline the harness uses.
 package raceguard
 
 import (
@@ -36,7 +32,6 @@ import (
 	"go/types"
 
 	"github.com/rolo-storage/rolo/internal/analysis"
-	"github.com/rolo-storage/rolo/internal/analysis/cfg"
 )
 
 // isMutex reports whether t (after one pointer indirection) is
@@ -89,48 +84,6 @@ const (
 	stCount
 )
 
-// lockTransfer folds one statement over the lock-state set for the mutex
-// identified by chain (empty chain matches any mutex — gocapture's "some
-// lock is held" mode). Deferred unlocks run at function exit and leave
-// the path state alone; deferred locks are nonsensical and ignored.
-func lockTransfer(info *types.Info, chain string, s ast.Stmt, in cfg.Set) cfg.Set {
-	out := in
-	// Walk the statement, skipping nested function literals: their bodies
-	// execute at another time, under their own analysis.
-	ast.Inspect(s, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.DeferStmt:
-			return false
-		case *ast.CallExpr:
-			c, method, ok := lockMethod(info, n)
-			if !ok || (chain != "" && c != chain) {
-				return true
-			}
-			switch method {
-			case "Lock":
-				out = cfg.Only(stLocked)
-			case "RLock":
-				out = cfg.Only(stRLocked)
-			case "Unlock", "RUnlock":
-				out = cfg.Only(stUnheld)
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// lockStates solves the lock-state analysis for one mutex chain over a
-// built graph, returning the entry set of every block. Callers fold
-// lockTransfer themselves to reach a statement's program point.
-func lockStates(info *types.Info, g *cfg.Graph, chain string) map[*cfg.Block]cfg.Set {
-	return g.Solve(cfg.Only(stUnheld), func(s ast.Stmt, in cfg.Set) cfg.Set {
-		return lockTransfer(info, chain, s, in)
-	}, nil)
-}
-
 // stmtContains reports whether the AST node lies within stmt, excluding
 // nested function literal bodies (which belong to another analysis).
 func stmtContains(s ast.Stmt, target ast.Node) bool {
@@ -151,17 +104,12 @@ func stmtContains(s ast.Stmt, target ast.Node) bool {
 	return found
 }
 
-// funcBodies yields every function body in the file — declarations and
-// function literals — paired with the node whose position names it.
-// Literal bodies are visited separately from their enclosing functions
-// because they run at another time: lock state never flows into them.
-func funcBodies(file *ast.File, fn func(body *ast.BlockStmt)) {
-	funcBodiesDecl(file, func(_ *ast.FuncDecl, body *ast.BlockStmt) { fn(body) })
-}
-
-// funcBodiesDecl is funcBodies with the enclosing declaration: non-nil for
+// funcBodiesDecl yields every function body in the file — declarations
+// and function literals — with the enclosing declaration: non-nil for
 // declared functions and methods (whose doc may carry lock contracts), nil
-// for function literals.
+// for function literals. Literal bodies are visited separately from their
+// enclosing functions because they run at another time: lock state never
+// flows into them.
 func funcBodiesDecl(file *ast.File, fn func(decl *ast.FuncDecl, body *ast.BlockStmt)) {
 	ast.Inspect(file, func(n ast.Node) bool {
 		switch n := n.(type) {

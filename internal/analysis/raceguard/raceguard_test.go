@@ -14,11 +14,3 @@ func TestGuardedBy(t *testing.T) {
 func TestLockContract(t *testing.T) {
 	analysistest.Run(t, "testdata", raceguard.LockContract, "fix/lockcontract")
 }
-
-func TestGoCapture(t *testing.T) {
-	analysistest.Run(t, "testdata", raceguard.GoCapture, "fix/capture")
-}
-
-func TestWaitPairing(t *testing.T) {
-	analysistest.Run(t, "testdata", raceguard.WaitPairing, "fix/waitpair")
-}

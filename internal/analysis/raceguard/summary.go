@@ -193,8 +193,10 @@ func (sm *summaries) candidateChains(body *ast.BlockStmt) []chainInfo {
 
 // transfer folds one statement over the lock-state set for chain,
 // interpreting both direct Lock/Unlock calls and calls to functions whose
-// summaries acquire or release the chain. Nested literals and deferred
-// calls are skipped, like lockTransfer.
+// summaries acquire or release the chain. Nested literals are skipped:
+// their bodies execute at another time, under their own analysis.
+// Deferred unlocks run at function exit and leave the path state alone;
+// deferred locks are nonsensical and ignored.
 func (sm *summaries) transfer(chain string, s ast.Stmt, in cfg.Set) cfg.Set {
 	out := in
 	ast.Inspect(s, func(n ast.Node) bool {

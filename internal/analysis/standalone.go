@@ -36,82 +36,27 @@ type StandaloneOptions struct {
 	// a unified diff of what Fix would change. The tree is untouched
 	// and the exit code is computed as if the fixes had been applied.
 	Diff bool
-	// SARIF, when non-nil, receives a SARIF 2.1.0 report of the run.
-	SARIF io.Writer
-	// SrcRoot anchors the SARIF report's relative artifact URIs;
-	// defaults to the working directory.
-	SrcRoot string
-	// Allows switches the run into waiver-audit mode: instead of
-	// findings, print every //lint:allow directive in the target
-	// packages with its rule, live/stale status, and reason, and exit 2
-	// if any waiver is stale or inert — so a CI audit stage fails the
-	// moment a waiver outlives the finding it suppressed. The lintallow
-	// meta-check reports the same conditions as findings inside the
-	// normal gate; this mode is the standalone audit of the waiver
-	// inventory.
-	Allows bool
 }
 
 // RunStandalone loads the packages matching the go list patterns and
 // applies the analyzers, printing findings to w. It shells out to the go
-// command, so it must run inside a module. Test files are not loaded in
-// this mode — the `go vet -vettool` path (RunUnitchecker) covers those —
-// but it needs no prior go vet plumbing, which makes it the convenient
-// local iteration loop and the host of the -fix and -sarif modes.
+// command, so it must run inside a module. Only the packages' non-test
+// files are loaded, and packages under testdata are skipped.
 //
 // The load is shared across the whole invocation: one `go list -deps
 // -export` walk enumerates targets and dependencies together, and a
 // single FileSet and export-data importer serve every package, so each
 // dependency's export data is parsed once per run rather than once per
 // target. Dependencies inside the module are analyzed first (their
-// findings discarded) so their facts reach the targets, mirroring the
-// vetx transport of the unitchecker.
+// findings discarded) so their facts reach the targets.
 //
-// The exit-code convention matches RunUnitchecker: 0 clean, 1 driver
-// error, 2 findings.
+// The exit code is 0 when clean, 1 on a driver error and 2 when findings
+// remain.
 func RunStandalone(patterns []string, analyzers []*Analyzer, w io.Writer, opts StandaloneOptions) int {
-	findings, allows, err := analyzePatterns(patterns, analyzers)
+	findings, err := analyzePatterns(patterns, analyzers)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rololint: %v\n", err)
 		return 1
-	}
-	if opts.Allows {
-		bad := 0
-		for _, r := range allows {
-			status := "stale (suppresses nothing)"
-			switch {
-			case r.Hits == 1:
-				status = "live (suppresses 1 finding)"
-			case r.Hits > 1:
-				status = fmt.Sprintf("live (suppresses %d findings)", r.Hits)
-			case r.Reason == "":
-				status = "inert (no reason given)"
-			}
-			if r.Hits == 0 {
-				bad++
-			}
-			reason := r.Reason
-			if reason == "" {
-				reason = "<none>"
-			}
-			fmt.Fprintf(w, "%s:%d: lint:allow %s — %s — reason: %s\n",
-				r.Pos.Filename, r.Pos.Line, r.Rule, status, reason)
-		}
-		if bad > 0 {
-			fmt.Fprintf(w, "%d stale or inert waiver(s): remove them or restore their reasons\n", bad)
-			return 2
-		}
-		return 0
-	}
-	if opts.SARIF != nil {
-		root := opts.SrcRoot
-		if root == "" {
-			root, _ = os.Getwd()
-		}
-		if err := WriteSARIF(opts.SARIF, SortAnalyzers(analyzers), findings, root); err != nil {
-			fmt.Fprintf(os.Stderr, "rololint: sarif: %v\n", err)
-			return 1
-		}
 	}
 	if opts.Fix {
 		var remaining []Finding
@@ -153,14 +98,14 @@ func RunStandalone(patterns []string, analyzers []*Analyzer, w io.Writer, opts S
 	return 0
 }
 
-func analyzePatterns(patterns []string, analyzers []*Analyzer) ([]Finding, []AllowRecord, error) {
+func analyzePatterns(patterns []string, analyzers []*Analyzer) ([]Finding, error) {
 	// One walk over the dependency closure: -deps emits every package
 	// after all of its dependencies (the topological order the fact
 	// propagation needs) and marks non-target packages DepOnly; -export
 	// populates .Export from the build cache, compiling as needed.
 	pkgs, err := goList(append([]string{"-deps", "-export"}, patterns...))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	exports := make(map[string]string)
 	for _, p := range pkgs {
@@ -184,7 +129,6 @@ func analyzePatterns(patterns []string, analyzers []*Analyzer) ([]Finding, []All
 
 	facts := make(Facts)
 	var all []Finding
-	var allows []AllowRecord
 	for _, p := range pkgs {
 		if p.Standard || len(p.GoFiles) == 0 || IsFixturePath(p.Dir) {
 			continue
@@ -195,18 +139,17 @@ func analyzePatterns(patterns []string, analyzers []*Analyzer) ([]Finding, []All
 		}
 		unit, err := TypecheckFiles(fset, p.ImportPath, files, imp, "")
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		findings, exported, records, err := RunAnalyzersAudit(unit, analyzers, facts)
+		findings, exported, err := RunAnalyzersFacts(unit, analyzers, facts)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		for k, v := range exported {
 			facts[k] = v
 		}
 		if !p.DepOnly {
 			all = append(all, findings...)
-			allows = append(allows, records...)
 		}
 	}
 	sort.Slice(all, func(i, j int) bool {
@@ -219,14 +162,7 @@ func analyzePatterns(patterns []string, analyzers []*Analyzer) ([]Finding, []All
 		}
 		return a.Pos.Column < b.Pos.Column
 	})
-	sort.Slice(allows, func(i, j int) bool {
-		a, b := allows[i], allows[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		return a.Pos.Line < b.Pos.Line
-	})
-	return all, allows, nil
+	return all, nil
 }
 
 // goList runs `go list -json` with the given extra arguments and decodes

@@ -332,7 +332,7 @@ func (e *RoLoE) submitRead(rec trace.Record, exts []raid.Extent) error {
 			target := e.hitTarget()
 			io := e.arr.LogIO(e.logOffFor(ext.Offset, ext.Length), ext.Length, false, false)
 			io.OnDone = req.Done
-			if err := target.Submit(io); err != nil { //lint:allow nilness:maybe the hit path already indexed onDuty[0], so the on-duty set is non-empty
+			if err := target.Submit(io); err != nil {
 				return fmt.Errorf("RoLo-E: hit read: %w", err)
 			}
 		}

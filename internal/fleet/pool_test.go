@@ -12,8 +12,8 @@ import (
 type countingPool struct {
 	inner Pool
 	mu    sync.Mutex
-	cur   int //rolosan:guardedby mu
-	max   int //rolosan:guardedby mu
+	cur   int // guarded by mu
+	max   int // guarded by mu
 }
 
 func (p *countingPool) Acquire() func() {

@@ -366,7 +366,7 @@ func Run(cfg Config, recs []trace.Record) (rep Report, err error) {
 	if in, ok := ctrl.(telemetry.Instrumented); ok {
 		in.SetTelemetry(tel)
 	}
-	if tel.Enabled() { //lint:allow nilness:maybe Recorder methods are nil-receiver safe by design; a nil Recorder means telemetry is off
+	if tel.Enabled() {
 		for _, d := range arr.AllDisks() {
 			d.AddStateChangeHook(func(d *disk.Disk, _, to disk.PowerState, now sim.Time) {
 				switch to {

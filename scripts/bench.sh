@@ -90,7 +90,9 @@ while [ "$i" -lt "$count" ]; do
 	fi
 	i=$((i + 1))
 done
-analyzers=$(./bin/rololint -flags | grep -o '"Name"' | wc -l)
+# The usage text lists one analyzer per indented line between the
+# "analyzers:" header and the blank line that ends the block.
+analyzers=$(./bin/rololint 2>&1 | sed -n '/^analyzers:$/,/^$/p' | grep -c '^  ')
 printf '{\n  "go": "%s",\n  "count": %s,\n  "analyzers": %s,\n  "warm_wall_ms": %s,\n  "budget_ms": 850\n}\n' \
 	"$(go env GOVERSION)" "$count" "$analyzers" "$best" >"$lintout" || exit 1
 echo "bench.sh: wrote $lintout" >&2

@@ -14,8 +14,8 @@
 #
 # Every stage enumerates packages with `./...` patterns, which never
 # descend into testdata: analyzer fixture packages (deliberate
-# violations) are skipped here and — for explicit patterns and vet
-# configs — by the drivers themselves (analysis.IsFixturePath).
+# violations) are skipped here and — for explicit patterns — by the
+# standalone driver itself (analysis.IsFixturePath).
 set -u
 
 cd "$(dirname "$0")/.."
@@ -67,34 +67,10 @@ fi
 
 if want lint; then
 	stage "build rololint" go build -o bin/rololint ./cmd/rololint
-	stage "go vet -vettool=bin/rololint ./..." go vet -vettool=bin/rololint ./...
-	# Both drivers must agree: the standalone loader and the vettool
-	# protocol analyze the same packages with the same fact propagation,
-	# so their finding sets on ./... must be identical once the vettool's
-	# extra _test.go coverage is set aside. A divergence means one driver
-	# is dropping facts (or loading packages the other does not see).
-	stage "driver parity: standalone vs vettool finding sets" \
-		sh -c 'std=$(./bin/rololint ./... 2>&1 | sed "s#^$(pwd)/##" | grep -E "^[^ ]+\.go:[0-9]+:[0-9]+: " | sort -u); \
-			vet=$(go vet -vettool=bin/rololint ./... 2>&1 | grep -E "^[^ ]+\.go:[0-9]+:[0-9]+: " | grep -v "_test\.go:" | sort -u); \
-			[ "$std" = "$vet" ] || { echo "driver parity broken:" >&2; echo "--- standalone only or both" >&2; echo "$std" >&2; echo "--- vettool (non-test)" >&2; echo "$vet" >&2; exit 1; }'
-	# Parity must also hold for analyzer subsets: the valueflow family
-	# shares one SSA/fact cache per package, so disabling one member must
-	# not change what the others (or the rest of the suite) report, and
-	# the two drivers must still agree finding-for-finding. One pass per
-	# valueflow analyzer, with that analyzer disabled. lintallow is also
-	# left out of these passes: disabling an analyzer makes its waivers
-	# stale by construction, which is noise here, not a parity signal.
-	all_analyzers="simdeterminism telemetryguard simtimeunits errpropagation resourcelifecycle phasepairing statetransition invariantguard guardedby lockcontract gocapture waitpairing lockorder chanmisuse goroleak nilness unitflow taintbounds lintallow"
-	for off in nilness unitflow taintbounds; do
-		flags=""
-		for a in $all_analyzers; do
-			[ "$a" = "$off" ] || [ "$a" = "lintallow" ] || flags="$flags -$a"
-		done
-		stage "driver parity with -$off disabled" \
-			sh -c "std=\$(./bin/rololint $flags ./... 2>&1 | sed \"s#^\$(pwd)/##\" | grep -E '^[^ ]+\.go:[0-9]+:[0-9]+: ' | sort -u); \
-				vet=\$(go vet -vettool=bin/rololint $flags ./... 2>&1 | grep -E '^[^ ]+\.go:[0-9]+:[0-9]+: ' | grep -v '_test\.go:' | sort -u); \
-				[ \"\$std\" = \"\$vet\" ] || { echo 'driver parity broken with -$off disabled:' >&2; echo '--- standalone' >&2; echo \"\$std\" >&2; echo '--- vettool (non-test)' >&2; echo \"\$vet\" >&2; exit 1; }"
-	done
+	# The analyzer suite plus the lintallow waiver audit: a //lint:allow
+	# that suppresses nothing, lacks a reason, or names an unknown
+	# analyzer is itself a finding.
+	stage "rololint ./..." ./bin/rololint ./...
 	# -fix must be a fixed point on the gate-clean tree: it exits 0 and
 	# rewrites nothing (compared by content hash over the tracked .go
 	# files, so a locally dirty tree doesn't false-fail the stage). The
@@ -103,17 +79,8 @@ if want lint; then
 		sh -c 'snap() { git ls-files -z "*.go" | xargs -0 sha256sum | sha256sum; }; \
 			before=$(snap) && ./bin/rololint -fix ./... && after=$(snap) && \
 			{ [ "$before" = "$after" ] || { echo "rololint -fix rewrote files on a clean tree" >&2; exit 1; }; }'
-	# Waiver audit: -allows exits 2 if any //lint:allow directive is
-	# stale (suppresses nothing) or inert (no reason), so dead waivers
-	# cannot linger once the finding they covered is gone.
-	stage "rololint -allows (no stale or inert waivers)" \
-		./bin/rololint -allows ./...
-	# The SARIF report CI uploads as an artifact; also a shape gate, since
-	# -sarif exercises the renderer over the real suite and tree.
-	stage "rololint -sarif bin/rololint.sarif ./..." \
-		./bin/rololint -sarif bin/rololint.sarif ./...
 	# Latency budget: a warm standalone run over the whole module (the
-	# local iteration loop) must stay under 850 ms with all 18 analyzers
+	# local iteration loop) must stay under 850 ms with all ten analyzers
 	# plus the waiver audit enabled. The budget moves with the tree —
 	# raised from 700 ms when the fleet layer added two packages — so it
 	# catches lint regressions, not module growth. The earlier stages have
