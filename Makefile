@@ -32,7 +32,9 @@ fuzz:
 
 # bench reruns the BenchmarkCore* hot-path suite and rewrites
 # BENCH_core.json (best-of-BENCH_COUNT ns/op and allocs/op per benchmark),
-# the committed perf-trajectory baseline that future PRs diff against.
+# the committed perf-trajectory baseline that future PRs diff against,
+# then BENCH_lint.json (warm lint time) and BENCH_e2e.json (perfbench's
+# end-to-end medians per workload, 20 s runs at seed 0).
 bench: build
 	./scripts/bench.sh
 

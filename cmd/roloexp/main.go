@@ -11,7 +11,8 @@
 // (default GOMAXPROCS); with -run all, whole experiments also run
 // concurrently, each buffering its output so the bytes printed to stdout
 // are identical for every job count. Per-experiment timing goes to
-// stderr, keeping stdout deterministic.
+// stderr, keeping stdout deterministic; under -run all it is one line per
+// experiment, in registry order, printed after the run.
 package main
 
 import (
@@ -89,8 +90,13 @@ func run() (err error) {
 
 	start := time.Now() //lint:allow simdeterminism:wall-clock wall-clock runtime of the harness itself, not simulated time
 	if *id == "all" {
-		if err := experiments.RunAll(opts, os.Stdout, experiments.All()); err != nil {
+		all := experiments.All()
+		walls, err := experiments.RunAll(opts, os.Stdout, all)
+		if err != nil {
 			return err
+		}
+		for i, e := range all {
+			fmt.Fprintf(os.Stderr, "[%s completed in %v]\n", e.ID, walls[i].Round(time.Millisecond))
 		}
 		fmt.Fprintf(os.Stderr, "[all experiments completed in %v, jobs=%d]\n",
 			time.Since(start).Round(time.Millisecond), opts.Jobs) //lint:allow simdeterminism:wall-clock pairs with the wall-clock timer above

@@ -10,6 +10,7 @@ import (
 	"github.com/rolo-storage/rolo/internal/baseline"
 	"github.com/rolo-storage/rolo/internal/disk"
 	"github.com/rolo-storage/rolo/internal/invariant"
+	"github.com/rolo-storage/rolo/internal/logspace"
 	"github.com/rolo-storage/rolo/internal/raid"
 	"github.com/rolo-storage/rolo/internal/sim"
 	"github.com/rolo-storage/rolo/internal/trace"
@@ -142,6 +143,50 @@ func TestMutationUnauditedAlloc(t *testing.T) {
 		{"RoLo-P", unaudited, "conservation", "bypassed the audited helpers"},
 		{"GRAID", unaudited, "conservation", "bypassed the audited helpers"},
 	})
+}
+
+// TestMutationAfterCleanSweep corrupts the log bookkeeping only after a
+// clean sweep has verified it. The sweep skips a space whose generation
+// and ledger version are where they were at its last clean sweep, so each
+// corruption must move one of them: a space mutated behind the audited
+// helpers advances its generation, and an audit notification that the
+// space did not see (an allocation, release or reset) advances the ledger
+// version. The next sweep must check the space again and report the
+// divergence.
+func TestMutationAfterCleanSweep(t *testing.T) {
+	space := func(c sanitized) *logspace.Space { return c.SanitizerState().Spaces[0] }
+	for _, k := range []struct {
+		name        string
+		corrupt     func(c sanitized)
+		check, frag string
+	}{
+		{"unaudited_Alloc", func(c sanitized) { space(c).Alloc(4096, 3) }, "conservation", "bypassed the audited helpers"},
+		{"unaudited_ReleaseTag", func(c sanitized) { space(c).ReleaseTag(1) }, "conservation", "0 allocated bytes"},
+		{"unaudited_Reset", func(c sanitized) { space(c).Reset() }, "conservation", "0 allocated bytes"},
+		{"ledger_only_Alloc", func(c sanitized) { c.san.Audit().Alloc(space(c), 1, 4096) }, "conservation", "12288 audited bytes"},
+		{"ledger_only_Release", func(c sanitized) { c.san.Audit().Release(space(c), 1, 8192) }, "conservation", "bypassed the audited helpers"},
+		{"ledger_only_Reset", func(c sanitized) { c.san.Audit().Reset(space(c)) }, "conservation", "bypassed the audited helpers"},
+	} {
+		t.Run(k.name, func(t *testing.T) {
+			corrupt := func(t *testing.T, c sanitized) {
+				for tag := 0; tag < 2; tag++ {
+					if _, ok := c.Alloc(0, 8192, tag); !ok {
+						t.Fatal("log alloc failed")
+					}
+				}
+				c.san.Final(c.arr.Eng.Now())
+				if err := c.san.Err(); err != nil {
+					t.Fatalf("sweep before the corruption: %v", err)
+				}
+				k.corrupt(c)
+			}
+			runMutations(t, []mutation{
+				{"RoLo-P", corrupt, k.check, k.frag},
+				{"RoLo-E", corrupt, k.check, k.frag},
+				{"GRAID", corrupt, k.check, k.frag},
+			})
+		})
+	}
 }
 
 // TestMutationEarlyRelease reclaims a pair's log extents while the pair

@@ -725,6 +725,34 @@ func (d *Disk) Stats() Stats {
 	}
 }
 
+// Totals is the part of a drive's accounting that RoloSan's disk sweep
+// reads (DESIGN §9).
+type Totals struct {
+	StateTime    sim.Time // the per-state durations summed
+	EnergyJ      float64
+	SpinUps      int
+	SpinDowns    int
+	IOsCompleted int64
+}
+
+// Totals finalizes accounting to the current simulation time, as Stats
+// does, and returns the sweep's counters without building Stats'
+// per-state map.
+func (d *Disk) Totals() Totals {
+	d.accrue(d.eng.Now())
+	var sum sim.Time
+	for _, dur := range d.stateDur {
+		sum += dur
+	}
+	return Totals{
+		StateTime:    sum,
+		EnergyJ:      d.energyJ,
+		SpinUps:      d.spinUps,
+		SpinDowns:    d.spinDowns,
+		IOsCompleted: d.iosCompleted,
+	}
+}
+
 // EnergyJ finalizes accounting and returns total energy consumed in joules.
 func (d *Disk) EnergyJ() float64 {
 	d.accrue(d.eng.Now())

@@ -205,3 +205,57 @@ func TestHeadOfLineAgeBoundsReordering(t *testing.T) {
 		t.Fatalf("far IO starved to position %d of %d", pos, len(order))
 	}
 }
+
+// TestLegalTransitionMatchesGraph holds the table LegalTransition reads to
+// powerGraph, its single declaration, over every pair of states and the
+// out-of-range values either side of them.
+func TestLegalTransitionMatchesGraph(t *testing.T) {
+	for from := PowerState(-1); from <= PowerState(numPowerStates); from++ {
+		for to := PowerState(-1); to <= PowerState(numPowerStates); to++ {
+			want := from == to
+			for _, next := range powerGraph[from] {
+				want = want || next == to
+			}
+			if got := LegalTransition(from, to); got != want {
+				t.Errorf("LegalTransition(%v, %v) = %v, want %v", from, to, got, want)
+			}
+		}
+	}
+}
+
+// TestTotalsMatchesStats checks that Totals reports what Stats does, after
+// a spin cycle and some I/O, without allocating.
+func TestTotalsMatchesStats(t *testing.T) {
+	d, eng := newTestDisk(t)
+	if err := d.Submit(&IO{LBA: 0, Sectors: 8}); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	if err := d.SpinDown(); err != nil {
+		t.Fatal(err)
+	}
+	eng.After(10*sim.Second, func(sim.Time) {})
+	eng.Run()
+	if err := d.Submit(&IO{LBA: 4096, Sectors: 8}); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+
+	got := d.Totals()
+	st := d.Stats()
+	var sum sim.Time
+	for _, dur := range st.StateDur {
+		sum += dur
+	}
+	want := Totals{StateTime: sum, EnergyJ: st.EnergyJ, SpinUps: st.SpinUps,
+		SpinDowns: st.SpinDowns, IOsCompleted: st.IOsCompleted}
+	if got != want {
+		t.Fatalf("Totals = %+v, Stats gives %+v", got, want)
+	}
+	if got.StateTime != eng.Now()-d.Born() || got.SpinUps != 1 || got.IOsCompleted != 2 {
+		t.Fatalf("Totals = %+v at %v", got, eng.Now())
+	}
+	if n := testing.AllocsPerRun(100, func() { d.Totals() }); n != 0 {
+		t.Fatalf("Totals allocates %v times per call", n)
+	}
+}

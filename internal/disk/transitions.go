@@ -21,6 +21,17 @@ var powerGraph = map[PowerState][]PowerState{
 	SpinningUp:   {Idle},
 }
 
+// legalEdge[from][to] is powerGraph as a table, built once at init, so
+// that the sanitizer's check of every state change is one indexed load.
+var legalEdge = func() (t [numPowerStates][numPowerStates]bool) {
+	for from, tos := range powerGraph {
+		for _, to := range tos {
+			t[from][to] = true
+		}
+	}
+	return t
+}()
+
 // LegalTransition reports whether from -> to is a declared edge of the
 // power-state graph. Self-transitions are legal no-ops (setState ignores
 // them before any accounting happens).
@@ -28,12 +39,7 @@ func LegalTransition(from, to PowerState) bool {
 	if from == to {
 		return true
 	}
-	for _, next := range powerGraph[from] {
-		if next == to {
-			return true
-		}
-	}
-	return false
+	return uint(from) < uint(numPowerStates) && uint(to) < uint(numPowerStates) && legalEdge[from][to]
 }
 
 // TransitionGraph returns a copy of the declared power-state graph, keyed

@@ -24,7 +24,7 @@ func TestFleetSharesSlotBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := RunAll(o, &buf, []Experiment{fleetExp, fleetExp}); err != nil {
+	if _, err := RunAll(o, &buf, []Experiment{fleetExp, fleetExp}); err != nil {
 		t.Fatal(err)
 	}
 	if got := stats.Max(); got > 2 {

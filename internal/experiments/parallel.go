@@ -6,6 +6,7 @@ import (
 	"io"
 	"runtime"
 	"sync"
+	"time"
 )
 
 // This file is the experiment runner's concurrency layer. The model has
@@ -167,34 +168,41 @@ const separator = "\n===========================================================
 // them. The bytes written to w are therefore identical for every job
 // count, including the serial (no-pool) runner.
 //
+// It returns each experiment's wall time, in list order: from the start
+// of its Run to its return, so it includes any wait for pool slots.
+//
 // The first error in list order stops the streaming: outputs of the
 // experiments before the failing one are still written, matching the
 // serial runner's behaviour.
-func RunAll(o Options, w io.Writer, list []Experiment) error {
+func RunAll(o Options, w io.Writer, list []Experiment) ([]time.Duration, error) {
 	if o.sem == nil {
 		o = o.Pool(0)
 	}
 	bufs := make([]bytes.Buffer, len(list))
 	errs := make([]error, len(list))
+	walls := make([]time.Duration, len(list))
 	err := runPar(o, len(list), func(i int) error {
+		start := time.Now() //lint:allow simdeterminism:wall-clock wall-clock runtime of the harness itself, not simulated time
+		// Errors surface below, in list order with partial output.
 		errs[i] = list[i].Run(o, &bufs[i])
-		return nil // errors surface below, in list order with partial output
+		walls[i] = time.Since(start) //lint:allow simdeterminism:wall-clock pairs with the wall-clock timer above
+		return nil
 	})
 	if err != nil {
-		return err
+		return walls, err
 	}
 	for i := range list {
 		if i > 0 {
 			if _, werr := io.WriteString(w, separator); werr != nil {
-				return werr
+				return walls, werr
 			}
 		}
 		if _, werr := w.Write(bufs[i].Bytes()); werr != nil {
-			return werr
+			return walls, werr
 		}
 		if errs[i] != nil {
-			return fmt.Errorf("%s: %w", list[i].ID, errs[i])
+			return walls, fmt.Errorf("%s: %w", list[i].ID, errs[i])
 		}
 	}
-	return nil
+	return walls, nil
 }

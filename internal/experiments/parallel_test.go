@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestPoolDefaults(t *testing.T) {
@@ -123,7 +124,7 @@ func TestRunAllPartialOutputOnError(t *testing.T) {
 		{ID: "c", Run: func(o Options, w io.Writer) error { fmt.Fprintln(w, "gamma"); return nil }},
 	}
 	var buf bytes.Buffer
-	err := RunAll(tinyOptions().Pool(4), &buf, list)
+	_, err := RunAll(tinyOptions().Pool(4), &buf, list)
 	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "b:") {
 		t.Fatalf("got error %v, want %v attributed to experiment b", err, boom)
 	}
@@ -158,8 +159,16 @@ func TestRunAllDeterministic(t *testing.T) {
 
 	for _, jobs := range []int{1, 4} {
 		var buf bytes.Buffer
-		if err := RunAll(o.Pool(jobs), &buf, list); err != nil {
+		walls, err := RunAll(o.Pool(jobs), &buf, list)
+		if err != nil {
 			t.Fatalf("RunAll jobs=%d: %v", jobs, err)
+		}
+		var total time.Duration
+		for _, d := range walls {
+			total += d
+		}
+		if len(walls) != len(list) || total <= 0 {
+			t.Fatalf("RunAll jobs=%d timed %d of %d experiments, %v in all", jobs, len(walls), len(list), total)
 		}
 		if !bytes.Equal(serial.Bytes(), buf.Bytes()) {
 			t.Errorf("RunAll jobs=%d output differs from the serial run (serial %d bytes, got %d)",

@@ -2,7 +2,7 @@ package invariant
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/rolo-storage/rolo/internal/logspace"
 )
@@ -19,11 +19,38 @@ import (
 // audit handle unconditionally and pay nothing when the sanitizer is off.
 type Audit struct {
 	san    *Sanitizer
-	ledger map[*logspace.Space]map[int]int64
+	spaces map[*logspace.Space]*ledger
+	order  []int // sweepSpace's scratch: the ledger's tags, sorted
+}
+
+// ledger is the audit record of one space: the bytes it is expected to
+// hold per tag, a version that every change to those expectations
+// advances, and the space's generation and ledger version when it last
+// passed sweepSpace. A space's sweep verdict depends only on its
+// allocation state and its ledger, so while neither counter has moved
+// since a clean sweep, the next sweep would find it clean again and skips
+// it (DESIGN §9).
+type ledger struct {
+	tags    map[int]int64
+	version uint64
+
+	passed        bool
+	passedGen     uint64
+	passedVersion uint64
 }
 
 func newAudit(s *Sanitizer) *Audit {
-	return &Audit{san: s, ledger: make(map[*logspace.Space]map[int]int64)}
+	return &Audit{san: s, spaces: make(map[*logspace.Space]*ledger)}
+}
+
+// ledgerOf returns sp's record, creating an empty one on first use.
+func (a *Audit) ledgerOf(sp *logspace.Space) *ledger {
+	l := a.spaces[sp]
+	if l == nil {
+		l = &ledger{tags: make(map[int]int64)}
+		a.spaces[sp] = l
+	}
+	return l
 }
 
 // Alloc records that n bytes were allocated under tag on sp.
@@ -31,12 +58,9 @@ func (a *Audit) Alloc(sp *logspace.Space, tag int, n int64) {
 	if a == nil {
 		return
 	}
-	tags := a.ledger[sp]
-	if tags == nil {
-		tags = make(map[int]int64)
-		a.ledger[sp] = tags
-	}
-	tags[tag] += n
+	l := a.ledgerOf(sp)
+	l.tags[tag] += n
+	l.version++
 }
 
 // Release records that ReleaseTag(tag) on sp reclaimed freed bytes, and
@@ -48,7 +72,14 @@ func (a *Audit) Release(sp *logspace.Space, tag int, freed int64) {
 	if a == nil {
 		return
 	}
-	expect := a.ledger[sp][tag]
+	var expect int64
+	if l := a.spaces[sp]; l != nil {
+		var ok bool
+		if expect, ok = l.tags[tag]; ok {
+			delete(l.tags, tag)
+			l.version++
+		}
+	}
 	if expect != freed {
 		a.san.Report(Violation{
 			Check:    "conservation",
@@ -58,7 +89,6 @@ func (a *Audit) Release(sp *logspace.Space, tag int, freed int64) {
 			Actual:   fmt.Sprintf("%d bytes reclaimed", freed),
 		})
 	}
-	delete(a.ledger[sp], tag)
 	if a.san.src == nil {
 		return
 	}
@@ -84,7 +114,10 @@ func (a *Audit) Reset(sp *logspace.Space) {
 	if a == nil {
 		return
 	}
-	delete(a.ledger, sp)
+	if l := a.spaces[sp]; l != nil {
+		clear(l.tags)
+		l.version++
+	}
 	if a.san.src == nil {
 		return
 	}
@@ -107,9 +140,15 @@ func (a *Audit) Reset(sp *logspace.Space) {
 }
 
 // sweepSpace compares one space's accounting against the ledger and its
-// own internal invariants.
+// own internal invariants. It skips a space whose generation and ledger
+// version both match those of its last clean sweep.
 func (a *Audit) sweepSpace(sp *logspace.Space) []Violation {
 	if a == nil || sp == nil {
+		return nil
+	}
+	l := a.ledgerOf(sp)
+	gen := sp.Generation()
+	if l.passed && l.passedGen == gen && l.passedVersion == l.version {
 		return nil
 	}
 	var out []Violation
@@ -121,17 +160,15 @@ func (a *Audit) sweepSpace(sp *logspace.Space) []Violation {
 			Actual:   err.Error(),
 		})
 	}
-	tags := a.ledger[sp]
-	var total int64
-	seen := make(map[int]bool, len(tags))
-	order := make([]int, 0, len(tags))
-	for tag := range tags {
+	order := a.order[:0]
+	for tag := range l.tags {
 		order = append(order, tag)
 	}
-	sort.Ints(order)
+	slices.Sort(order)
+	a.order = order[:0]
+	var total int64
 	for _, tag := range order {
-		expect := tags[tag]
-		seen[tag] = true
+		expect := l.tags[tag]
 		total += expect
 		if got := sp.TagBytes(tag); got != expect {
 			out = append(out, Violation{
@@ -143,7 +180,7 @@ func (a *Audit) sweepSpace(sp *logspace.Space) []Violation {
 		}
 	}
 	for _, tag := range sp.Tags() {
-		if !seen[tag] {
+		if _, audited := l.tags[tag]; !audited {
 			out = append(out, Violation{
 				Check:    "conservation",
 				Object:   fmt.Sprintf("logspace tag %d", tag),
@@ -159,6 +196,9 @@ func (a *Audit) sweepSpace(sp *logspace.Space) []Violation {
 			Expected: fmt.Sprintf("%d audited bytes", total),
 			Actual:   fmt.Sprintf("%d used bytes", got),
 		})
+	}
+	if len(out) == 0 {
+		l.passed, l.passedGen, l.passedVersion = true, gen, l.version
 	}
 	return out
 }

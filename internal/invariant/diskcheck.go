@@ -63,47 +63,43 @@ func (c *diskChecker) Event(sim.Time) []Violation { return nil }
 func (c *diskChecker) Sweep(now sim.Time) []Violation {
 	var out []Violation
 	for i, d := range c.disks {
-		st := d.Stats()
-		obj := fmt.Sprintf("disk %d", d.ID())
+		t := d.Totals()
 		bad := func(check, what, expected, actual string) {
 			out = append(out, Violation{
 				Check: check, At: now,
-				Object: obj + " " + what, Expected: expected, Actual: actual,
+				Object:   fmt.Sprintf("disk %d %s", d.ID(), what),
+				Expected: expected, Actual: actual,
 			})
 		}
 
 		// Time conservation: the state durations partition [Born, now].
-		var total sim.Time
-		for _, dur := range st.StateDur {
-			total += dur
-		}
-		if elapsed := now - d.Born(); total != elapsed {
+		if elapsed := now - d.Born(); t.StateTime != elapsed {
 			bad("time-conservation", "state durations",
-				fmt.Sprintf("sum to elapsed %v", elapsed), fmt.Sprintf("%v", total))
+				fmt.Sprintf("sum to elapsed %v", elapsed), fmt.Sprintf("%v", t.StateTime))
 		}
 
 		// Energy: finite and non-decreasing.
-		if math.IsNaN(st.EnergyJ) || math.IsInf(st.EnergyJ, 0) {
-			bad("accounting", "energy", "a finite value", fmt.Sprint(st.EnergyJ))
-		} else if st.EnergyJ < c.lastEnergy[i] {
+		if math.IsNaN(t.EnergyJ) || math.IsInf(t.EnergyJ, 0) {
+			bad("accounting", "energy", "a finite value", fmt.Sprint(t.EnergyJ))
+		} else if t.EnergyJ < c.lastEnergy[i] {
 			bad("accounting", "energy",
-				fmt.Sprintf(">= %g J", c.lastEnergy[i]), fmt.Sprintf("%g J", st.EnergyJ))
+				fmt.Sprintf(">= %g J", c.lastEnergy[i]), fmt.Sprintf("%g J", t.EnergyJ))
 		}
-		c.lastEnergy[i] = st.EnergyJ
+		c.lastEnergy[i] = t.EnergyJ
 
 		// Spin cycles and I/O counters never run backwards.
-		if st.SpinUps < c.lastSpinUps[i] {
-			bad("accounting", "spin-ups", fmt.Sprintf(">= %d", c.lastSpinUps[i]), fmt.Sprint(st.SpinUps))
+		if t.SpinUps < c.lastSpinUps[i] {
+			bad("accounting", "spin-ups", fmt.Sprintf(">= %d", c.lastSpinUps[i]), fmt.Sprint(t.SpinUps))
 		}
-		if st.SpinDowns < c.lastSpinDowns[i] {
-			bad("accounting", "spin-downs", fmt.Sprintf(">= %d", c.lastSpinDowns[i]), fmt.Sprint(st.SpinDowns))
+		if t.SpinDowns < c.lastSpinDowns[i] {
+			bad("accounting", "spin-downs", fmt.Sprintf(">= %d", c.lastSpinDowns[i]), fmt.Sprint(t.SpinDowns))
 		}
-		if st.IOsCompleted < c.lastIOs[i] {
-			bad("accounting", "completed IOs", fmt.Sprintf(">= %d", c.lastIOs[i]), fmt.Sprint(st.IOsCompleted))
+		if t.IOsCompleted < c.lastIOs[i] {
+			bad("accounting", "completed IOs", fmt.Sprintf(">= %d", c.lastIOs[i]), fmt.Sprint(t.IOsCompleted))
 		}
-		c.lastSpinUps[i] = st.SpinUps
-		c.lastSpinDowns[i] = st.SpinDowns
-		c.lastIOs[i] = st.IOsCompleted
+		c.lastSpinUps[i] = t.SpinUps
+		c.lastSpinDowns[i] = t.SpinDowns
+		c.lastIOs[i] = t.IOsCompleted
 	}
 	return out
 }

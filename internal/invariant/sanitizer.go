@@ -23,6 +23,9 @@ type Sanitizer struct {
 	scheme string
 	eng    *sim.Engine
 	every  uint64
+	// untilSweep counts down the events left before the next periodic
+	// sweep; 0 means periodic sweeps are off.
+	untilSweep uint64
 
 	src      Source
 	audit    *Audit
@@ -36,14 +39,15 @@ type Sanitizer struct {
 
 // New returns a sanitizer for the named scheme bound to the engine.
 func New(scheme string, eng *sim.Engine) *Sanitizer {
-	s := &Sanitizer{scheme: scheme, eng: eng, every: DefaultSweepEvery}
+	s := &Sanitizer{scheme: scheme, eng: eng, every: DefaultSweepEvery, untilSweep: DefaultSweepEvery}
 	s.audit = newAudit(s)
 	return s
 }
 
 // SetSweepEvery overrides the full-sweep period (in events); 0 disables
-// periodic sweeps (the final sweep still runs).
-func (s *Sanitizer) SetSweepEvery(n uint64) { s.every = n }
+// periodic sweeps (the final sweep still runs). The next periodic sweep
+// comes n events after the call, so set the period before Install.
+func (s *Sanitizer) SetSweepEvery(n uint64) { s.every, s.untilSweep = n, n }
 
 // Audit returns the handle audited mutation helpers notify.
 func (s *Sanitizer) Audit() *Audit { return s.audit }
@@ -77,8 +81,11 @@ func (s *Sanitizer) onEvent(now sim.Time) {
 	for _, c := range s.checkers {
 		s.record(c.Event(now))
 	}
-	if s.every > 0 && s.events%s.every == 0 {
-		s.sweep(now)
+	if s.untilSweep > 0 {
+		if s.untilSweep--; s.untilSweep == 0 {
+			s.untilSweep = s.every
+			s.sweep(now)
+		}
 	}
 }
 

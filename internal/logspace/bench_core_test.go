@@ -3,17 +3,31 @@ package logspace
 import "testing"
 
 // BenchmarkCoreLogspaceCheck measures one sanitizer sweep over a
-// fragmented log region: ~3000 spans over 7 tags, with the holes of a
-// released tag in the free set. Checked runs call CheckInvariants on every
-// log region at every sweep, so it must not allocate once warm.
+// fragmented log region of ~3000 spans, with the holes of a released tag
+// in the free set. "7tags" spreads them over 7 tags, so the merge has 8
+// runs. "20pairs" is RoLo-P-shaped: a logger region holding extents for
+// each of the paper's 20 pairs, plus a donated tail, so 22 runs. Checked
+// runs call CheckInvariants on every log region that changed since the
+// previous sweep, so it must not allocate once warm.
 func BenchmarkCoreLogspaceCheck(b *testing.B) {
-	s := fragmented(b, 3000, 7)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.CheckInvariants(); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name   string
+		tags   int
+		donate bool
+	}{{"7tags", 7, false}, {"20pairs", 20, true}} {
+		b.Run(c.name, func(b *testing.B) {
+			s := fragmented(b, 3000, c.tags)
+			if c.donate && !s.Shrink(s.FreeBytes()/4) {
+				b.Fatal("shrink failed")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.CheckInvariants(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

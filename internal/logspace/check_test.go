@@ -255,3 +255,26 @@ func TestCheckInvariantsMatchesSortScan(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckInvariantsAcrossRunCounts drives the merge's loser tree at every
+// tree size from 2 to 43 runs, balanced or not: each fragmented space must
+// pass clean and then fail with the family of each corruption applied to it.
+func TestCheckInvariantsAcrossRunCounts(t *testing.T) {
+	for tags := 1; tags <= 41; tags++ {
+		for i, c := range corruptions {
+			s := fragmented(t, 300, tags)
+			if tags%2 == 0 && !s.Shrink(s.FreeBytes()/2) {
+				t.Fatal("shrink failed")
+			}
+			if err := s.CheckInvariants(); err != nil {
+				t.Fatalf("%d tags: clean space rejected: %v", tags, err)
+			}
+			if !c.apply(s, rand.New(rand.NewSource(int64(tags*100+i)))) {
+				continue
+			}
+			if err := s.CheckInvariants(); err == nil || !strings.Contains(err.Error(), c.family) {
+				t.Fatalf("%d tags, %s: CheckInvariants = %v, want an error containing %q", tags, c.name, err, c.family)
+			}
+		}
+	}
+}

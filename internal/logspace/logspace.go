@@ -11,6 +11,7 @@ package logspace
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"github.com/rolo-storage/rolo/internal/intervals"
@@ -36,26 +37,37 @@ type Space struct {
 	// behaves as the circular log of Section III-A).
 	cursor int64
 
+	// gen is the mutation generation Generation reports.
+	gen uint64
+
 	// tagCache holds used[tag] for take in slot tag mod tagSlots, so that an
 	// allocation usually skips the map lookup. A nil set marks an empty
 	// slot; ReleaseTag and Reset clear the slots they invalidate.
 	tagCache [tagSlots]tagSlot
 
-	// runs is CheckInvariants' merge scratch, one cursor per set, kept
-	// across the sanitizer's sweeps so that they do not allocate
-	// (DESIGN §11).
+	// runs and tree are CheckInvariants' merge scratch, one cursor and one
+	// tree node per set, kept across the sanitizer's sweeps so that they
+	// do not allocate (DESIGN §11).
 	runs []run
+	tree []node
 }
 
 // run walks one sorted, coalesced set during CheckInvariants' merge: the
 // donated set (tag donatedTag), the free set (tag freeTag) or one tag's
-// extents. It caches its current span so that heap comparisons need not
-// index back into the set.
+// extents. It caches its current span, the one the merge takes next.
 type run struct {
 	cur intervals.Span
 	set *intervals.Set
 	i   int
 	tag int
+}
+
+// node is one entry of CheckInvariants' loser tree: a run's index and the
+// start of its current span (math.MaxInt64 once the run is exhausted), so
+// that matches compare starts without indexing back into the runs.
+type node struct {
+	start int64
+	run   int
 }
 
 // tagSlots is the size of take's tag cache. Log writes interleave tags:
@@ -105,6 +117,14 @@ func (s *Space) FreeFraction() float64 {
 	return 0
 }
 
+// Generation returns the space's mutation generation. Every call that
+// changes the allocation state advances it: a successful Alloc, ReleaseTag
+// of a live tag, Reset and a successful Shrink. Nothing else does, so an
+// unchanged generation means unchanged free, donated and per-tag extents.
+// RoloSan's sweep relies on that to skip a space it has already verified
+// (DESIGN §9).
+func (s *Space) Generation() uint64 { return s.gen }
+
 // LargestFree returns the size of the largest contiguous free extent.
 func (s *Space) LargestFree() int64 {
 	var max int64
@@ -146,6 +166,7 @@ func (s *Space) Alloc(n int64, tag int) (Alloc, bool) {
 }
 
 func (s *Space) take(start, n int64, tag int) Alloc {
+	s.gen++
 	s.free.Remove(start, start+n)
 	slot := &s.tagCache[uint(tag)%tagSlots]
 	if slot.set == nil || slot.tag != tag {
@@ -170,6 +191,7 @@ func (s *Space) ReleaseTag(tag int) int64 {
 	if !ok {
 		return 0
 	}
+	s.gen++
 	var freed int64
 	for i := 0; i < set.Count(); i++ {
 		sp := set.At(i)
@@ -207,6 +229,7 @@ func (s *Space) Tags() []int {
 // Reset releases all allocations, returning every non-donated byte to the
 // free list: the free set becomes [0, addrSpace) minus the donated set.
 func (s *Space) Reset() {
+	s.gen++
 	s.free.Clear()
 	var from int64
 	for i := 0; i < s.donated.Count(); i++ {
@@ -230,6 +253,7 @@ func (s *Space) Shrink(n int64) bool {
 	if n <= 0 || n > s.FreeBytes() {
 		return false
 	}
+	s.gen++
 	remaining := n
 	spans := s.free.Spans()
 	for i := len(spans) - 1; i >= 0 && remaining > 0; i-- {
@@ -255,8 +279,9 @@ func (s *Space) CheckInvariants() error {
 	}
 	s.runs = runs[:0]
 	slices.SortFunc(runs, func(a, b run) int { return cmp.Compare(a.tag, b.tag) })
-	h := runs[:0]
+	live := runs[:0]
 	var usedTotal int64
+	spans := 0
 	for _, r := range runs {
 		if err := r.set.CheckInvariants(); err != nil {
 			if r.tag < 0 {
@@ -269,19 +294,19 @@ func (s *Space) CheckInvariants() error {
 		}
 		if r.set.Count() > 0 {
 			r.cur = r.set.At(0)
-			h = append(h, r)
+			live = append(live, r)
+			spans += r.set.Count()
 		}
 	}
 	// Every set is sorted and coalesced, so their union is disjoint iff a
 	// k-way merge by start never meets a span that begins before its
 	// predecessor ends: O(n log k) over n spans and k sets, with no copy
 	// of the spans. prevEnd starts at 0, which no in-bounds span precedes.
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i)
-	}
+	tree := s.loserTree(live)
 	var total, prevEnd int64
-	for len(h) > 0 {
-		r := &h[0]
+	for ; spans > 0; spans-- {
+		w := tree[0].run
+		r := &live[w]
 		sp := r.cur
 		if sp.Start < 0 || sp.End > s.addrSpace {
 			return spanError(r.tag, sp, "out of bounds")
@@ -291,13 +316,12 @@ func (s *Space) CheckInvariants() error {
 		}
 		prevEnd = sp.End
 		total += sp.Len()
+		next := node{start: math.MaxInt64, run: w}
 		if r.i++; r.i < r.set.Count() {
 			r.cur = r.set.At(r.i)
-		} else {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
+			next.start = r.cur.Start
 		}
-		siftDown(h, 0)
+		replay(tree, next)
 	}
 	if usedTotal != s.usedBy {
 		return fmt.Errorf("logspace: used accounting %d != tracked %d", usedTotal, s.usedBy)
@@ -310,27 +334,50 @@ func (s *Space) CheckInvariants() error {
 	return nil
 }
 
-// siftDown restores the min-heap order on current span start below h[i].
-func siftDown(h []run, i int) {
-	if i >= len(h) {
-		return
+// loserTree builds the merge's tournament over the current spans of
+// live's k runs, in s.tree: run i is leaf k+i of a heap-shaped tree whose
+// node j has children 2j and 2j+1, each inner node 1..k-1 holds the loser
+// (the later start) of the match between its two subtrees' winners, and
+// node 0 holds the overall winner. Every inner node keeps the first entry
+// that reaches it and plays the second, so each leaf's insertion climbs
+// until it meets an empty node or passes the root.
+func (s *Space) loserTree(live []run) []node {
+	k := len(live)
+	tree := slices.Grow(s.tree[:0], k)[:k]
+	s.tree = tree
+	for j := 1; j < k; j++ {
+		tree[j].run = -1
 	}
-	x := h[i]
-	for {
-		c := 2*i + 1
-		if c >= len(h) {
-			break
+	for i := range live {
+		x := node{start: live[i].cur.Start, run: i}
+		j := (k + i) / 2
+		for ; j > 0; j /= 2 {
+			if tree[j].run < 0 {
+				tree[j] = x
+				break
+			}
+			if tree[j].start < x.start {
+				tree[j], x = x, tree[j]
+			}
 		}
-		if c+1 < len(h) && h[c+1].cur.Start < h[c].cur.Start {
-			c++
+		if j == 0 {
+			tree[0] = x
 		}
-		if x.cur.Start <= h[c].cur.Start {
-			break
-		}
-		h[i] = h[c]
-		i = c
 	}
-	h[i] = x
+	return tree
+}
+
+// replay carries x, the winner's run with its next start, from that run's
+// leaf to the root: at each node the earlier start moves on and the later
+// one stays as the node's loser. That is one comparison per level, where a
+// binary heap's sift-down makes two.
+func replay(tree []node, x node) {
+	for j := (len(tree) + x.run) / 2; j > 0; j /= 2 {
+		if tree[j].start < x.start {
+			tree[j], x = x, tree[j]
+		}
+	}
+	tree[0] = x
 }
 
 // spanError reports a span that breaks a rule, naming its owner.

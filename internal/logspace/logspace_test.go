@@ -3,6 +3,7 @@ package logspace
 import (
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -341,5 +342,44 @@ func BenchmarkAllocRelease(b *testing.B) {
 			s.ReleaseTag((i + 8) % 16)
 			s.Alloc(64<<10, tag)
 		}
+	}
+}
+
+// TestGeneration pins what RoloSan's sweep memo relies on: every call that
+// changes the allocation state advances Generation, and failed or
+// read-only calls leave it put.
+func TestGeneration(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		call    func(s *Space)
+		advance bool
+	}{
+		{"Alloc", func(s *Space) { s.Alloc(512, 2) }, true},
+		{"ReleaseTag live", func(s *Space) { s.ReleaseTag(1) }, true},
+		{"Reset", func(s *Space) { s.Reset() }, true},
+		{"Shrink", func(s *Space) { s.Shrink(512) }, true},
+		{"Alloc too large", func(s *Space) { s.Alloc(1<<20, 2) }, false},
+		{"Alloc empty", func(s *Space) { s.Alloc(0, 2) }, false},
+		{"ReleaseTag absent", func(s *Space) { s.ReleaseTag(9) }, false},
+		{"Shrink past free", func(s *Space) { s.Shrink(s.FreeBytes() + 1) }, false},
+		{"CheckInvariants", func(s *Space) { _ = s.CheckInvariants() }, false},
+		{"Tags", func(s *Space) { s.Tags() }, false},
+		{"TagBytes", func(s *Space) { s.TagBytes(1) }, false},
+		{"FreeBytes", func(s *Space) { s.FreeBytes() }, false},
+		{"LargestFree", func(s *Space) { s.LargestFree() }, false},
+	} {
+		t.Run(strings.ReplaceAll(c.name, " ", "_"), func(t *testing.T) {
+			s := mustSpace(t, 8192)
+			for tag := 0; tag < 2; tag++ {
+				if _, ok := s.Alloc(1024, tag); !ok {
+					t.Fatal("setup alloc failed")
+				}
+			}
+			before := s.Generation()
+			c.call(s)
+			if moved := s.Generation() != before; moved != c.advance {
+				t.Fatalf("generation %d -> %d, want advanced=%v", before, s.Generation(), c.advance)
+			}
+		})
 	}
 }

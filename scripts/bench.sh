@@ -1,19 +1,22 @@
 #!/bin/sh
 # Perf-trajectory recorder: runs the BenchmarkCore* suite (engine
 # schedule/fire/cancel/churn, interval add/remove/pop/mark/drain, log-space
-# invariant check and reset, histogram add, telemetry event encoding, journal
-# segment archival, pooled disk IO round trip, fleet report merge,
-# end-to-end fleet and one replay per scheme) with -benchmem and
-# writes the results to BENCH_core.json so successive PRs can diff ns/op
-# and allocs/op against the committed baseline, then times a warm
-# standalone `rololint ./...` run over the whole module and writes the
-# best wall time to
-# BENCH_lint.json (the 850 ms budget scripts/check.sh enforces). Run
-# from the repository root (or via `make bench`).
+# invariant check and reset, sanitizer sweep, histogram add, telemetry
+# event encoding, journal segment archival, pooled disk IO round trip,
+# fleet report merge, end-to-end fleet and one replay per scheme) with
+# -benchmem and writes the results to BENCH_core.json so successive PRs
+# can diff ns/op and allocs/op against the committed baseline, then times
+# a warm standalone `rololint ./...` run over the whole module and writes
+# the best wall time to BENCH_lint.json (the 850 ms budget
+# scripts/check.sh enforces), then runs the end-to-end benchmark
+# (perfbench/run.py) for 20 s per workload at seed 0 and writes each
+# workload's end-to-end medians to BENCH_e2e.json. Run from the
+# repository root (or via `make bench`).
 #
 #	BENCH_COUNT=5 ./scripts/bench.sh    # more repetitions (best-of is kept)
 #	BENCH_OUT=/tmp/b.json ./scripts/bench.sh
 #	BENCH_LINT_OUT=/tmp/l.json ./scripts/bench.sh
+#	BENCH_E2E_OUT=/tmp/e.json ./scripts/bench.sh
 set -u
 
 cd "$(dirname "$0")/.."
@@ -26,11 +29,12 @@ fi
 count="${BENCH_COUNT:-3}"
 out="${BENCH_OUT:-BENCH_core.json}"
 raw="$(mktemp)"
-trap 'rm -f "$raw"' EXIT
+e2eraw="$(mktemp -d)"
+trap 'rm -rf "$raw" "$e2eraw"' EXIT
 
 echo "== go test -bench=Core -benchmem -count=$count" >&2
 go test -run '^$' -bench 'Core' -benchmem -benchtime 1s -count "$count" \
-	./internal/sim/ ./internal/intervals/ ./internal/logspace/ ./internal/metrics/ \
+	./internal/sim/ ./internal/intervals/ ./internal/logspace/ ./internal/invariant/ ./internal/metrics/ \
 	./internal/telemetry/ ./internal/telemetry/journal/ ./internal/disk/ ./internal/fleet/ . \
 	| tee "$raw" >&2 || exit 1
 
@@ -96,3 +100,30 @@ analyzers=$(./bin/rololint 2>&1 | sed -n '/^analyzers:$/,/^$/p' | grep -c '^  ')
 printf '{\n  "go": "%s",\n  "count": %s,\n  "analyzers": %s,\n  "warm_wall_ms": %s,\n  "budget_ms": 850\n}\n' \
 	"$(go env GOVERSION)" "$count" "$analyzers" "$best" >"$lintout" || exit 1
 echo "bench.sh: wrote $lintout" >&2
+
+# End-to-end record: one 20 s perfbench run per workload at seed 0, the
+# inputs whose report digests perfbench checks. Each run's last stdout
+# line is its JSON result; its three end-to-end medians, with units, go
+# to BENCH_e2e.json.
+e2eout="${BENCH_E2E_OUT:-BENCH_e2e.json}"
+for w in replay_write replay_read fleet observed; do
+	echo "== perfbench $w (seed 0, 20 s)" >&2
+	python3 perfbench/run.py --workload "$w" --seed 0 --seconds 20 >"$e2eraw/$w" || exit 1
+done
+python3 - "$e2eraw" "$(go env GOVERSION)" >"$e2eout" <<'EOF' || exit 1
+import json, os, sys
+
+raw, goversion = sys.argv[1], sys.argv[2]
+out = {"go": goversion, "seed": 0, "seconds": 20, "workloads": {}}
+for w in ("replay_write", "replay_read", "fleet", "observed"):
+    with open(os.path.join(raw, w)) as f:
+        res = json.loads(f.read().strip().splitlines()[-1])
+    if not res.get("correct") or res.get("failed"):
+        sys.exit("bench.sh: perfbench %s failed its output check" % w)
+    m = res["metrics"]
+    out["workloads"][w] = {"iterations": res["attempted"]}
+    out["workloads"][w].update({k: m[k] for k in ("setup_s", "sim_req_per_cpu_s", "peak_rss_mb")})
+json.dump(out, sys.stdout, indent=2)
+print()
+EOF
+echo "bench.sh: wrote $e2eout" >&2

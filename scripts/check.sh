@@ -125,7 +125,7 @@ fi
 if want bench-smoke; then
 	stage "bench smoke: go test -bench=Core -benchtime=1x" \
 		go test -run '^$' -bench 'Core' -benchtime 1x \
-		./internal/sim/ ./internal/intervals/ ./internal/logspace/ ./internal/metrics/ \
+		./internal/sim/ ./internal/intervals/ ./internal/logspace/ ./internal/invariant/ ./internal/metrics/ \
 		./internal/telemetry/ ./internal/telemetry/journal/ ./internal/disk/ ./internal/fleet/ .
 	stage "perfbench: go vet, go test, build" \
 		sh -c 'cd perfbench && go vet . && go test . && go build -o ../bin/perfbench .'
