@@ -35,6 +35,11 @@ type Logged struct {
 	// stale — or, without primary backing, whose only current copy is
 	// logged.
 	dirty []intervals.Set
+	// spare[p] holds the array of pair p's last centralized-destage work
+	// set once its copier drained it. takeDirt hands it back as the pair's
+	// next dirty set, so marks after a destage do not regrow an array from
+	// zero.
+	spare []intervals.Set
 	san   *invariant.Audit
 	phase metrics.PhaseLog
 
@@ -74,6 +79,7 @@ func NewLogged(arr *Array, layout LogLayout) (*Logged, error) {
 		layout: layout,
 		spaces: make([]*logspace.Space, layout.Spaces),
 		dirty:  make([]intervals.Set, arr.Geom.Pairs),
+		spare:  make([]intervals.Set, arr.Geom.Pairs),
 	}
 	for i := range l.spaces {
 		sp, err := logspace.New(layout.SpaceBytes)
@@ -102,10 +108,13 @@ func (l *Logged) Alloc(i int, n int64, tag int) (logspace.Alloc, bool) {
 //
 // rolosan:audited — the sanitizer checks reclamation safety on the spot.
 func (l *Logged) ReleaseTag(tag int) int64 {
-	var freed int64
+	var dirty, freed int64
+	if !l.layout.ByGeneration && tag >= 0 && tag < len(l.dirty) {
+		dirty = l.dirty[tag].Total()
+	}
 	for _, sp := range l.spaces {
 		n := sp.ReleaseTag(tag)
-		l.san.Release(sp, tag, n)
+		l.san.Release(sp, tag, n, dirty)
 		freed += n
 	}
 	return freed
@@ -146,13 +155,23 @@ func (l *Logged) ClearDirty(p int) {
 	l.dirty[p].Clear()
 }
 
-// takeDirt moves pair p's dirty spans into a fresh destage work set.
+// takeDirt moves pair p's dirty spans into a destage work set; the
+// pair's dirt restarts empty in the array its previous work set left.
 //
 // rolosan:audited
 func (l *Logged) takeDirt(p int) *intervals.Set {
 	work := new(intervals.Set)
-	*work, l.dirty[p] = l.dirty[p], intervals.Set{}
+	*work, l.dirty[p], l.spare[p] = l.dirty[p], l.spare[p], intervals.Set{}
 	return work
+}
+
+// keepDrained keeps the array of pair p's work set, which its copier has
+// just drained, for the pair's next takeDirt. The copier, idle and
+// holding an empty set, is left with no array.
+//
+// rolosan:audited
+func (l *Logged) keepDrained(p int, work *intervals.Set) {
+	l.spare[p], *work = *work, intervals.Set{}
 }
 
 // FreeBytes returns space i's free bytes.
@@ -189,17 +208,20 @@ func (l *Logged) BeginDestage(now sim.Time) {
 	l.phase.Begin(metrics.Destaging, now, l.arr.TotalEnergyJ())
 }
 
-// DestageEach moves each pair's dirt, in pair order, into a fresh work
-// set, kicks the copier that copier(p, work) returns, and calls done once
-// every pair's copier has first drained.
+// DestageEach moves each pair's dirt, in pair order, into a work set,
+// kicks the copier that copier(p, work) returns, and calls done once
+// every pair's copier has first drained. A drained work set's array goes
+// back to its pair for the next destage.
 func (l *Logged) DestageEach(copier func(p int, work *intervals.Set) *Copier, done func(now sim.Time)) {
 	join := NewJoin(len(l.dirty), done)
 	for p := range l.dirty {
-		cp := copier(p, l.takeDirt(p))
+		work := l.takeDirt(p)
+		cp := copier(p, work)
 		fired := false
 		cp.OnDrained = func(at sim.Time) {
 			if !fired {
 				fired = true
+				l.keepDrained(p, work)
 				join.Done(at)
 			}
 		}

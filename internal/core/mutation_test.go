@@ -164,7 +164,7 @@ func TestMutationAfterCleanSweep(t *testing.T) {
 		{"unaudited_ReleaseTag", func(c sanitized) { space(c).ReleaseTag(1) }, "conservation", "0 allocated bytes"},
 		{"unaudited_Reset", func(c sanitized) { space(c).Reset() }, "conservation", "0 allocated bytes"},
 		{"ledger_only_Alloc", func(c sanitized) { c.san.Audit().Alloc(space(c), 1, 4096) }, "conservation", "12288 audited bytes"},
-		{"ledger_only_Release", func(c sanitized) { c.san.Audit().Release(space(c), 1, 8192) }, "conservation", "bypassed the audited helpers"},
+		{"ledger_only_Release", func(c sanitized) { c.san.Audit().Release(space(c), 1, 8192, 0) }, "conservation", "bypassed the audited helpers"},
 		{"ledger_only_Reset", func(c sanitized) { c.san.Audit().Reset(space(c)) }, "conservation", "bypassed the audited helpers"},
 	} {
 		t.Run(k.name, func(t *testing.T) {

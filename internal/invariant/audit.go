@@ -65,10 +65,11 @@ func (a *Audit) Alloc(sp *logspace.Space, tag int, n int64) {
 
 // Release records that ReleaseTag(tag) on sp reclaimed freed bytes, and
 // checks reclamation safety: the ledger must have expected exactly freed
-// bytes under the tag, and — for pair-tagged schemes — the pair must have
-// no dirty bytes left (a destage completion is the only legal trigger;
-// releasing earlier would reclaim live log copies).
-func (a *Audit) Release(sp *logspace.Space, tag int, freed int64) {
+// bytes under the tag, and dirty — the bytes still dirty on the pair the
+// tag names, 0 for generation-tagged logs — must be 0 (a destage
+// completion is the only legal trigger; releasing earlier would reclaim
+// live log copies).
+func (a *Audit) Release(sp *logspace.Space, tag int, freed, dirty int64) {
 	if a == nil {
 		return
 	}
@@ -89,17 +90,13 @@ func (a *Audit) Release(sp *logspace.Space, tag int, freed int64) {
 			Actual:   fmt.Sprintf("%d bytes reclaimed", freed),
 		})
 	}
-	if a.san.src == nil {
-		return
-	}
-	st := a.san.src.SanitizerState()
-	if st.LogByPair != nil && tag >= 0 && tag < len(st.DirtyBytes) && st.DirtyBytes[tag] != 0 {
+	if dirty != 0 {
 		a.san.Report(Violation{
 			Check:    "recoverability",
 			At:       a.san.eng.Now(),
 			Object:   fmt.Sprintf("pair %d", tag),
 			Expected: "log extents reclaimed only after the pair's destage drained",
-			Actual:   fmt.Sprintf("tag %d released with %d dirty bytes outstanding", tag, st.DirtyBytes[tag]),
+			Actual:   fmt.Sprintf("tag %d released with %d dirty bytes outstanding", tag, dirty),
 		})
 	}
 }

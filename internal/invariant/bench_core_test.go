@@ -38,7 +38,7 @@ func BenchmarkCoreSanitizerSweep(b *testing.B) {
 			}
 			a.Alloc(sp, tag, chunk)
 		}
-		a.Release(sp, pairs, sp.ReleaseTag(pairs))
+		a.Release(sp, pairs, sp.ReleaseTag(pairs), 0)
 		src.spaces = append(src.spaces, sp)
 	}
 	san.Final(eng.Now())
@@ -50,7 +50,7 @@ func BenchmarkCoreSanitizerSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sp := src.spaces[i%spaces]
 		if sp.TagBytes(churn) > 0 {
-			a.Release(sp, churn, sp.ReleaseTag(churn))
+			a.Release(sp, churn, sp.ReleaseTag(churn), 0)
 		} else {
 			if _, ok := sp.Alloc(chunk, churn); !ok {
 				b.Fatal("churn alloc failed")

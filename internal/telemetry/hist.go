@@ -11,7 +11,8 @@ import "math/bits"
 // 2^histSubBits sub-buckets, bounding the relative quantile error by
 // 2^-(histSubBits+1) (≈0.8% at histSubBits=6) at any scale.
 //
-// The zero value is an empty histogram ready to use.
+// The zero value is an empty histogram ready to use. A copy shares the
+// bucket array, so at most one of the two may keep observing or merging.
 type Histogram struct {
 	counts []int64
 	total  int64
@@ -53,9 +54,7 @@ func (h *Histogram) Observe(v int64) {
 	}
 	i := bucketOf(v)
 	if i >= len(h.counts) {
-		grown := make([]int64, i+1)
-		copy(grown, h.counts)
-		h.counts = grown
+		h.grow(i + 1)
 	}
 	h.counts[i]++
 	h.total++
@@ -63,6 +62,26 @@ func (h *Histogram) Observe(v int64) {
 	if v > h.max {
 		h.max = v
 	}
+}
+
+// grow extends the bucket array to n buckets. A reallocation rounds the
+// capacity up to the end of the octave holding bucket n-1, so values
+// rising one bucket at a time copy the array once per octave, each
+// doubling the value range covered, rather than once per bucket. At most
+// one octave's buckets go unused; that bound matters because a copied
+// Histogram, such as a rolo.Report's, shares and keeps the whole array.
+// Buckets past len stay zero, since every write lands below len, so
+// reslicing exposes empty buckets and readers, which range over len
+// only, see the same counts as with an exactly sized array.
+func (h *Histogram) grow(n int) {
+	if n > cap(h.counts) {
+		const octave = 1 << histSubBits
+		grown := make([]int64, n, (n+octave-1)&^(octave-1))
+		copy(grown, h.counts)
+		h.counts = grown
+		return
+	}
+	h.counts = h.counts[:n]
 }
 
 // Total returns the number of observations.
@@ -118,9 +137,7 @@ func (h *Histogram) Merge(src *Histogram) {
 		return
 	}
 	if len(src.counts) > len(h.counts) {
-		grown := make([]int64, len(src.counts))
-		copy(grown, h.counts)
-		h.counts = grown
+		h.grow(len(src.counts))
 	}
 	for i, c := range src.counts {
 		if c != 0 {

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -157,6 +158,41 @@ func TestHistogramMergeSteadyStateAlloc(t *testing.T) {
 	dst.Merge(&src) // grow once
 	if n := testing.AllocsPerRun(100, func() { dst.Merge(&src) }); n > 0 {
 		t.Fatalf("steady-state Merge allocates %v, want 0", n)
+	}
+}
+
+// TestHistogramRisingSequenceAllocs pins the bucket array's growth by
+// octaves: values that each land one bucket past the top reallocate it
+// once per octave, not once per bucket, and the histogram reads the same
+// as one that saw the values in falling order (sized once, at the first
+// value).
+func TestHistogramRisingSequenceAllocs(t *testing.T) {
+	var vals []int64
+	for v := int64(0); v < 1<<20; v += 1 + v/64 {
+		vals = append(vals, v)
+	}
+	buckets := bucketOf(vals[len(vals)-1]) + 1
+	var rising Histogram
+	allocs := testing.AllocsPerRun(3, func() {
+		rising = Histogram{}
+		for _, v := range vals {
+			rising.Observe(v)
+		}
+	})
+	if limit := float64(buckets>>histSubBits + 1); allocs > limit {
+		t.Errorf("%d rising values over %d buckets: %v allocations, want at most %v", len(vals), buckets, allocs, limit)
+	}
+	t.Logf("%d rising values over %d buckets: %v allocations", len(vals), buckets, allocs)
+	var falling Histogram
+	for i := len(vals) - 1; i >= 0; i-- {
+		falling.Observe(vals[i])
+	}
+	type bucket struct{ v, c int64 }
+	var rb, fb []bucket
+	rising.Buckets(func(v, c int64) { rb = append(rb, bucket{v, c}) })
+	falling.Buckets(func(v, c int64) { fb = append(fb, bucket{v, c}) })
+	if !slices.Equal(rb, fb) || rising.Quantile(99) != falling.Quantile(99) || rising.Total() != falling.Total() {
+		t.Fatalf("rising and falling orders differ: %d vs %d buckets", len(rb), len(fb))
 	}
 }
 

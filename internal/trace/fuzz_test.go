@@ -69,6 +69,7 @@ func FuzzParseSyntheticSpec(f *testing.F) {
 	f.Add("write=NaN")
 	f.Add("seed=-1 seed=-1")
 	f.Add("fixed=1")
+	f.Add("iops=inf")
 	f.Fuzz(func(t *testing.T, spec string) {
 		c, err := ParseSyntheticSpec(spec)
 		if err != nil {

@@ -32,6 +32,9 @@ func TestParseSyntheticSpec(t *testing.T) {
 
 	for _, tc := range []struct{ spec, errFrag string }{
 		{"iops=0", "non-positive IOPS"},
+		{"iops=inf duration=1s", "non-finite IOPS"},
+		{"iops=1e12 duration=1000h", "expected arrivals exceed"},
+		{"burst=NaN", "burstiness NaN"},
 		{"bogus=1", "unknown key"},
 		{"iops=5 iops=6", "duplicate key"},
 		{"fixed=1", "flag key takes no value"},

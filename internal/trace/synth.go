@@ -70,11 +70,19 @@ type Synthetic struct {
 	Seed int64
 }
 
-// Validate reports configuration errors.
+// maxArrivals bounds a workload's expected arrival count: 2^26 records,
+// 2 GiB. A runaway rate then fails in Validate instead of materializing
+// records until memory runs out.
+const maxArrivals = 1 << 26
+
+// Validate reports configuration errors, among them an expected arrival
+// count above 2^26.
 func (c Synthetic) Validate() error {
 	switch {
 	case c.Duration <= 0:
 		return fmt.Errorf("trace: non-positive duration %v", c.Duration)
+	case math.IsNaN(c.IOPS) || math.IsInf(c.IOPS, 0):
+		return fmt.Errorf("trace: non-finite IOPS %g", c.IOPS)
 	case c.IOPS <= 0:
 		return fmt.Errorf("trace: non-positive IOPS %g", c.IOPS)
 	case c.WriteRatio < 0 || c.WriteRatio > 1:
@@ -83,7 +91,7 @@ func (c Synthetic) Validate() error {
 		return fmt.Errorf("trace: average request %d below block size %d", c.AvgReqBytes, BlockAlign)
 	case c.RandomFrac < 0 || c.RandomFrac > 1:
 		return fmt.Errorf("trace: random fraction %g outside [0,1]", c.RandomFrac)
-	case c.Burstiness < 0 || c.Burstiness >= 1:
+	case !(c.Burstiness >= 0 && c.Burstiness < 1):
 		return fmt.Errorf("trace: burstiness %g outside [0,1)", c.Burstiness)
 	case c.DutyCycle < 0 || c.DutyCycle > 1:
 		return fmt.Errorf("trace: duty cycle %g outside [0,1]", c.DutyCycle)
@@ -95,6 +103,8 @@ func (c Synthetic) Validate() error {
 		return fmt.Errorf("trace: recent-read fraction %g outside [0,1]", c.RecentReadFrac)
 	case c.ReadHotFrac < 0 || c.ReadHotFrac > 1:
 		return fmt.Errorf("trace: hot-read fraction %g outside [0,1]", c.ReadHotFrac)
+	case c.expectedArrivals() > maxArrivals:
+		return fmt.Errorf("trace: %.3g expected arrivals exceed the bound of %d", c.expectedArrivals(), maxArrivals)
 	}
 	return nil
 }
@@ -109,6 +119,12 @@ func alignDown(v int64) int64 {
 
 // Generate materializes the workload over a volume of volumeBytes bytes.
 // Records are returned in arrival order.
+//
+// Every arrival time is drawn before any record field, from one generator,
+// so the records are built in two passes over one slice: arrivals appends
+// the times, then fill draws each record's operation, offset and size in
+// place. The slice is presized from the expected arrival count; the
+// estimate sets only its capacity, never the records.
 func (c Synthetic) Generate(volumeBytes int64) ([]Record, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -117,7 +133,22 @@ func (c Synthetic) Generate(volumeBytes int64) ([]Record, error) {
 		return nil, fmt.Errorf("trace: volume of %d bytes too small", volumeBytes)
 	}
 	rng := rand.New(rand.NewSource(c.Seed))
+	recs := c.arrivals(rng, make([]Record, 0, c.presize()))
+	c.fill(rng, recs, volumeBytes)
+	return recs, nil
+}
 
+// presize returns the record capacity Generate allocates: the expected
+// arrival count plus four standard deviations of its Poisson spread, so
+// the slice almost never grows and wastes at most the margin.
+func (c Synthetic) presize() int {
+	n := c.expectedArrivals()
+	return int(n + 4*math.Sqrt(n) + 16)
+}
+
+// fill draws the operation, offset and size of every record in recs, in
+// arrival order, leaving At as arrivals set it.
+func (c Synthetic) fill(rng *rand.Rand, recs []Record, volumeBytes int64) {
 	writeWS := c.WriteWorkingSetBytes
 	if writeWS <= 0 || writeWS > volumeBytes {
 		writeWS = volumeBytes
@@ -143,14 +174,13 @@ func (c Synthetic) Generate(volumeBytes int64) ([]Record, error) {
 		zipf = rand.NewZipf(rng, c.ReadZipfS, 1, readBlocks-1)
 	}
 
-	arrivals := c.arrivalTimes(rng)
-	recs := make([]Record, 0, len(arrivals))
 	seqNext := int64(-1)
-	// Ring of recent write extents for read-after-write locality.
+	// Ring of the indices of recent writes, for read-after-write locality.
 	const recentRing = 512
-	recent := make([]Record, 0, recentRing)
+	recent := make([]int, 0, recentRing)
 	recentHead := 0
-	for _, at := range arrivals {
+	for i := range recs {
+		r := &recs[i]
 		isWrite := rng.Float64() < c.WriteRatio
 		size := c.drawSize(rng)
 		var off int64
@@ -161,20 +191,19 @@ func (c Synthetic) Generate(volumeBytes int64) ([]Record, error) {
 				off = alignedUniform(rng, writeWS-size)
 			}
 			seqNext = off + size
-			w := Record{At: at, Op: Write, Offset: off, Size: size}
 			if len(recent) < recentRing {
-				recent = append(recent, w)
+				recent = append(recent, i)
 			} else {
-				recent[recentHead] = w
+				recent[recentHead] = i
 				recentHead = (recentHead + 1) % recentRing
 			}
-			recs = append(recs, w)
+			r.Op, r.Offset, r.Size = Write, off, size
 			continue
 		}
 		if len(recent) > 0 && rng.Float64() < c.RecentReadFrac {
 			// Re-read a recently written extent.
-			w := recent[rng.Intn(len(recent))]
-			recs = append(recs, Record{At: at, Op: Read, Offset: w.Offset, Size: w.Size})
+			w := recs[recent[rng.Intn(len(recent))]]
+			r.Op, r.Offset, r.Size = Read, w.Offset, w.Size
 			continue
 		}
 		hotFrac := c.ReadHotFrac
@@ -189,53 +218,72 @@ func (c Synthetic) Generate(volumeBytes int64) ([]Record, error) {
 		if off+size > readWS {
 			off = alignDown(readWS - size)
 		}
-		recs = append(recs, Record{At: at, Op: Read, Offset: readBase + off, Size: size})
+		r.Op, r.Offset, r.Size = Read, readBase+off, size
 	}
-	return recs, nil
 }
 
-// arrivalTimes produces the arrival process: Poisson, or ON/OFF-modulated
-// Poisson when Burstiness or DutyCycle is set.
-func (c Synthetic) arrivalTimes(rng *rand.Rand) []sim.Time {
-	var out []sim.Time
-	if c.Burstiness == 0 && (c.DutyCycle == 0 || c.DutyCycle == 1) {
-		t := 0.0
-		dur := c.Duration.Seconds()
-		for {
-			t += rng.ExpFloat64() / c.IOPS
-			if t >= dur {
-				break
-			}
-			out = append(out, sim.FromSeconds(t))
-		}
-		return out
-	}
-	// ON/OFF modulation. In Burstiness mode the duty cycle shrinks with
-	// burstiness while the ON rate grows to preserve the average; in
-	// DutyCycle mode IOPS already is the ON rate. Phase lengths are fixed
-	// so the long-run rate converges quickly; arrivals within ON phases
-	// are Poisson.
-	var duty, onRate, onDur float64
-	if c.DutyCycle > 0 {
-		duty = c.DutyCycle
-		onRate = c.IOPS
+// phases describes the arrival process: Poisson at rate (onDur == 0), or
+// ON/OFF-modulated Poisson whose ON phases of onDur seconds arrive at rate
+// and alternate with OFF phases of offDur seconds, starting ON. In
+// Burstiness mode the duty cycle shrinks with burstiness while the ON rate
+// grows to preserve the average; in DutyCycle mode IOPS already is the ON
+// rate. Phase lengths are fixed so the long-run rate converges quickly.
+func (c Synthetic) phases() (rate, onDur, offDur float64) {
+	switch {
+	case c.Burstiness == 0 && (c.DutyCycle == 0 || c.DutyCycle == 1):
+		return c.IOPS, 0, 0
+	case c.DutyCycle > 0:
 		onDur = 10.0
 		if c.OnPeriod > 0 {
 			onDur = c.OnPeriod.Seconds()
 		}
-	} else {
-		duty = 1 - 0.9*c.Burstiness
-		onRate = c.IOPS / duty
-		onDur = 2.0
+		return c.IOPS, onDur, onDur * (1 - c.DutyCycle) / c.DutyCycle
+	default:
+		duty := 1 - 0.9*c.Burstiness
+		return c.IOPS / duty, 2.0, 2.0 * (1 - duty) / duty
 	}
-	offDur := onDur * (1 - duty) / duty
-	t := 0.0
+}
+
+// expectedArrivals returns the mean arrival count over the window: the ON
+// rate times the ON time the window holds (all of it for Poisson).
+func (c Synthetic) expectedArrivals() float64 {
+	rate, onDur, offDur := c.phases()
+	on := c.Duration.Seconds()
+	if onDur > 0 {
+		// Whole ON/OFF cycles, then a partial cycle that starts ON. The
+		// OFF phase of a vanishing duty cycle is infinite.
+		cycle := onDur + offDur
+		full := math.Floor(on / cycle)
+		rest := on
+		if full > 0 {
+			rest -= full * cycle
+		}
+		on = full*onDur + math.Min(rest, onDur)
+	}
+	return rate * on
+}
+
+// arrivals appends one record per arrival to recs, setting only At.
+func (c Synthetic) arrivals(rng *rand.Rand, recs []Record) []Record {
+	rate, onDur, offDur := c.phases()
 	dur := c.Duration.Seconds()
+	if onDur == 0 {
+		t := 0.0
+		for {
+			t += rng.ExpFloat64() / rate
+			if t >= dur {
+				break
+			}
+			recs = append(recs, Record{At: sim.FromSeconds(t)})
+		}
+		return recs
+	}
+	t := 0.0
 	on := true
 	phaseEnd := onDur
 	for t < dur {
 		if on {
-			next := t + rng.ExpFloat64()/onRate
+			next := t + rng.ExpFloat64()/rate
 			if next >= phaseEnd {
 				t = phaseEnd
 				on = false
@@ -244,7 +292,7 @@ func (c Synthetic) arrivalTimes(rng *rand.Rand) []sim.Time {
 			}
 			t = next
 			if t < dur {
-				out = append(out, sim.FromSeconds(t))
+				recs = append(recs, Record{At: sim.FromSeconds(t)})
 			}
 		} else {
 			t = phaseEnd
@@ -252,7 +300,7 @@ func (c Synthetic) arrivalTimes(rng *rand.Rand) []sim.Time {
 			phaseEnd = t + onDur
 		}
 	}
-	return out
+	return recs
 }
 
 func (c Synthetic) drawSize(rng *rand.Rand) int64 {

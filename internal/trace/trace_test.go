@@ -17,6 +17,10 @@ func TestSyntheticValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
+	atBound := Synthetic{Duration: sim.Second, IOPS: maxArrivals, AvgReqBytes: 4096}
+	if err := atBound.Validate(); err != nil {
+		t.Fatalf("%d expected arrivals rejected: %v", maxArrivals, err)
+	}
 	bad := []Synthetic{
 		{Duration: 0, IOPS: 1, AvgReqBytes: 4096},
 		{Duration: sim.Second, IOPS: 0, AvgReqBytes: 4096},
@@ -25,6 +29,12 @@ func TestSyntheticValidate(t *testing.T) {
 		{Duration: sim.Second, IOPS: 1, AvgReqBytes: 4096, RandomFrac: -0.1},
 		{Duration: sim.Second, IOPS: 1, AvgReqBytes: 4096, Burstiness: 1},
 		{Duration: sim.Second, IOPS: 1, AvgReqBytes: 4096, ReadZipfS: 0.5},
+		{Duration: sim.Second, IOPS: math.Inf(1), AvgReqBytes: 4096},
+		{Duration: sim.Second, IOPS: math.NaN(), AvgReqBytes: 4096},
+		{Duration: 1000 * sim.Hour, IOPS: 1e12, AvgReqBytes: 4096},
+		// A vanishing duty cycle whose first ON phase covers the window
+		// still arrives at the full ON rate.
+		{Duration: 1000 * sim.Hour, IOPS: 1e6, AvgReqBytes: 4096, DutyCycle: 1e-12, OnPeriod: 1000 * sim.Hour},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -3,12 +3,12 @@
 # schedule/fire/cancel/churn, interval add/remove/pop/mark/drain, log-space
 # invariant check and reset, sanitizer sweep, histogram add, telemetry
 # event encoding, journal segment archival, pooled disk IO round trip,
-# fleet report merge, end-to-end fleet and one replay per scheme) with
-# -benchmem and writes the results to BENCH_core.json so successive PRs
-# can diff ns/op and allocs/op against the committed baseline, then times
-# a warm standalone `rololint ./...` run over the whole module and writes
-# the best wall time to BENCH_lint.json (the 850 ms budget
-# scripts/check.sh enforces), then runs the end-to-end benchmark
+# fleet report merge, trace generation, end-to-end fleet and one replay
+# per scheme) with -benchmem and writes the results to BENCH_core.json so
+# successive PRs can diff ns/op and allocs/op against the committed
+# baseline, then times a warm standalone `rololint ./...` run over the
+# whole module and writes the best wall time to BENCH_lint.json (the
+# 850 ms budget scripts/check.sh enforces), then runs the end-to-end benchmark
 # (perfbench/run.py) for 20 s per workload at seed 0 and writes each
 # workload's end-to-end medians to BENCH_e2e.json. Run from the
 # repository root (or via `make bench`).
@@ -35,7 +35,7 @@ trap 'rm -rf "$raw" "$e2eraw"' EXIT
 echo "== go test -bench=Core -benchmem -count=$count" >&2
 go test -run '^$' -bench 'Core' -benchmem -benchtime 1s -count "$count" \
 	./internal/sim/ ./internal/intervals/ ./internal/logspace/ ./internal/invariant/ ./internal/metrics/ \
-	./internal/telemetry/ ./internal/telemetry/journal/ ./internal/disk/ ./internal/fleet/ . \
+	./internal/telemetry/ ./internal/telemetry/journal/ ./internal/disk/ ./internal/fleet/ ./internal/trace/ . \
 	| tee "$raw" >&2 || exit 1
 
 # Collapse the -count repetitions into the best (lowest ns/op) run per

@@ -126,7 +126,7 @@ if want bench-smoke; then
 	stage "bench smoke: go test -bench=Core -benchtime=1x" \
 		go test -run '^$' -bench 'Core' -benchtime 1x \
 		./internal/sim/ ./internal/intervals/ ./internal/logspace/ ./internal/invariant/ ./internal/metrics/ \
-		./internal/telemetry/ ./internal/telemetry/journal/ ./internal/disk/ ./internal/fleet/ .
+		./internal/telemetry/ ./internal/telemetry/journal/ ./internal/disk/ ./internal/fleet/ ./internal/trace/ .
 	stage "perfbench: go vet, go test, build" \
 		sh -c 'cd perfbench && go vet . && go test . && go build -o ../bin/perfbench .'
 	for w in replay_write replay_read fleet observed; do
