@@ -42,7 +42,7 @@ func run() (err error) {
 		jobs       = flag.Int("jobs", 0, "max simulations in flight (0 = GOMAXPROCS)")
 		journalDir = flag.String("journal", "", "write one JSONL telemetry journal per run into this directory")
 		jSegment   = flag.Int64("journal-segment", 0, "rotate each run's journal into segments of this many bytes, one subdirectory per run (0 = single file per run)")
-		jCompress  = flag.Bool("journal-compress", false, "gzip completed journal segments (requires -journal-segment)")
+		jCompress  = flag.Bool("journal-compress", false, "write every journal segment gzip-compressed, as run-NNNNN.jsonl.gz (requires -journal-segment)")
 		jRetain    = flag.Int("journal-retain", 0, "keep only the newest N segments per run (0 = all; requires -journal-segment)")
 		probeIv    = flag.Duration("probe-interval", 0, "periodic telemetry probe spacing (e.g. 30s; 0 disables)")
 		check      = flag.Bool("check", false, "enable RoloSan: validate simulation invariants in every run and fail on the first violation")

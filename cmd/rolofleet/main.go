@@ -55,7 +55,7 @@ func run() (err error) {
 		asJSON     = flag.Bool("json", false, "emit the cluster report as JSON instead of text")
 		journalTo  = flag.String("journal", "", "write one rotated telemetry journal per shard under this directory")
 		jSegment   = flag.Int64("journal-segment", 0, "journal segment size in bytes (requires -journal; 0 = default)")
-		jCompress  = flag.Bool("journal-compress", false, "gzip completed journal segments (requires -journal)")
+		jCompress  = flag.Bool("journal-compress", false, "write every journal segment gzip-compressed, as run-NNNNN.jsonl.gz (requires -journal)")
 		jRetain    = flag.Int("journal-retain", 0, "keep only the newest N segments per shard (0 = all; requires -journal)")
 	)
 	prof := cliprof.Flags()

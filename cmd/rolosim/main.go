@@ -12,7 +12,7 @@
 // written synchronously on the simulation goroutine. Adding
 // -journal-segment turns -journal into a directory and switches to the
 // async pipeline: events are handed to a writer goroutine that rotates
-// size-bounded segments, optionally gzips completed ones
+// size-bounded segments, optionally writes every segment gzipped
 // (-journal-compress), caps how many are kept (-journal-retain), and
 // records a manifest that rolostat -verify can check:
 //
@@ -54,7 +54,7 @@ func run() (err error) {
 		stripeKB  = flag.Int64("stripe", 64, "stripe unit in KB")
 		journalTo = flag.String("journal", "", "write a JSONL telemetry event journal to this file (or directory with -journal-segment)")
 		jSegment  = flag.Int64("journal-segment", 0, "rotate the journal into segments of this many bytes; -journal becomes a directory (0 = single file)")
-		jCompress = flag.Bool("journal-compress", false, "gzip completed journal segments (requires -journal-segment)")
+		jCompress = flag.Bool("journal-compress", false, "write every journal segment gzip-compressed, as run-NNNNN.jsonl.gz; the active one is a gzip stream without its trailer until sealed (requires -journal-segment)")
 		jRetain   = flag.Int("journal-retain", 0, "keep only the newest N journal segments (0 = all; requires -journal-segment)")
 		jDrop     = flag.Bool("journal-drop", false, "drop events instead of blocking when the journal writer falls behind (requires -journal-segment)")
 		jBuffer   = flag.Int("journal-buffer", 0, "async journal ring capacity in events (0 = default; requires -journal-segment)")

@@ -23,7 +23,7 @@ type Copier struct {
 	eng   *sim.Engine
 	src   *disk.Disk
 	dsts  []*disk.Disk
-	work  *intervals.Set
+	work  WorkSet
 	chunk int64
 
 	// srcIO and dstIO build the read and write IOs for a span. dstIO is
@@ -48,9 +48,16 @@ type Copier struct {
 	joinDoneFn func(now sim.Time)
 }
 
-// NewCopier constructs a copier. The interval set is owned by the caller
-// and may be extended between chunks.
-func NewCopier(eng *sim.Engine, src *disk.Disk, dsts []*disk.Disk, work *intervals.Set,
+// WorkSet is what a copier drains: an *intervals.Set, or a Logged pair's
+// live dirt (Logged.Destager).
+type WorkSet interface {
+	// PopFirst removes and returns up to max bytes from the lowest span.
+	PopFirst(max int64) (intervals.Span, bool)
+}
+
+// NewCopier constructs a copier. The work set is owned by the caller and
+// may be extended between chunks.
+func NewCopier(eng *sim.Engine, src *disk.Disk, dsts []*disk.Disk, work WorkSet,
 	chunk int64, srcIO, dstIO func(sp intervals.Span) *disk.IO) *Copier {
 	c := &Copier{
 		eng: eng, src: src, dsts: dsts, work: work, chunk: chunk,
@@ -68,7 +75,7 @@ func NewCopier(eng *sim.Engine, src *disk.Disk, dsts []*disk.Disk, work *interva
 // DataCopier returns a copier that drains work from src's data region to
 // the same offsets on dst: a pair's primary-to-mirror destage, or a
 // rebuild onto a replaced disk.
-func (a *Array) DataCopier(src, dst *disk.Disk, work *intervals.Set) *Copier {
+func (a *Array) DataCopier(src, dst *disk.Disk, work WorkSet) *Copier {
 	return NewCopier(a.Eng, src, []*disk.Disk{dst}, work, DestageChunk,
 		func(sp intervals.Span) *disk.IO { return a.DataIO(sp.Start, sp.Len(), false, true) },
 		func(sp intervals.Span) *disk.IO { return a.DataIO(sp.Start, sp.Len(), true, true) },

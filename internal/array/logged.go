@@ -22,6 +22,11 @@ import (
 // Controllers hold no allocator or dirty set of their own, so the
 // invariantguard rule holds by construction; only SanitizerState hands
 // the allocators out.
+//
+// The helpers also keep running totals of the log bytes in use and the
+// dirty bytes, so the sanitizer's per-event counters and the probes'
+// gauges cost O(1); every sanitizer sweep checks the totals against the
+// sums SanitizerState walks.
 type Logged struct {
 	// Reqs pools the controller's request joins and collects their
 	// response times; Tel is the telemetry recorder (nil when off).
@@ -40,11 +45,16 @@ type Logged struct {
 	// next dirty set, so marks after a destage do not regrow an array from
 	// zero.
 	spare []intervals.Set
+	// live[p] drains pair p's dirt for its pair-by-pair destager.
+	live  []liveDirt
 	san   *invariant.Audit
 	phase metrics.PhaseLog
 
 	rotations, destages int
 	bypassed            int64
+	// logUsed and dirtyBytes are the running totals of the spaces' used
+	// bytes and the pairs' dirty bytes; logCap is the spaces' capacity.
+	logUsed, dirtyBytes, logCap int64
 
 	closed, destaging, logDown bool
 }
@@ -80,6 +90,10 @@ func NewLogged(arr *Array, layout LogLayout) (*Logged, error) {
 		spaces: make([]*logspace.Space, layout.Spaces),
 		dirty:  make([]intervals.Set, arr.Geom.Pairs),
 		spare:  make([]intervals.Set, arr.Geom.Pairs),
+		live:   make([]liveDirt, arr.Geom.Pairs),
+	}
+	for p := range l.live {
+		l.live[p] = liveDirt{l: l, p: p}
 	}
 	for i := range l.spaces {
 		sp, err := logspace.New(layout.SpaceBytes)
@@ -87,6 +101,7 @@ func NewLogged(arr *Array, layout LogLayout) (*Logged, error) {
 			return nil, err
 		}
 		l.spaces[i] = sp
+		l.logCap += sp.Capacity()
 	}
 	return l, nil
 }
@@ -98,6 +113,7 @@ func (l *Logged) Alloc(i int, n int64, tag int) (logspace.Alloc, bool) {
 	sp := l.spaces[i]
 	a, ok := sp.Alloc(n, tag)
 	if ok {
+		l.logUsed += n
 		l.san.Alloc(sp, tag, n)
 	}
 	return a, ok
@@ -116,6 +132,7 @@ func (l *Logged) ReleaseTag(tag int) int64 {
 		n := sp.ReleaseTag(tag)
 		l.san.Release(sp, tag, n, dirty)
 		freed += n
+		l.logUsed -= n
 	}
 	return freed
 }
@@ -128,6 +145,7 @@ func (l *Logged) ResetSpace(i int) int64 {
 	sp := l.spaces[i]
 	used := sp.UsedBytes()
 	sp.Reset()
+	l.logUsed -= used
 	l.san.Reset(sp)
 	return used
 }
@@ -136,7 +154,9 @@ func (l *Logged) ResetSpace(i int) int64 {
 //
 // rolosan:audited
 func (l *Logged) MarkDirty(p int, start, end int64) {
+	before := l.dirty[p].Total()
 	l.dirty[p].Add(start, end)
+	l.dirtyBytes += l.dirty[p].Total() - before
 }
 
 // CleanDirty removes [start, end) from pair p's dirt: an in-place write
@@ -144,7 +164,9 @@ func (l *Logged) MarkDirty(p int, start, end int64) {
 //
 // rolosan:audited
 func (l *Logged) CleanDirty(p int, start, end int64) {
+	before := l.dirty[p].Total()
 	l.dirty[p].Remove(start, end)
+	l.dirtyBytes -= before - l.dirty[p].Total()
 }
 
 // ClearDirty empties pair p's dirt after a rebuild made its mirror
@@ -152,6 +174,7 @@ func (l *Logged) CleanDirty(p int, start, end int64) {
 //
 // rolosan:audited
 func (l *Logged) ClearDirty(p int) {
+	l.dirtyBytes -= l.dirty[p].Total()
 	l.dirty[p].Clear()
 }
 
@@ -160,6 +183,7 @@ func (l *Logged) ClearDirty(p int) {
 //
 // rolosan:audited
 func (l *Logged) takeDirt(p int) *intervals.Set {
+	l.dirtyBytes -= l.dirty[p].Total()
 	work := new(intervals.Set)
 	*work, l.dirty[p], l.spare[p] = l.dirty[p], l.spare[p], intervals.Set{}
 	return work
@@ -192,7 +216,23 @@ func (l *Logged) Dirty(p int, start, end int64) bool { return l.dirty[p].Contain
 // Destager returns a copier that drains pair p's dirt from its primary to
 // its mirror, for schemes that destage pair by pair.
 func (l *Logged) Destager(p int) *Copier {
-	return l.arr.DataCopier(l.arr.Primaries[p], l.arr.Mirrors[p], &l.dirty[p])
+	return l.arr.DataCopier(l.arr.Primaries[p], l.arr.Mirrors[p], &l.live[p])
+}
+
+// liveDirt is the WorkSet through which a pair-by-pair destager drains
+// pair p's live dirty set, keeping the running dirty total in step.
+type liveDirt struct {
+	l *Logged
+	p int
+}
+
+// PopFirst implements WorkSet.
+//
+// rolosan:audited
+func (d *liveDirt) PopFirst(max int64) (intervals.Span, bool) {
+	sp, ok := d.l.dirty[d.p].PopFirst(max)
+	d.l.dirtyBytes -= sp.Len()
+	return sp, ok
 }
 
 // BeginDestage opens a centralized destage: it sets the destaging flag,
@@ -303,31 +343,25 @@ func (l *Logged) Close(now sim.Time) {
 // TelemetryGauges implements telemetry.GaugeSource: occupancy summed over
 // the log spaces, and the dirty bytes awaiting destage.
 func (l *Logged) TelemetryGauges() (logUsed, logCap, backlog int64) {
-	for _, sp := range l.spaces {
-		logUsed += sp.UsedBytes()
-		logCap += sp.Capacity()
-	}
-	for p := range l.dirty {
-		backlog += l.dirty[p].Total()
-	}
-	return logUsed, logCap, backlog
+	return l.logUsed, l.logCap, l.dirtyBytes
 }
 
 // SetSanitizer implements invariant.Attachable.
 func (l *Logged) SetSanitizer(a *invariant.Audit) { l.san = a }
 
-// SanitizerCounters implements invariant.Source.
+// SanitizerCounters implements invariant.Source with the running totals.
 func (l *Logged) SanitizerCounters() invariant.Counters {
-	used, _, backlog := l.TelemetryGauges()
 	return invariant.Counters{
 		Rotations:  l.rotations,
 		Destages:   l.destages,
-		DirtyBytes: backlog,
-		LogUsed:    used,
+		DirtyBytes: l.dirtyBytes,
+		LogUsed:    l.logUsed,
 	}
 }
 
-// SanitizerState implements invariant.Source.
+// SanitizerState implements invariant.Source. Its per-pair dirt and log
+// total are walked, and its Counters are the running totals, so a sweep
+// can check one against the other.
 func (l *Logged) SanitizerState() invariant.State {
 	pairs := len(l.dirty)
 	st := invariant.State{

@@ -266,7 +266,18 @@ type fifo struct {
 	head  int
 }
 
-func (q *fifo) push(io *IO) { q.items = append(q.items, io) }
+// push appends io. When the backing array is full but pops have left
+// slack in front of the head, the live entries move down into it first,
+// so a queue that never empties reuses its array instead of growing.
+func (q *fifo) push(io *IO) {
+	if len(q.items) == cap(q.items) && q.head > 0 {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items = q.items[:n]
+		q.head = 0
+	}
+	q.items = append(q.items, io)
+}
 
 func (q *fifo) pop() *IO {
 	if q.head >= len(q.items) {

@@ -259,3 +259,35 @@ func TestTotalsMatchesStats(t *testing.T) {
 		t.Fatalf("Totals allocates %v times per call", n)
 	}
 }
+
+// TestFifoSteadyCycleZeroAllocs keeps a queue non-empty through a steady
+// push/pop cycle: once its array has grown to the queue's depth, pushes
+// reuse the slack that pops left in front of the head.
+func TestFifoSteadyCycleZeroAllocs(t *testing.T) {
+	var q fifo
+	ios := make([]IO, 16)
+	for i := range 8 {
+		q.push(&ios[i])
+	}
+	next := 8
+	cycle := func() {
+		q.push(&ios[next%len(ios)])
+		next++
+		if q.pop() == nil {
+			t.Fatal("queue emptied")
+		}
+	}
+	// One run of many cycles, so that even one growth in thousands of
+	// cycles counts (AllocsPerRun truncates its per-run average).
+	cycles := func() {
+		for range 4096 {
+			cycle()
+		}
+	}
+	if n := testing.AllocsPerRun(1, cycles); n != 0 {
+		t.Fatalf("4096 steady push/pop cycles allocated %v times, want 0", n)
+	}
+	if q.len() != 8 {
+		t.Fatalf("queue holds %d entries, want 8", q.len())
+	}
+}

@@ -49,7 +49,7 @@ type Options struct {
 	// JournalSegmentBytes rotates each run's journal into segments of
 	// this many bytes (0 keeps the single-file layout).
 	JournalSegmentBytes int64
-	// JournalCompress gzips completed journal segments.
+	// JournalCompress writes every journal segment gzip-compressed.
 	JournalCompress bool
 	// JournalRetain keeps only the newest N segments per run (0 = all).
 	JournalRetain int

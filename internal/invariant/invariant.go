@@ -58,7 +58,8 @@ type Checker interface {
 }
 
 // Counters is the cheap per-event snapshot a controller exposes for
-// monotonicity checking.
+// monotonicity checking. A controller keeps DirtyBytes and LogUsed as
+// running totals; sweeps check them against the State's walked sums.
 type Counters struct {
 	Rotations  int
 	Destages   int
@@ -105,6 +106,8 @@ type State struct {
 	// aggregate log check is suspended.
 	LogDown bool
 
+	// Counters are the running totals, which must equal LogTotal and the
+	// sum of DirtyBytes.
 	Counters
 }
 

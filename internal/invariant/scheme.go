@@ -8,7 +8,8 @@ import (
 
 // schemeChecker validates controller-level invariants from Source
 // snapshots: per-event counter monotonicity, and at sweeps the
-// recoverability rule plus log-space conservation via the audit ledger.
+// recoverability rule, log-space conservation via the audit ledger, and
+// the controller's running totals against the sums its snapshot walked.
 type schemeChecker struct {
 	san *Sanitizer
 	src Source
@@ -105,6 +106,25 @@ func (c *schemeChecker) Sweep(now sim.Time) []Violation {
 			Object:   "log device",
 			Expected: fmt.Sprintf(">= %d logged bytes covering dirty spans", dirtyTotal),
 			Actual:   fmt.Sprintf("%d logged bytes", st.LogTotal),
+		})
+	}
+	// Running totals: the counters the controller keeps as it mutates,
+	// which the per-event checks read, must equal the sums the snapshot
+	// walked.
+	if st.Counters.LogUsed != st.LogTotal {
+		out = append(out, Violation{
+			Check: "accounting", At: now,
+			Object:   "log occupancy total",
+			Expected: fmt.Sprintf("%d bytes, the sum over the log spaces", st.LogTotal),
+			Actual:   fmt.Sprintf("%d bytes kept as a running total", st.Counters.LogUsed),
+		})
+	}
+	if st.Counters.DirtyBytes != dirtyTotal {
+		out = append(out, Violation{
+			Check: "accounting", At: now,
+			Object:   "dirty bytes total",
+			Expected: fmt.Sprintf("%d bytes, the sum over the pairs", dirtyTotal),
+			Actual:   fmt.Sprintf("%d bytes kept as a running total", st.Counters.DirtyBytes),
 		})
 	}
 	return out

@@ -57,37 +57,46 @@ func (e Extent) End() int64 { return e.Offset + e.Length }
 // extents, in volume order. Fragments that land adjacently on the same pair
 // are merged.
 func (g Geometry) Map(offset, length int64) ([]Extent, error) {
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
 	return g.AppendExtents(nil, offset, length)
 }
 
 // AppendExtents is Map appending into dst, so a caller that reuses one
-// scratch slice per request maps without allocating.
+// scratch slice per request maps without allocating. It runs once per
+// request, so it does not validate the geometry, which its owner (e.g.
+// array.New) validated when accepting it; it guards only against the
+// division by zero of an unvalidated one.
 func (g Geometry) AppendExtents(dst []Extent, offset, length int64) ([]Extent, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
+	if g.Pairs <= 0 || g.StripeUnitBytes <= 0 {
+		return nil, fmt.Errorf("raid: %d pairs with stripe unit %d", g.Pairs, g.StripeUnitBytes)
 	}
 	if offset < 0 || length <= 0 || offset+length > g.VolumeBytes() {
 		return nil, fmt.Errorf("raid: range [%d,%d) outside volume of %d bytes",
 			offset, offset+length, g.VolumeBytes())
 	}
-	su := g.StripeUnitBytes
+	// Two divisions place the first fragment; each following fragment
+	// starts a stripe unit on the next pair, wrapping to the next row.
+	su, pairs := g.StripeUnitBytes, int64(g.Pairs)
+	stripe := offset / su
+	within := offset - stripe*su
+	row := stripe / pairs
+	pair := stripe - row*pairs
 	out, first := dst, len(dst)
 	for length > 0 {
-		stripe := offset / su
-		within := offset % su
-		frag := su - within
-		if frag > length {
-			frag = length
-		}
-		pair := int(stripe % int64(g.Pairs))
-		pairOff := (stripe/int64(g.Pairs))*su + within
-		if n := len(out); n > first && out[n-1].Pair == pair && out[n-1].End() == pairOff {
+		frag := min(su-within, length)
+		pairOff := row*su + within
+		if n := len(out); n > first && out[n-1].Pair == int(pair) && out[n-1].End() == pairOff {
 			out[n-1].Length += frag
 		} else {
-			out = append(out, Extent{Pair: pair, Offset: pairOff, Length: frag})
+			out = append(out, Extent{Pair: int(pair), Offset: pairOff, Length: frag})
 		}
-		offset += frag
 		length -= frag
+		within = 0
+		if pair++; pair == pairs {
+			pair, row = 0, row+1
+		}
 	}
 	return out, nil
 }

@@ -186,6 +186,53 @@ func TestQuickMapInjective(t *testing.T) {
 	}
 }
 
+// referenceExtents is the per-fragment division form of Map, which
+// AppendExtents replaced by stepping pair and row.
+func referenceExtents(g Geometry, offset, length int64) []Extent {
+	var out []Extent
+	su := g.StripeUnitBytes
+	for length > 0 {
+		stripe, within := offset/su, offset%su
+		frag := min(su-within, length)
+		pair := int(stripe % int64(g.Pairs))
+		pairOff := (stripe/int64(g.Pairs))*su + within
+		if n := len(out); n > 0 && out[n-1].Pair == pair && out[n-1].End() == pairOff {
+			out[n-1].Length += frag
+		} else {
+			out = append(out, Extent{Pair: pair, Offset: pairOff, Length: frag})
+		}
+		offset += frag
+		length -= frag
+	}
+	return out
+}
+
+// Property: Map matches the per-fragment division form for every pair
+// count, including one pair, where every fragment merges.
+func TestQuickMapMatchesReference(t *testing.T) {
+	for pairs := 1; pairs <= 5; pairs++ {
+		g := Geometry{Pairs: pairs, StripeUnitBytes: 16 << 10, DataBytesPerDisk: 1 << 24}
+		f := func(offRaw, lenRaw uint32) bool {
+			off := int64(offRaw) % (g.VolumeBytes() - 1)
+			length := min(int64(lenRaw)%(1<<19)+1, g.VolumeBytes()-off)
+			got, err := g.Map(off, length)
+			want := referenceExtents(g, off, length)
+			if err != nil || len(got) != len(want) {
+				return false
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					return false
+				}
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+			t.Fatalf("%d pairs: %v", pairs, err)
+		}
+	}
+}
+
 func BenchmarkMap(b *testing.B) {
 	g := testGeom()
 	b.ReportAllocs()

@@ -45,6 +45,15 @@ func (p Policy) String() string {
 // DefaultBuffer is the ring capacity used when AsyncConfig.Buffer is 0.
 const DefaultBuffer = 8192
 
+// emitBatch is how many events Emit gathers before handing them to the
+// ring (fewer when the ring is smaller): one acquisition of the ring's
+// lock and at most one writer wakeup per batch instead of per event.
+const emitBatch = 256
+
+// drainBatch bounds how many events the writer goroutine copies out of
+// the ring at once, and so the size of its copy buffer (~100 KB).
+const drainBatch = 1024
+
 // AsyncConfig configures an AsyncSink.
 type AsyncConfig struct {
 	// Buffer is the ring capacity in events (DefaultBuffer when 0).
@@ -54,20 +63,24 @@ type AsyncConfig struct {
 }
 
 // AsyncSink moves journal encoding and IO off the simulation goroutine.
-// Emit copies the event into a bounded MPSC ring and returns; a single
-// writer goroutine drains the ring in batches, encodes each event with
+// Emit copies the event into a producer-side batch; a full batch enters
+// a bounded MPSC ring under one lock acquisition. A single writer
+// goroutine drains the ring in bounded batches, encodes each event with
 // telemetry.AppendEvent into a goroutine-owned scratch buffer, and hands
 // the lines to the EventWriter (typically a RotatingWriter). Producers
-// pay one uncontended mutex acquisition and a struct copy per event —
-// no encoding, no syscalls.
+// pay an uncontended producer-side lock and a struct copy per event —
+// no encoding, no syscalls, no lock shared with the writer.
 //
 // Ordering: events from one producer are written in emission order. The
 // simulator emits from its single event-loop goroutine, so with
 // PolicyBlock the byte stream is identical to the synchronous sink's.
+// The policies apply per event as a batch enters the ring: under
+// PolicyDrop the events that find it full are dropped and counted.
 //
-// Lifecycle: Flush blocks until everything emitted so far is encoded,
-// written and flushed through the EventWriter (rolo.Run calls it at end
-// of run); Close drains the ring, stops the writer goroutine, records
+// Lifecycle: Flush hands over the pending batch and blocks until
+// everything emitted so far is encoded, written and flushed through the
+// EventWriter (rolo.Run calls it at end of run); Close hands over the
+// pending batch, drains the ring, stops the writer goroutine, records
 // WriterStats into the writer (when it accepts them) and closes it.
 // Emit after Close counts the event as dropped rather than blocking.
 //
@@ -75,6 +88,14 @@ type AsyncConfig struct {
 type AsyncSink struct {
 	w      EventWriter
 	policy Policy
+
+	// Producer side. The writer goroutine never takes pmu; when both
+	// locks are held, pmu is taken first.
+	pmu sync.Mutex
+	//rolosan:guardedby pmu
+	pending []telemetry.Event // the batch being filled
+	//rolosan:guardedby pmu
+	sealed bool // Close has handed over the last batch
 
 	mu       sync.Mutex
 	notFull  *sync.Cond // ring has space, or the sink is closing
@@ -99,6 +120,8 @@ type AsyncSink struct {
 	flushReq uint64
 	//rolosan:guardedby mu
 	flushAck uint64
+	//rolosan:guardedby mu
+	flushAt int64 // stats.Enqueued when the latest flush was requested
 
 	done chan struct{} // closed when the writer goroutine exits
 
@@ -116,12 +139,13 @@ func NewAsyncSink(w EventWriter, cfg AsyncConfig) *AsyncSink {
 		buf = DefaultBuffer
 	}
 	s := &AsyncSink{
-		w:      w,
-		policy: cfg.Policy,
-		ring:   make([]telemetry.Event, buf),
-		done:   make(chan struct{}),
-		batch:  make([]telemetry.Event, 0, buf),
-		stats:  WriterStats{Capacity: buf},
+		w:       w,
+		policy:  cfg.Policy,
+		pending: make([]telemetry.Event, 0, min(emitBatch, buf)),
+		ring:    make([]telemetry.Event, buf),
+		done:    make(chan struct{}),
+		batch:   make([]telemetry.Event, min(drainBatch, buf)),
+		stats:   WriterStats{Capacity: buf},
 	}
 	s.notFull = sync.NewCond(&s.mu)
 	s.notEmpty = sync.NewCond(&s.mu)
@@ -135,35 +159,61 @@ func NewAsyncSink(w EventWriter, cfg AsyncConfig) *AsyncSink {
 
 // Emit implements telemetry.Sink. It is safe for concurrent producers.
 func (s *AsyncSink) Emit(ev telemetry.Event) {
-	s.mu.Lock()
-	for s.n == len(s.ring) && !s.closing {
-		if s.policy == PolicyDrop {
-			s.stats.Dropped++
-			s.mu.Unlock()
-			return
-		}
-		s.notFull.Wait()
+	s.pmu.Lock()
+	s.pending = append(s.pending, ev)
+	if len(s.pending) == cap(s.pending) || s.sealed {
+		s.handOff()
 	}
-	if s.closing {
-		s.stats.Dropped++
-		s.mu.Unlock()
+	s.pmu.Unlock()
+}
+
+// handOff moves the pending batch into the ring under one acquisition of
+// mu, and wakes the writer once if the ring was empty. Under PolicyBlock
+// it waits for space as often as the batch needs; under PolicyDrop the
+// events that do not fit are dropped, and once the sink is closing all
+// of them are.
+//
+//rolosan:requires pmu
+func (s *AsyncSink) handOff() {
+	evs := s.pending
+	s.pending = s.pending[:0]
+	if len(evs) == 0 {
 		return
 	}
-	s.ring[(s.head+s.n)%len(s.ring)] = ev
-	s.n++
-	s.stats.Enqueued++
-	if s.n > s.stats.PeakOccupancy {
-		s.stats.PeakOccupancy = s.n
+	s.mu.Lock()
+	wake := false // the ring went from empty to non-empty: the writer may sleep
+	for len(evs) > 0 {
+		free := len(s.ring) - s.n
+		if s.closing || (free == 0 && s.policy == PolicyDrop) {
+			s.stats.Dropped += int64(len(evs))
+			break
+		}
+		if free == 0 {
+			if wake {
+				s.notEmpty.Signal()
+				wake = false
+			}
+			s.notFull.Wait()
+			continue
+		}
+		wake = wake || s.n == 0
+		k := min(free, len(evs))
+		c := copy(s.ring[(s.head+s.n)%len(s.ring):], evs[:k])
+		copy(s.ring, evs[c:k])
+		s.n += k
+		s.stats.Enqueued += int64(k)
+		s.stats.PeakOccupancy = max(s.stats.PeakOccupancy, s.n)
+		evs = evs[k:]
 	}
-	if s.n == 1 {
+	if wake {
 		s.notEmpty.Signal()
 	}
 	s.mu.Unlock()
 }
 
-// writeLoop is the single consumer: batch-drain the ring, encode and
-// write outside the lock, serve flush requests, exit once closing and
-// drained.
+// writeLoop is the single consumer: drain the ring in bounded batches,
+// encode and write outside the lock, serve a flush request once the
+// events it waits for are written, exit once closing and drained.
 func (s *AsyncSink) writeLoop() {
 	defer func() {
 		s.mu.Lock()
@@ -177,28 +227,26 @@ func (s *AsyncSink) writeLoop() {
 		for s.n == 0 && !s.closing && s.flushAck == s.flushReq {
 			s.notEmpty.Wait()
 		}
-		take := s.n
-		s.batch = s.batch[:0]
-		for i := 0; i < take; i++ {
-			s.batch = append(s.batch, s.ring[(s.head+i)%len(s.ring)])
-		}
+		take := min(s.n, len(s.batch))
+		c := copy(s.batch[:take], s.ring[s.head:])
+		copy(s.batch[c:take], s.ring)
 		s.head = (s.head + take) % len(s.ring)
-		s.n = 0
+		s.n -= take
 		closing := s.closing
 		flushTo := s.flushReq
-		doFlush := s.flushAck != flushTo
+		// Every event enqueued before the latest flush request has now
+		// been taken: write this batch, then flush.
+		doFlush := s.flushAck != flushTo && s.stats.Enqueued-int64(s.n) >= s.flushAt
 		if take > 0 {
 			s.stats.Batches++
-			if take > s.stats.MaxBatch {
-				s.stats.MaxBatch = take
-			}
+			s.stats.MaxBatch = max(s.stats.MaxBatch, take)
 			s.notFull.Broadcast()
 		}
 		s.mu.Unlock()
 
 		var werr error
 		written := 0
-		for _, ev := range s.batch {
+		for _, ev := range s.batch[:take] {
 			s.scratch = telemetry.AppendEvent(s.scratch[:0], ev)
 			if err := s.w.WriteEvent(s.scratch, ev.At); err != nil {
 				werr = err
@@ -233,10 +281,14 @@ func (s *AsyncSink) writeLoop() {
 	}
 }
 
-// Flush implements telemetry.Flusher: it blocks until every event
-// emitted before the call has been encoded, written and flushed through
-// the EventWriter, then reports the writer's sticky error, if any.
+// Flush implements telemetry.Flusher: it hands over the pending batch and
+// blocks until every event emitted before the call has been encoded,
+// written and flushed through the EventWriter, then reports the writer's
+// sticky error, if any.
 func (s *AsyncSink) Flush() error {
+	s.pmu.Lock()
+	s.handOff()
+	s.pmu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.writerExited {
@@ -244,6 +296,7 @@ func (s *AsyncSink) Flush() error {
 	}
 	s.flushReq++
 	target := s.flushReq
+	s.flushAt = s.stats.Enqueued
 	s.notEmpty.Signal()
 	for s.flushAck < target && !s.writerExited {
 		s.flushed.Wait()
@@ -251,12 +304,16 @@ func (s *AsyncSink) Flush() error {
 	return s.err
 }
 
-// Close drains the ring, stops the writer goroutine, records the sink's
-// self-telemetry into the EventWriter (when it accepts WriterStats, as
-// RotatingWriter does) and closes it. Close is idempotent; the first
-// call's error — writer errors joined with the close error — is
-// authoritative.
+// Close hands over the pending batch, drains the ring, stops the writer
+// goroutine, records the sink's self-telemetry into the EventWriter (when
+// it accepts WriterStats, as RotatingWriter does) and closes it. Close is
+// idempotent; the first call's error — writer errors joined with the
+// close error — is authoritative.
 func (s *AsyncSink) Close() error {
+	s.pmu.Lock()
+	s.sealed = true
+	s.handOff()
+	s.pmu.Unlock()
 	s.mu.Lock()
 	already := s.closing
 	s.closing = true

@@ -3,6 +3,7 @@ package journal
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -249,4 +250,86 @@ func TestStreamWriterAdapter(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), encodeAll(evs)) {
 		t.Fatal("stream writer bytes diverge")
 	}
+}
+
+// flushProbe records how many events its inner writer had been handed at
+// each Flush.
+type flushProbe struct {
+	memWriter
+	heldAtFlush []int
+}
+
+func (w *flushProbe) Flush() error {
+	w.heldAtFlush = append(w.heldAtFlush, w.writes)
+	return w.memWriter.Flush()
+}
+
+func TestAsyncSinkFlushMidBatch(t *testing.T) {
+	evs := genEvents(2500, 13)
+	// check flushes the sink after the first n events and requires that the
+	// EventWriter was flushed holding exactly those events.
+	check := func(t *testing.T, s *AsyncSink, w *flushProbe, n int) {
+		t.Helper()
+		if err := s.Flush(); err != nil {
+			t.Fatalf("Flush: %v", err)
+		}
+		if w.writes != n || len(w.heldAtFlush) == 0 || w.heldAtFlush[len(w.heldAtFlush)-1] != n {
+			t.Fatalf("Flush after %d events returned with %d written, EventWriter flushes at %v",
+				n, w.writes, w.heldAtFlush)
+		}
+		if !bytes.Equal(w.buf.Bytes(), encodeAll(evs[:n])) {
+			t.Fatalf("bytes after Flush at %d events diverge", n)
+		}
+	}
+
+	t.Run("ring-smaller-than-drain-bound", func(t *testing.T) {
+		w := &flushProbe{}
+		s := NewAsyncSink(w, AsyncConfig{Buffer: 16, Policy: PolicyBlock})
+		n := 0
+		// Each stop leaves a part-filled batch on the producer side.
+		for _, stop := range []int{1, 7, 16, 33, 1005, 2500} {
+			for ; n < stop; n++ {
+				s.Emit(evs[n])
+			}
+			check(t, s, w, n)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	t.Run("backlog-over-the-drain-bound", func(t *testing.T) {
+		// The writer stalls on its first write while the ring fills past
+		// drainBatch, so Flush is requested with several drains queued.
+		gate := make(chan struct{})
+		w := &flushProbe{}
+		s := NewAsyncSink(&gatedWriter{inner: w, gate: gate}, AsyncConfig{Buffer: 3000, Policy: PolicyBlock})
+		for _, ev := range evs {
+			s.Emit(ev)
+		}
+		done := make(chan error)
+		go func() { done <- s.Flush() }()
+		for {
+			s.mu.Lock()
+			requested := s.flushReq > 0
+			s.mu.Unlock()
+			if requested {
+				break
+			}
+			runtime.Gosched()
+		}
+		close(gate)
+		if err := <-done; err != nil {
+			t.Fatalf("Flush: %v", err)
+		}
+		if w.writes != len(evs) || w.heldAtFlush[len(w.heldAtFlush)-1] != len(evs) {
+			t.Fatalf("Flush returned with %d of %d written, EventWriter flushes at %v", w.writes, len(evs), w.heldAtFlush)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if st := s.Stats(); st.MaxBatch > drainBatch || st.Written != int64(len(evs)) {
+			t.Fatalf("stats after a backlog: %+v", st)
+		}
+	})
 }

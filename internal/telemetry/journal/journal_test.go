@@ -391,3 +391,55 @@ func TestRerunReplacesStaleJournal(t *testing.T) {
 		}
 	}
 }
+
+func TestRotatingWriterWriteErrorMidSegment(t *testing.T) {
+	// Segment 2 is a link to /dev/full, so its first write to the file
+	// fails with ENOSPC partway through the segment.
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full to fail writes with")
+	}
+	dir := t.TempDir()
+	w, err := NewRotatingWriter(RotateConfig{Dir: dir, SegmentBytes: 2048, Compress: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg2 := filepath.Join(dir, segmentName(2)+".gz")
+	if err := os.Symlink("/dev/full", seg2); err != nil {
+		t.Skip("cannot link to /dev/full:", err)
+	}
+	var buf []byte
+	evs := genEvents(400, 14)
+	i := 0
+	for ; w.seq < 2; i++ {
+		buf = telemetry.AppendEvent(buf[:0], evs[i])
+		if err := w.WriteEvent(buf, evs[i].At); err != nil {
+			t.Fatalf("WriteEvent into segment 1: %v", err)
+		}
+	}
+	f := w.f
+	for j := 0; j < 3; j, i = j+1, i+1 {
+		buf = telemetry.AppendEvent(buf[:0], evs[i])
+		if err := w.WriteEvent(buf, evs[i].At); err != nil {
+			t.Fatalf("buffered WriteEvent into segment 2: %v", err)
+		}
+	}
+	if err := w.Flush(); err == nil {
+		t.Fatal("Flush into a full device succeeded")
+	}
+	if _, err := os.Lstat(seg2); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("failed segment left behind: %v", err)
+	}
+	if err := f.Close(); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("failed segment's descriptor still open: Close = %v", err)
+	}
+	buf = telemetry.AppendEvent(buf[:0], evs[i])
+	if err := w.WriteEvent(buf, evs[i].At); err == nil {
+		t.Fatal("WriteEvent after a write error succeeded")
+	}
+	if err := w.Close(); err == nil {
+		t.Fatal("Close after a write error succeeded")
+	}
+	if _, err := os.Stat(filepath.Join(dir, ManifestName)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a failed journal wrote a manifest: %v", err)
+	}
+}

@@ -1,16 +1,18 @@
 // Package journal is the telemetry journal's lifecycle layer: an
 // asynchronous sink that moves event encoding and file IO off the
 // simulation goroutine, a rotating writer that cuts size-capped JSONL
-// segments and archives completed ones with gzip, a manifest describing
-// every segment, and a streaming reader that iterates a journal — single
-// file or rotated directory, plain or compressed — in order without ever
-// holding it in memory.
+// segments and optionally streams them through gzip, a manifest
+// describing every segment, and a streaming reader that iterates a
+// journal — single file or rotated directory, plain or compressed — in
+// order without ever holding it in memory.
 //
-// Layout of a rotated journal directory:
+// Layout of a rotated, compressed journal directory (without compression
+// the segments are run-NNNNN.jsonl):
 //
-//	run-00001.jsonl.gz    completed segment, gzip-compressed
+//	run-00001.jsonl.gz    completed segment
 //	run-00002.jsonl.gz    ...
-//	run-00003.jsonl       active (or final uncompressed) segment
+//	run-00003.jsonl.gz    active segment: a gzip stream without its trailer
+//	                      until Close seals it
 //	manifest.json         per-segment event counts, time bounds, checksums
 //
 // The writer side preserves the telemetry package's byte-determinism
@@ -47,7 +49,7 @@ type SegmentInfo struct {
 	Bytes int64 `json:"bytes"`
 	// CRC32 is the IEEE checksum of the uncompressed segment bytes.
 	CRC32 uint32 `json:"crc32"`
-	// Compressed marks gzip-archived segments.
+	// Compressed marks gzip-compressed segments.
 	Compressed bool `json:"compressed,omitempty"`
 }
 

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"compress/gzip"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
 	"os"
@@ -37,8 +36,8 @@ type RotateConfig struct {
 	// many uncompressed bytes (checked after each line, so lines are
 	// never split). <= 0 keeps a single unbounded segment.
 	SegmentBytes int64
-	// Compress gzip-archives each completed segment (including the final
-	// one at Close), replacing run-NNNNN.jsonl with run-NNNNN.jsonl.gz.
+	// Compress writes every segment, the active one included, gzipped as
+	// run-NNNNN.jsonl.gz instead of run-NNNNN.jsonl.
 	Compress bool
 	// Retain caps how many completed segments stay on disk; once
 	// exceeded, the oldest is deleted and counted in the manifest's
@@ -50,19 +49,30 @@ type RotateConfig struct {
 func segmentName(seq int) string { return fmt.Sprintf("run-%05d.jsonl", seq) }
 
 // RotatingWriter writes a journal as size-capped JSONL segments with
-// optional gzip archival, a retention cap, and a manifest recording each
-// segment's event count, simulation-time bounds and CRC32. It implements
-// EventWriter and is not safe for concurrent use — it is driven either
-// synchronously or by an AsyncSink's single writer goroutine.
+// optional gzip compression, a retention cap, and a manifest recording
+// each segment's event count, simulation-time bounds and CRC32. It
+// implements EventWriter and is not safe for concurrent use — it is
+// driven either synchronously or by an AsyncSink's single writer
+// goroutine.
+//
+// A compressed segment is streamed: its lines go through one gzip.Writer
+// straight into the .gz file, so every journal byte is written once. The
+// compressor runs at gzip.BestSpeed: deflate at the default level cost
+// more CPU than the simulation in checked, journaled runs, and BestSpeed
+// compresses ~4× faster for archives ~27% larger (DESIGN §12). It lives as
+// long as the writer and is Reset for each segment, which yields the same
+// bytes as a fresh compressor.
 //
 //rolosan:resource
 type RotatingWriter struct {
 	cfg RotateConfig
 
-	f   *os.File
-	bw  *bufio.Writer
-	crc hash.Hash32
-	mw  io.Writer // tee: bw + crc
+	// The active segment's pipeline: lines → bw → sum → (gz → zbuf →) f.
+	f    *os.File
+	bw   *bufio.Writer
+	sum  crcWriter
+	gz   *gzip.Writer  // nil without cfg.Compress
+	zbuf *bufio.Writer // batches gz's small output writes into f
 
 	seq     int // active segment number, 1-based
 	size    int64
@@ -71,7 +81,20 @@ type RotatingWriter struct {
 	lastAt  sim.Time
 
 	manifest Manifest
+	err      error // first error writing or rotating; it ends the journal
 	closed   bool
+}
+
+// crcWriter checksums the uncompressed lines on their way into the
+// segment: the manifest's CRC32 is over them, compressed or not.
+type crcWriter struct {
+	w   io.Writer
+	crc uint32
+}
+
+func (c *crcWriter) Write(p []byte) (int, error) {
+	c.crc = crc32.Update(c.crc, crc32.IEEETable, p)
+	return c.w.Write(p)
 }
 
 // NewRotatingWriter creates cfg.Dir if needed, removes any journal left
@@ -92,6 +115,15 @@ func NewRotatingWriter(cfg RotateConfig) (*RotatingWriter, error) {
 		return nil, err
 	}
 	w := &RotatingWriter{cfg: cfg}
+	w.bw = bufio.NewWriterSize(&w.sum, 64<<10)
+	if cfg.Compress {
+		w.zbuf = bufio.NewWriterSize(io.Discard, 64<<10)
+		gz, err := gzip.NewWriterLevel(w.zbuf, gzip.BestSpeed)
+		if err != nil {
+			return nil, fmt.Errorf("journal: %w", err)
+		}
+		w.gz = gz
+	}
 	if err := w.openSegment(1); err != nil {
 		return nil, err
 	}
@@ -117,18 +149,43 @@ func removeStaleJournal(dir string) error {
 	return nil
 }
 
+// activeName is the active segment's file name.
+func (w *RotatingWriter) activeName() string {
+	if w.gz != nil {
+		return segmentName(w.seq) + ".gz"
+	}
+	return segmentName(w.seq)
+}
+
 func (w *RotatingWriter) openSegment(seq int) error {
-	f, err := os.Create(filepath.Join(w.cfg.Dir, segmentName(seq)))
+	w.seq = seq
+	f, err := os.Create(filepath.Join(w.cfg.Dir, w.activeName()))
 	if err != nil {
 		return fmt.Errorf("journal: creating segment: %w", err)
 	}
 	w.f = f
-	w.bw = bufio.NewWriterSize(f, 64<<10)
-	w.crc = crc32.NewIEEE()
-	w.mw = io.MultiWriter(w.bw, w.crc)
-	w.seq = seq
+	w.sum = crcWriter{w: f}
+	if w.gz != nil {
+		w.zbuf.Reset(f)
+		w.gz.Reset(w.zbuf)
+		w.sum.w = w.gz
+	}
+	w.bw.Reset(&w.sum)
 	w.size, w.events, w.firstAt, w.lastAt = 0, 0, 0, 0
 	return nil
+}
+
+// abort ends the active segment after a write error: it closes the
+// descriptor and deletes a compressed segment, whose gzip stream would
+// lack its trailer, so a failed run leaves no stray .gz. The error is
+// sticky: every later call returns it.
+func (w *RotatingWriter) abort(err error) error {
+	w.err = fmt.Errorf("journal: segment %s: %w", w.activeName(), err)
+	_ = w.f.Close() // the write error is the root cause
+	if w.gz != nil {
+		_ = os.Remove(filepath.Join(w.cfg.Dir, w.activeName())) // best effort, as above
+	}
+	return w.err
 }
 
 // WriteEvent implements EventWriter, rotating once the active segment
@@ -137,8 +194,11 @@ func (w *RotatingWriter) WriteEvent(line []byte, at sim.Time) error {
 	if w.closed {
 		return fmt.Errorf("journal: write to closed rotating writer")
 	}
-	if _, err := w.mw.Write(line); err != nil {
-		return fmt.Errorf("journal: segment %s: %w", segmentName(w.seq), err)
+	if w.err != nil {
+		return w.err
+	}
+	if _, err := w.bw.Write(line); err != nil {
+		return w.abort(err)
 	}
 	if w.events == 0 {
 		w.firstAt = at
@@ -147,91 +207,62 @@ func (w *RotatingWriter) WriteEvent(line []byte, at sim.Time) error {
 	w.events++
 	w.size += int64(len(line))
 	if w.cfg.SegmentBytes > 0 && w.size >= w.cfg.SegmentBytes {
-		return w.rotate()
+		w.err = w.rotate()
+		return w.err
 	}
 	return nil
 }
 
-// Flush implements EventWriter; the active segment becomes tail-able.
+// Flush implements EventWriter: the lines written so far reach the
+// segment file. A compressed segment then holds a gzip stream cut at a
+// sync-flush point: every flushed line decompresses, but the stream has
+// no trailer until the segment is sealed.
 func (w *RotatingWriter) Flush() error {
-	if w.closed {
-		return nil
+	if w.closed || w.err != nil {
+		return w.err
 	}
-	return w.bw.Flush()
-}
-
-// seal flushes and closes the active segment file and appends its
-// manifest entry (uncompressed for now).
-func (w *RotatingWriter) seal() (SegmentInfo, error) {
-	info := SegmentInfo{
-		Name:    segmentName(w.seq),
-		Events:  w.events,
-		FirstAt: w.firstAt,
-		LastAt:  w.lastAt,
-		Bytes:   w.size,
-		CRC32:   w.crc.Sum32(),
+	if err := w.push(false); err != nil {
+		return w.abort(err)
 	}
-	if err := w.bw.Flush(); err != nil {
-		_ = w.f.Close() // the flush error is the root cause; the descriptor must not outlive the segment
-		return info, fmt.Errorf("journal: flushing %s: %w", info.Name, err)
-	}
-	if err := w.f.Close(); err != nil {
-		return info, fmt.Errorf("journal: closing %s: %w", info.Name, err)
-	}
-	return info, nil
-}
-
-// compress gzips a sealed segment in place: run-NNNNN.jsonl becomes
-// run-NNNNN.jsonl.gz and the plain file is removed. The checksum in the
-// manifest stays that of the uncompressed bytes, so verification and the
-// byte-equivalence gate see through the archival step.
-func (w *RotatingWriter) compress(info *SegmentInfo) error {
-	plain := filepath.Join(w.cfg.Dir, info.Name)
-	src, err := os.Open(plain)
-	if err != nil {
-		return fmt.Errorf("journal: compressing %s: %w", info.Name, err)
-	}
-	defer src.Close() //lint:allow resourcelifecycle:dropped-error read side of the archival copy; the write side is checked
-	if err := writeArchive(plain+".gz", src); err != nil {
-		return fmt.Errorf("journal: compressing %s: %w", info.Name, err)
-	}
-	if err := os.Remove(plain); err != nil {
-		return fmt.Errorf("journal: removing %s after archival: %w", info.Name, err)
-	}
-	info.Name += ".gz"
-	info.Compressed = true
 	return nil
 }
 
-// writeArchive gzips src into a new file at path, closing both the gzip
-// stream and the file on every path. Any failure removes the partial
-// archive so an error never strands a stray .gz next to the plain
-// segment it was meant to replace (the plain file is only removed by the
-// caller after a fully successful archival).
-//
-// Archival runs at gzip.BestSpeed: deflate at the default level cost more
-// CPU than the simulation in checked, journaled runs, and BestSpeed
-// compresses ~4× faster for archives ~27% larger (DESIGN §12).
-func writeArchive(path string, src io.Reader) error {
-	dst, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	gz, err := gzip.NewWriterLevel(dst, gzip.BestSpeed)
-	if err == nil {
-		_, err = io.Copy(gz, src)
-		if cerr := gz.Close(); err == nil {
-			err = cerr
+// push moves the buffered lines into the segment file, through the
+// compressor's sync flush or, with end set, its trailer.
+func (w *RotatingWriter) push(end bool) error {
+	err := w.bw.Flush()
+	if w.gz != nil && err == nil {
+		if end {
+			err = w.gz.Close()
+		} else {
+			err = w.gz.Flush()
+		}
+		if err == nil {
+			err = w.zbuf.Flush()
 		}
 	}
-	if cerr := dst.Close(); err == nil {
-		err = cerr
+	return err
+}
+
+// seal completes the active segment, closes its file and returns its
+// manifest entry.
+func (w *RotatingWriter) seal() (SegmentInfo, error) {
+	err := w.push(true)
+	if err == nil {
+		err = w.f.Close()
 	}
 	if err != nil {
-		_ = os.Remove(path) // best-effort cleanup; the write error is the root cause
-		return err
+		return SegmentInfo{}, w.abort(err)
 	}
-	return nil
+	return SegmentInfo{
+		Name:       w.activeName(),
+		Events:     w.events,
+		FirstAt:    w.firstAt,
+		LastAt:     w.lastAt,
+		Bytes:      w.size,
+		CRC32:      w.sum.crc,
+		Compressed: w.gz != nil,
+	}, nil
 }
 
 // retain enforces the retention cap over completed segments.
@@ -250,17 +281,11 @@ func (w *RotatingWriter) retain() error {
 	return nil
 }
 
-// rotate seals, archives and accounts the active segment, then opens the
-// next one.
+// rotate seals and accounts the active segment, then opens the next one.
 func (w *RotatingWriter) rotate() error {
 	info, err := w.seal()
 	if err != nil {
 		return err
-	}
-	if w.cfg.Compress {
-		if err := w.compress(&info); err != nil {
-			return err
-		}
 	}
 	w.manifest.Segments = append(w.manifest.Segments, info)
 	if err := w.retain(); err != nil {
@@ -281,11 +306,15 @@ func (w *RotatingWriter) Manifest() Manifest { return w.manifest }
 
 // Close seals the active segment (dropping it instead if it is empty and
 // not the only one), writes the manifest, and finalizes the journal.
+// After a write error it returns that error and writes no manifest.
 func (w *RotatingWriter) Close() error {
 	if w.closed {
 		return nil
 	}
 	w.closed = true
+	if w.err != nil {
+		return w.err
+	}
 	info, err := w.seal()
 	if err != nil {
 		return err
@@ -297,11 +326,6 @@ func (w *RotatingWriter) Close() error {
 			return fmt.Errorf("journal: removing empty %s: %w", info.Name, err)
 		}
 	} else {
-		if w.cfg.Compress {
-			if err := w.compress(&info); err != nil {
-				return err
-			}
-		}
 		w.manifest.Segments = append(w.manifest.Segments, info)
 		if err := w.retain(); err != nil {
 			return err

@@ -57,8 +57,9 @@ func FuzzParseMSR(f *testing.F) {
 // FuzzParseSyntheticSpec checks the spec parser's contract: it never
 // panics, every accepted spec passes Validate, and SpecString is a fixed
 // point — re-parsing a rendered spec yields the identical rendering.
-// (Renderings rather than structs are compared so a NaN smuggled through
-// a float field cannot fail the equality by being unequal to itself.)
+// Validate rejects NaN in every float field, so the "write=NaN" seed is a
+// rejected input. Renderings rather than structs are compared, which keeps
+// the check sound for any float value that is not equal to itself.
 func FuzzParseSyntheticSpec(f *testing.F) {
 	f.Add("")
 	f.Add("iops=200 write=0.9 duration=10m size=64K random=0.7 seed=3")

@@ -35,6 +35,12 @@ func TestParseSyntheticSpec(t *testing.T) {
 		{"iops=inf duration=1s", "non-finite IOPS"},
 		{"iops=1e12 duration=1000h", "expected arrivals exceed"},
 		{"burst=NaN", "burstiness NaN"},
+		{"write=NaN", "write ratio NaN"},
+		{"random=NaN", "random fraction NaN"},
+		{"duty=NaN", "duty cycle NaN"},
+		{"recent=NaN", "recent-read fraction NaN"},
+		{"hot=NaN", "hot-read fraction NaN"},
+		{"zipf=NaN", "Zipf s must exceed 1, got NaN"},
 		{"bogus=1", "unknown key"},
 		{"iops=5 iops=6", "duplicate key"},
 		{"fixed=1", "flag key takes no value"},

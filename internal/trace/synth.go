@@ -76,7 +76,7 @@ type Synthetic struct {
 const maxArrivals = 1 << 26
 
 // Validate reports configuration errors, among them an expected arrival
-// count above 2^26.
+// count above 2^26. Every range test is written to fail on NaN.
 func (c Synthetic) Validate() error {
 	switch {
 	case c.Duration <= 0:
@@ -85,29 +85,32 @@ func (c Synthetic) Validate() error {
 		return fmt.Errorf("trace: non-finite IOPS %g", c.IOPS)
 	case c.IOPS <= 0:
 		return fmt.Errorf("trace: non-positive IOPS %g", c.IOPS)
-	case c.WriteRatio < 0 || c.WriteRatio > 1:
+	case !inUnit(c.WriteRatio):
 		return fmt.Errorf("trace: write ratio %g outside [0,1]", c.WriteRatio)
 	case c.AvgReqBytes < BlockAlign:
 		return fmt.Errorf("trace: average request %d below block size %d", c.AvgReqBytes, BlockAlign)
-	case c.RandomFrac < 0 || c.RandomFrac > 1:
+	case !inUnit(c.RandomFrac):
 		return fmt.Errorf("trace: random fraction %g outside [0,1]", c.RandomFrac)
 	case !(c.Burstiness >= 0 && c.Burstiness < 1):
 		return fmt.Errorf("trace: burstiness %g outside [0,1)", c.Burstiness)
-	case c.DutyCycle < 0 || c.DutyCycle > 1:
+	case !inUnit(c.DutyCycle):
 		return fmt.Errorf("trace: duty cycle %g outside [0,1]", c.DutyCycle)
 	case c.OnPeriod < 0:
 		return fmt.Errorf("trace: negative ON period %v", c.OnPeriod)
-	case c.ReadZipfS != 0 && c.ReadZipfS <= 1:
+	case c.ReadZipfS != 0 && !(c.ReadZipfS > 1):
 		return fmt.Errorf("trace: Zipf s must exceed 1, got %g", c.ReadZipfS)
-	case c.RecentReadFrac < 0 || c.RecentReadFrac > 1:
+	case !inUnit(c.RecentReadFrac):
 		return fmt.Errorf("trace: recent-read fraction %g outside [0,1]", c.RecentReadFrac)
-	case c.ReadHotFrac < 0 || c.ReadHotFrac > 1:
+	case !inUnit(c.ReadHotFrac):
 		return fmt.Errorf("trace: hot-read fraction %g outside [0,1]", c.ReadHotFrac)
 	case c.expectedArrivals() > maxArrivals:
 		return fmt.Errorf("trace: %.3g expected arrivals exceed the bound of %d", c.expectedArrivals(), maxArrivals)
 	}
 	return nil
 }
+
+// inUnit reports whether v lies in [0, 1]; NaN does not.
+func inUnit(v float64) bool { return v >= 0 && v <= 1 }
 
 func alignDown(v int64) int64 {
 	v -= v % BlockAlign

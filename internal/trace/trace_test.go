@@ -31,6 +31,12 @@ func TestSyntheticValidate(t *testing.T) {
 		{Duration: sim.Second, IOPS: 1, AvgReqBytes: 4096, ReadZipfS: 0.5},
 		{Duration: sim.Second, IOPS: math.Inf(1), AvgReqBytes: 4096},
 		{Duration: sim.Second, IOPS: math.NaN(), AvgReqBytes: 4096},
+		{Duration: sim.Second, IOPS: 1, AvgReqBytes: 4096, WriteRatio: math.NaN()},
+		{Duration: sim.Second, IOPS: 1, AvgReqBytes: 4096, RandomFrac: math.NaN()},
+		{Duration: sim.Second, IOPS: 1, AvgReqBytes: 4096, DutyCycle: math.NaN()},
+		{Duration: sim.Second, IOPS: 1, AvgReqBytes: 4096, RecentReadFrac: math.NaN()},
+		{Duration: sim.Second, IOPS: 1, AvgReqBytes: 4096, ReadHotFrac: math.NaN()},
+		{Duration: sim.Second, IOPS: 1, AvgReqBytes: 4096, ReadZipfS: math.NaN()},
 		{Duration: 1000 * sim.Hour, IOPS: 1e12, AvgReqBytes: 4096},
 		// A vanishing duty cycle whose first ON phase covers the window
 		// still arrives at the full ON rate.

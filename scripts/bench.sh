@@ -2,9 +2,10 @@
 # Perf-trajectory recorder: runs the BenchmarkCore* suite (engine
 # schedule/fire/cancel/churn, interval add/remove/pop/mark/drain, log-space
 # invariant check and reset, sanitizer sweep, histogram add, telemetry
-# event encoding, journal segment archival, pooled disk IO round trip,
-# fleet report merge, trace generation, end-to-end fleet and one replay
-# per scheme) with -benchmem and writes the results to BENCH_core.json so
+# event encoding, journal event hand-off and compressed segment
+# streaming, pooled disk IO round trip, fleet report merge, trace
+# generation, end-to-end fleet and one replay per scheme) with
+# -benchmem and writes the results to BENCH_core.json so
 # successive PRs can diff ns/op and allocs/op against the committed
 # baseline, then times a warm standalone `rololint ./...` run over the
 # whole module and writes the best wall time to BENCH_lint.json (the
