@@ -34,7 +34,8 @@ fuzz:
 # BENCH_core.json (best-of-BENCH_COUNT ns/op and allocs/op per benchmark),
 # the committed perf-trajectory baseline that future PRs diff against,
 # then BENCH_lint.json (warm lint time) and BENCH_e2e.json (perfbench's
-# end-to-end medians per workload, 20 s runs at seed 0).
+# end-to-end medians per workload, 20 s runs at seed 0, and the CPU
+# seconds of `roloexp -run fig10 -scale 1 -jobs 1`).
 bench: build
 	./scripts/bench.sh
 

@@ -91,12 +91,12 @@ func run() (err error) {
 	start := time.Now() //lint:allow simdeterminism:wall-clock wall-clock runtime of the harness itself, not simulated time
 	if *id == "all" {
 		all := experiments.All()
-		walls, err := experiments.RunAll(opts, os.Stdout, all)
+		held, err := experiments.RunAll(opts, os.Stdout, all)
 		if err != nil {
 			return err
 		}
 		for i, e := range all {
-			fmt.Fprintf(os.Stderr, "[%s completed in %v]\n", e.ID, walls[i].Round(time.Millisecond))
+			fmt.Fprintf(os.Stderr, "[%s held pool slots for %v]\n", e.ID, held[i].Round(time.Millisecond))
 		}
 		fmt.Fprintf(os.Stderr, "[all experiments completed in %v, jobs=%d]\n",
 			time.Since(start).Round(time.Millisecond), opts.Jobs) //lint:allow simdeterminism:wall-clock pairs with the wall-clock timer above

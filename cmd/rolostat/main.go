@@ -73,6 +73,13 @@ func run() error {
 		fmt.Println()
 	}
 
+	return summarize(path, os.Stdout, os.Stderr)
+}
+
+// summarize folds the journal at path and writes its report to stdout. A
+// journal whose last segment a crash cut short is reported up to its last
+// complete line, with a warning on stderr.
+func summarize(path string, stdout, stderr io.Writer) error {
 	r, err := journal.Open(path)
 	if err != nil {
 		return err
@@ -95,7 +102,13 @@ func run() error {
 	if f.events == 0 {
 		return fmt.Errorf("%s: empty journal", path)
 	}
-	return f.report(os.Stdout)
+	if err := f.report(stdout); err != nil {
+		return err
+	}
+	if r.Truncated() {
+		fmt.Fprintf(stderr, "rolostat: warning: journal is truncated (its last segment ends in a cut, as a crashed run leaves it); the report covers the %d events before the cut\n", f.events)
+	}
+	return nil
 }
 
 // phase is one contiguous span of the normal/destaging timeline.

@@ -140,3 +140,36 @@ func TestFoldConstantishMemory(t *testing.T) {
 		t.Fatalf("events = %d", f.events)
 	}
 }
+
+// A compressed run that crashed after a Flush leaves its active segment
+// without a gzip trailer. rolostat still reports every flushed event, and
+// warns on stderr that the journal is cut.
+func TestSummaryOfCrashedCompressedRun(t *testing.T) {
+	evs := sampleRun()
+	dir := t.TempDir()
+	w, err := journal.NewRotatingWriter(journal.RotateConfig{Dir: dir, Compress: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	var scratch []byte
+	for _, ev := range evs {
+		scratch = telemetry.AppendEvent(scratch[:0], ev)
+		if err := w.WriteEvent(scratch, ev.At); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if err := summarize(dir, &stdout, &stderr); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(stdout.Bytes(), []byte("journal: 14 events")) {
+		t.Fatalf("report of the crashed run misses its events:\n%s", stdout.String())
+	}
+	if !bytes.Contains(stderr.Bytes(), []byte("warning: journal is truncated")) {
+		t.Fatalf("no truncation warning on stderr: %q", stderr.String())
+	}
+}

@@ -40,10 +40,10 @@ type Logged struct {
 	// stale — or, without primary backing, whose only current copy is
 	// logged.
 	dirty []intervals.Set
-	// spare[p] holds the array of pair p's last centralized-destage work
-	// set once its copier drained it. takeDirt hands it back as the pair's
-	// next dirty set, so marks after a destage do not regrow an array from
-	// zero.
+	// spare[p] holds pair p's last centralized-destage work set once its
+	// copier drained it: empty, but holding the chunks the pops emptied.
+	// takeDirt hands it back as the pair's next dirty set, so marks after
+	// a destage reuse those chunks instead of allocating new ones.
 	spare []intervals.Set
 	// live[p] drains pair p's dirt for its pair-by-pair destager.
 	live  []liveDirt
@@ -179,7 +179,7 @@ func (l *Logged) ClearDirty(p int) {
 }
 
 // takeDirt moves pair p's dirty spans into a destage work set; the
-// pair's dirt restarts empty in the array its previous work set left.
+// pair's dirt restarts empty in its previous work set, chunks and all.
 //
 // rolosan:audited
 func (l *Logged) takeDirt(p int) *intervals.Set {
@@ -189,9 +189,9 @@ func (l *Logged) takeDirt(p int) *intervals.Set {
 	return work
 }
 
-// keepDrained keeps the array of pair p's work set, which its copier has
-// just drained, for the pair's next takeDirt. The copier, idle and
-// holding an empty set, is left with no array.
+// keepDrained keeps pair p's work set, which its copier has just
+// drained, with its chunks, for the pair's next takeDirt. The copier,
+// idle and holding an empty set, is left with none.
 //
 // rolosan:audited
 func (l *Logged) keepDrained(p int, work *intervals.Set) {
@@ -250,8 +250,8 @@ func (l *Logged) BeginDestage(now sim.Time) {
 
 // DestageEach moves each pair's dirt, in pair order, into a work set,
 // kicks the copier that copier(p, work) returns, and calls done once
-// every pair's copier has first drained. A drained work set's array goes
-// back to its pair for the next destage.
+// every pair's copier has first drained. A drained work set goes back to
+// its pair, chunks and all, for the next destage.
 func (l *Logged) DestageEach(copier func(p int, work *intervals.Set) *Copier, done func(now sim.Time)) {
 	join := NewJoin(len(l.dirty), done)
 	for p := range l.dirty {

@@ -25,6 +25,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"github.com/rolo-storage/rolo"
 	"github.com/rolo-storage/rolo/internal/sim"
@@ -72,6 +73,10 @@ type Options struct {
 	// stats, when non-nil, observes slot occupancy (tests attach it to
 	// pin the shared-budget invariant; see slotStats).
 	stats *slotStats
+	// held, when non-nil, accumulates the nanoseconds this experiment's
+	// leaf simulations hold pool slots; RunAll attaches one per
+	// experiment.
+	held *atomic.Int64
 }
 
 // DefaultOptions returns the default experiment options.

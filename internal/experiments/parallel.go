@@ -6,6 +6,7 @@ import (
 	"io"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -49,8 +50,9 @@ func (o Options) Pool(n int) Options {
 }
 
 // acquire claims one pool slot, blocking while n simulations are already
-// running, and returns the release function. Without a pool it is a no-op.
-// Callers hold a slot only for the duration of one leaf simulation:
+// running, and returns the release function, which adds the time the
+// slot was held to o.held. Without a pool it is a no-op. Callers hold a
+// slot only for the duration of one leaf simulation:
 //
 //	defer o.acquire()()
 func (o Options) acquire() func() {
@@ -61,7 +63,11 @@ func (o Options) acquire() func() {
 	if o.stats != nil {
 		o.stats.enter()
 	}
+	start := time.Now() //lint:allow simdeterminism:wall-clock wall-clock runtime of the harness itself, not simulated time
 	return func() {
+		if o.held != nil {
+			o.held.Add(int64(time.Since(start))) //lint:allow simdeterminism:wall-clock pairs with the wall-clock timer above
+		}
 		if o.stats != nil {
 			o.stats.exit()
 		}
@@ -168,8 +174,11 @@ const separator = "\n===========================================================
 // them. The bytes written to w are therefore identical for every job
 // count, including the serial (no-pool) runner.
 //
-// It returns each experiment's wall time, in list order: from the start
-// of its Run to its return, so it includes any wait for pool slots.
+// It returns, in list order, the time each experiment's leaf simulations
+// held pool slots, fleet shards included: where the sweep's CPU went.
+// Waits for a slot do not count, so at one job the times sum to at most
+// the sweep's wall time. A memoized Figure-10 cell counts for the
+// experiment that computed it.
 //
 // The first error in list order stops the streaming: outputs of the
 // experiments before the failing one are still written, matching the
@@ -180,29 +189,33 @@ func RunAll(o Options, w io.Writer, list []Experiment) ([]time.Duration, error) 
 	}
 	bufs := make([]bytes.Buffer, len(list))
 	errs := make([]error, len(list))
-	walls := make([]time.Duration, len(list))
+	held := make([]atomic.Int64, len(list))
 	err := runPar(o, len(list), func(i int) error {
-		start := time.Now() //lint:allow simdeterminism:wall-clock wall-clock runtime of the harness itself, not simulated time
+		oi := o
+		oi.held = &held[i]
 		// Errors surface below, in list order with partial output.
-		errs[i] = list[i].Run(o, &bufs[i])
-		walls[i] = time.Since(start) //lint:allow simdeterminism:wall-clock pairs with the wall-clock timer above
+		errs[i] = list[i].Run(oi, &bufs[i])
 		return nil
 	})
+	times := make([]time.Duration, len(list))
+	for i := range held {
+		times[i] = time.Duration(held[i].Load())
+	}
 	if err != nil {
-		return walls, err
+		return times, err
 	}
 	for i := range list {
 		if i > 0 {
 			if _, werr := io.WriteString(w, separator); werr != nil {
-				return walls, werr
+				return times, werr
 			}
 		}
 		if _, werr := w.Write(bufs[i].Bytes()); werr != nil {
-			return walls, werr
+			return times, werr
 		}
 		if errs[i] != nil {
-			return walls, fmt.Errorf("%s: %w", list[i].ID, errs[i])
+			return times, fmt.Errorf("%s: %w", list[i].ID, errs[i])
 		}
 	}
-	return walls, nil
+	return times, nil
 }

@@ -176,3 +176,36 @@ func TestRunAllDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestRunAllTimesHeldSlots: RunAll reports the time each experiment's
+// leaf simulations held pool slots, fleet shards included, not its wall
+// time, which includes waits for a slot. At one job the slots are held
+// one at a time, so the times sum to no more than the sweep's wall time.
+func TestRunAllTimesHeldSlots(t *testing.T) {
+	var list []Experiment
+	// fig2 runs its own leaf simulations, the fleet's shards hold slots
+	// too, and eqs simulates nothing.
+	for _, id := range []string{"fig2", "fleet", "eqs"} {
+		e, err := Lookup(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		list = append(list, e)
+	}
+	start := time.Now()
+	held, err := RunAll(tinyOptions().Pool(1), io.Discard, list)
+	wall := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum time.Duration
+	for i, d := range held {
+		sum += d
+		if simulates := list[i].ID != "eqs"; simulates != (d > 0) {
+			t.Errorf("%s held pool slots for %v", list[i].ID, d)
+		}
+	}
+	if sum > wall {
+		t.Fatalf("per-experiment times %v sum to %v, more than the %v sweep", held, sum, wall)
+	}
+}

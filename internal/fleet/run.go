@@ -53,11 +53,12 @@ func (p *semPool) Cap() int { return cap(p.sem) }
 
 // Run simulates every shard of the fleet and returns the merged cluster
 // report. A nil or single-slot pool runs the shards serially on the
-// calling goroutine; otherwise shards run concurrently, throttled by the
-// pool. Either way the reports fold in shard-index order, so the
-// returned report is byte-for-byte identical across job counts, and a
-// failing fleet returns the lowest failing shard's error — exactly what
-// the serial loop would have hit first.
+// calling goroutine, each holding the slot if there is one; otherwise
+// shards run concurrently, throttled by the pool. Either way the reports
+// fold in shard-index order, so the returned report is byte-for-byte
+// identical across job counts, and a failing fleet returns the lowest
+// failing shard's error — exactly what the serial loop would have hit
+// first.
 func Run(spec Spec, pool Pool) (ClusterReport, error) {
 	if err := spec.Validate(); err != nil {
 		return ClusterReport{}, err
@@ -65,7 +66,12 @@ func Run(spec Spec, pool Pool) (ClusterReport, error) {
 	c := NewCluster(spec.worstK())
 	if pool == nil || pool.Cap() <= 1 || spec.Shards == 1 {
 		for i := 0; i < spec.Shards; i++ {
+			release := func() {}
+			if pool != nil {
+				release = pool.Acquire()
+			}
 			rep, err := spec.RunShard(i)
+			release()
 			if err != nil {
 				return ClusterReport{}, err
 			}

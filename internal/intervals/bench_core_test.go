@@ -8,10 +8,10 @@ import (
 // Core benchmarks: the in-place Set mutators controllers hit per write
 // (MarkDirty/CleanDirty) and per destage chunk (PopFirst). scripts/check.sh
 // runs them once per commit (bench-smoke) and `make bench` records them in
-// BENCH_core.json. All of them must report 0 allocs/op once the backing
-// array is at its high-water span count (DESIGN §11).
+// BENCH_core.json. All of them must report 0 allocs/op once the set has
+// held its high-water chunk count (DESIGN §11).
 
-// warmSet returns a set whose backing array has held n disjoint spans.
+// warmSet returns an empty set that has held n disjoint spans.
 func warmSet(n int64) *Set {
 	var s Set
 	for i := int64(0); i < n; i++ {
@@ -57,35 +57,43 @@ func BenchmarkCoreIntervalsPopFirst(b *testing.B) {
 }
 
 // BenchmarkCoreIntervalsMarkDirty marks a random 64 KiB extent and cleans
-// another per op, in a dirty set held near 1.5k spans: the size of a busy
-// pair's set under replay_write, where a mark is a search plus an insert
-// that shifts the spans above it.
+// another per op, in a dirty set held near a given span count: 1.5k, the
+// size of a busy pair's set under replay_write, and 30k, the peak of
+// RoLo-P's largest set on proj_0 at paper scale (31,428 spans). A mark is
+// a search plus an insert that shifts the spans above it in its chunk.
 func BenchmarkCoreIntervalsMarkDirty(b *testing.B) {
-	const (
-		extent = 64 << 10
-		slots  = 6000 // half dirty at random: about slots/4 spans
-	)
-	rng := rand.New(rand.NewSource(1))
-	picks := make([]int64, 1<<12)
-	for i := range picks {
-		picks[i] = rng.Int63n(slots) * extent
-	}
-	var s Set
-	for i := 0; i < 4*slots; i++ {
-		s.Add(picks[i%len(picks)], picks[i%len(picks)]+extent)
-		at := picks[(i*7+3)%len(picks)]
-		s.Remove(at, at+extent)
-	}
-	if s.Count() < 1000 {
-		b.Fatalf("set holds %d spans, want about 1.5k", s.Count())
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		at := picks[i%len(picks)]
-		s.Add(at, at+extent)
-		at = picks[(i*7+3)%len(picks)]
-		s.Remove(at, at+extent)
+	for _, c := range []struct {
+		name         string
+		slots, picks int // half dirty at random: about slots/4 spans
+	}{
+		{"1.5k", 6000, 1 << 12},
+		{"30k", 120000, 1 << 17},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			const extent = 64 << 10
+			rng := rand.New(rand.NewSource(1))
+			picks := make([]int64, c.picks)
+			for i := range picks {
+				picks[i] = rng.Int63n(int64(c.slots)) * extent
+			}
+			var s Set
+			for i := 0; i < 4*c.slots; i++ {
+				s.Add(picks[i%len(picks)], picks[i%len(picks)]+extent)
+				at := picks[(i*7+3)%len(picks)]
+				s.Remove(at, at+extent)
+			}
+			if want := c.slots / 4; s.Count() < want*2/3 {
+				b.Fatalf("set holds %d spans, want about %d", s.Count(), want)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				at := picks[i%len(picks)]
+				s.Add(at, at+extent)
+				at = picks[(i*7+3)%len(picks)]
+				s.Remove(at, at+extent)
+			}
+		})
 	}
 }
 

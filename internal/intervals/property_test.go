@@ -102,7 +102,8 @@ func (n *naiveSet) popFirst(max int64) (Span, bool) {
 }
 
 // agree fails the test unless s holds its invariants and matches ref span
-// for span. It returns ref's spans.
+// for span, walked with a cursor and spot-checked with At. It returns
+// ref's spans.
 func agree(t *testing.T, s *Set, ref *naiveSet, where string) []Span {
 	t.Helper()
 	if err := s.CheckInvariants(); err != nil {
@@ -115,19 +116,54 @@ func agree(t *testing.T, s *Set, ref *naiveSet, where string) []Span {
 	if s.Count() != len(want) {
 		t.Fatalf("%s: %d spans %v, want %d spans %v", where, s.Count(), s.Spans(), len(want), want)
 	}
+	it := s.Cursor()
 	for i, w := range want {
-		if got := s.At(i); got != w {
-			t.Fatalf("%s: span %d = %+v, want %+v", where, i, got, w)
+		if got, ok := it.Next(); !ok || got != w {
+			t.Fatalf("%s: span %d = %+v,%v, want %+v", where, i, got, ok, w)
+		}
+	}
+	if got, ok := it.Next(); ok {
+		t.Fatalf("%s: cursor walked past the last span to %+v", where, got)
+	}
+	for _, i := range []int{0, len(want) / 2, len(want) - 1} {
+		if i >= 0 && i < len(want) && s.At(i) != want[i] {
+			t.Fatalf("%s: At(%d) = %+v, want %+v", where, i, s.At(i), want[i])
 		}
 	}
 	return want
 }
 
+// touched counts the chunks that hold a span [start, end] overlaps or
+// touches: the chunks one Add of the range merges spans from.
+func touched(s *Set, start, end int64) int {
+	n := 0
+	for k := range s.ends {
+		if s.chunk(k)[0].Start <= end && s.ends[k] >= start {
+			n++
+		}
+	}
+	return n
+}
+
+// inside counts the chunks whose spans all lie in [start, end): the
+// chunks one Remove of the range empties.
+func inside(s *Set, start, end int64) int {
+	n := 0
+	for k := range s.ends {
+		if s.chunk(k)[0].Start >= start && s.ends[k] <= end {
+			n++
+		}
+	}
+	return n
+}
+
 // TestSetMatchesNaiveReference fuzzes the in-place Set against the bitmap
 // reference with a rapid add/remove/pop loop, checking CheckInvariants and
-// full span-list agreement after every mutation. The large universe holds
-// more than a thousand spans at once, so the searches run many halving
-// steps and inserts shift long tails.
+// full span-list agreement after every mutation. The large universes hold
+// more than a thousand spans at once, in many chunks, so the searches run
+// many halving steps and inserts split full chunks. The wide case also
+// adds and removes long ranges, so that one Add absorbs spans from three
+// or more chunks and one Remove empties whole chunks.
 func TestSetMatchesNaiveReference(t *testing.T) {
 	for _, u := range []struct {
 		name           string
@@ -136,20 +172,40 @@ func TestSetMatchesNaiveReference(t *testing.T) {
 		seeds, ops     int
 		minPeakSpans   int
 		addsPerRemoval int // of every 10 operations, this many are adds
+		wideLen        int // if > 0, one operation in 50 of the second half is a wide add or remove of up to this length
 	}{
-		{"small", 512, 40, 40, 2000, 0, 4},
-		{"large", 12288, 4, 1, 6000, 1000, 6},
+		{"small", 512, 40, 40, 2000, 0, 4, 0},
+		{"large", 12288, 4, 1, 6000, 1000, 6, 0},
+		{"wide", 16384, 4, 2, 10000, 1000, 6, 4000},
 	} {
 		t.Run(u.name, func(t *testing.T) {
-			peak := 0
+			peak, wideAdds, chunkDrops := 0, 0, 0
 			for seed := int64(0); seed < int64(u.seeds); seed++ {
 				rng := rand.New(rand.NewSource(seed))
 				var s Set
-				ref := newNaiveSet(u.universe + 20 + u.maxLen)
+				ref := newNaiveSet(u.universe + 20 + max(u.maxLen, u.wideLen))
 				for op := 0; op < u.ops; op++ {
 					start := int64(rng.Intn(u.universe + 20)) // occasionally out past the edge
 					end := start + int64(rng.Intn(u.maxLen))
 					where := fmt.Sprintf("seed %d op %d", seed, op)
+					if u.wideLen > 0 && op >= u.ops/2 && rng.Intn(50) == 0 {
+						end = start + int64(rng.Intn(u.wideLen))
+						if rng.Intn(2) == 0 {
+							if touched(&s, start, end) >= 3 {
+								wideAdds++
+							}
+							s.Add(start, end)
+							ref.add(start, end)
+						} else {
+							if inside(&s, start, end) > 0 {
+								chunkDrops++
+							}
+							s.Remove(start, end)
+							ref.remove(start, end)
+						}
+						agree(t, &s, ref, where)
+						continue
+					}
 					switch k := rng.Intn(10); {
 					case k < u.addsPerRemoval:
 						s.Add(start, end)
@@ -175,21 +231,32 @@ func TestSetMatchesNaiveReference(t *testing.T) {
 						}
 					}
 					want := agree(t, &s, ref, where)
-					if got, want := s.FirstAfter(start), firstAfterRef(want, start); got != want {
-						t.Fatalf("%s: FirstAfter(%d) = %d, want %d", where, start, got, want)
+					it := s.CursorAfter(start)
+					for _, w := range want[firstAfterRef(want, start):] {
+						if got, ok := it.Next(); !ok || got != w {
+							t.Fatalf("%s: CursorAfter(%d) walked %+v,%v, want %+v", where, start, got, ok, w)
+						}
+					}
+					if got, ok := it.Next(); ok {
+						t.Fatalf("%s: CursorAfter(%d) walked past the last span to %+v", where, start, got)
 					}
 					peak = max(peak, s.Count())
 				}
 			}
-			t.Logf("peak of %d spans", peak)
+			t.Logf("peak of %d spans; %d adds across three or more chunks, %d removes that emptied chunks",
+				peak, wideAdds, chunkDrops)
 			if peak < u.minPeakSpans {
 				t.Fatalf("peak of %d spans, want at least %d", peak, u.minPeakSpans)
+			}
+			if u.wideLen > 0 && (wideAdds == 0 || chunkDrops == 0) {
+				t.Fatalf("%d adds across three or more chunks and %d removes that emptied chunks, want both",
+					wideAdds, chunkDrops)
 			}
 		})
 	}
 }
 
-// firstAfterRef is a linear scan for FirstAfter.
+// firstAfterRef is a linear scan for the first span that ends after x.
 func firstAfterRef(sps []Span, x int64) int {
 	for i, sp := range sps {
 		if sp.End > x {
@@ -199,16 +266,26 @@ func firstAfterRef(sps []Span, x int64) int {
 	return len(sps)
 }
 
+// firstArray identifies the first chunk's array.
+func firstArray(s *Set) *Span {
+	if cap(s.first) == 0 {
+		return nil
+	}
+	return &s.first[:1][0]
+}
+
 // TestSetDrainWhileMarking alternates marking phases with pop-heavy
 // phases that keep adding at the tail, as a pair's live destager does
-// while new writes dirty the pair: whole-span pops advance the head,
-// tail adds fill the slack behind the live spans until the backing array
-// is full and they move down into the front slack, and both tail fast
-// paths run. Every operation is checked span for span against the bitmap
-// reference; the test also asserts that each of those paths ran.
+// while new writes dirty the pair: whole-span pops advance the first
+// chunk's head, an insert into a first chunk with no room at its end
+// moves its spans down into the front slack, pops that empty the first
+// chunk keep it spare and tail adds past a full last chunk reuse it, and
+// both tail fast paths run. Every operation is checked span for span
+// against the bitmap reference; the test also asserts that each of those
+// paths ran.
 func TestSetDrainWhileMarking(t *testing.T) {
 	const size = 1 << 14
-	var headAdvances, compactions, tailAppends, tailMerges int
+	var headAdvances, compactions, reuses, tailAppends, tailMerges int
 	for seed := int64(0); seed < 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var s Set
@@ -224,7 +301,8 @@ func TestSetDrainWhileMarking(t *testing.T) {
 			pops := phase%2 == 1
 			for op := 0; op < 120; op++ {
 				where := fmt.Sprintf("seed %d phase %d op %d", seed, phase, op)
-				head, capBefore, n := s.head, cap(s.spans), s.Count()
+				h, array, n := s.head, firstArray(&s), s.Count()
+				chunks, spare := len(s.ends), len(s.spare)
 				var lastBefore, prevBefore Span
 				if n > 0 {
 					lastBefore = s.At(n - 1)
@@ -241,7 +319,7 @@ func TestSetDrainWhileMarking(t *testing.T) {
 					if gotOK != wantOK || got != want {
 						t.Fatalf("%s: PopFirst(%d) = %+v,%v, want %+v,%v", where, max, got, gotOK, want, wantOK)
 					}
-					if s.head > head {
+					if firstArray(&s) == array && s.head > h {
 						headAdvances++
 					}
 					agree(t, &s, ref, where)
@@ -261,8 +339,11 @@ func TestSetDrainWhileMarking(t *testing.T) {
 				case n > 0 && end >= lastBefore.Start && (n == 1 || start > prevBefore.End):
 					tailMerges++
 				}
-				if head > 0 && s.head == 0 && cap(s.spans) == capBefore && !s.Empty() {
+				if h > 0 && s.head == 0 && firstArray(&s) == array {
 					compactions++
+				}
+				if chunks > 0 && len(s.ends) > chunks && len(s.spare) < spare {
+					reuses++
 				}
 			}
 		}
@@ -273,6 +354,7 @@ func TestSetDrainWhileMarking(t *testing.T) {
 	}{
 		{"head advances", headAdvances},
 		{"compactions into front slack", compactions},
+		{"spare chunk reuses", reuses},
 		{"tail appends", tailAppends},
 		{"tail merges", tailMerges},
 	} {
@@ -283,7 +365,7 @@ func TestSetDrainWhileMarking(t *testing.T) {
 }
 
 // TestRemoveNoOverlapDoesNotMutate pins the early-return: removing a range
-// that misses the set must leave the backing slice untouched.
+// that misses the set must leave the spans untouched.
 func TestRemoveNoOverlapDoesNotMutate(t *testing.T) {
 	var s Set
 	s.Add(100, 200)
@@ -297,11 +379,10 @@ func TestRemoveNoOverlapDoesNotMutate(t *testing.T) {
 }
 
 // TestSetSteadyStateZeroAllocs pins the 0 allocs/op contract for Add,
-// Remove and PopFirst once the backing array has reached its high-water
-// span count.
+// Remove and PopFirst once the set has held its high-water chunk count.
 func TestSetSteadyStateZeroAllocs(t *testing.T) {
 	var s Set
-	// Warm the backing array to its high-water mark for the loop below.
+	// Warm the lone chunk to its high-water mark for the loop below.
 	for i := int64(0); i < 32; i++ {
 		s.Add(i*20, i*20+10)
 	}
@@ -327,11 +408,10 @@ func TestSetSteadyStateZeroAllocs(t *testing.T) {
 	}
 
 	// Drain while marking, as a pair's live destager does: pop the lowest
-	// span and append one past the highest, holding 512 live spans in a
-	// backing array warmed to 1024. The head keeps advancing, so the array
-	// stays allocation-free only because grow moves the live spans down
-	// into the slack the pops left. Without that, the cycle's 4096 appends
-	// outgrow the array in every run, warm-up included.
+	// span and append one past the highest, holding 512 live spans in
+	// chunks warmed to 1024 spans. The cycle's 4096 appends need 32 new
+	// last chunks, so it stays allocation-free only because the chunks
+	// the pops empty are kept spare and reused.
 	s.Clear()
 	for i := int64(0); i < 1024; i++ {
 		s.Add(i*20, i*20+10)
@@ -352,5 +432,39 @@ func TestSetSteadyStateZeroAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("drain-while-marking PopFirst/Add: %v allocs/op, want 0", n)
+	}
+
+	// Mark and clean a multi-chunk set, as a busy pair's dirty set sees
+	// them: each mark merges a run of 300 spans across chunk boundaries,
+	// dropping the chunks it covers, and cleaning the run's gaps splits the
+	// merged span back into 300, refilling and splitting chunks. Both
+	// reuse chunks kept spare.
+	const spans, run = 3000, 300
+	s.Clear()
+	for i := int64(0); i < spans; i++ {
+		s.Add(i*20, i*20+10)
+	}
+	cycle := func() {
+		for lo := int64(0); lo < spans; lo += run {
+			s.Add(lo*20, (lo+run-1)*20+10)
+			for i := lo; i < lo+run-1; i++ {
+				s.Remove(i*20+10, i*20+20)
+			}
+		}
+		if s.Count() != spans {
+			t.Fatalf("mark/clean cycle left %d spans, want %d", s.Count(), spans)
+		}
+	}
+	for range 3 {
+		cycle() // reach the cycle's high-water chunk count
+	}
+	if len(s.ends) < 3 {
+		t.Fatalf("%d chunks, want a multi-chunk set", len(s.ends))
+	}
+	if n := testing.AllocsPerRun(20, cycle); n != 0 {
+		t.Errorf("multi-chunk mark/clean: %v allocs/op, want 0", n)
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -30,7 +30,12 @@ type Space struct {
 	free      intervals.Set
 	donated   intervals.Set          // extents permanently given to the data region
 	used      map[int]*intervals.Set // tag -> extents
-	usedBy    int64
+	// idle is the emptied set of the last released tag, chunks and all,
+	// kept for the next new tag. One set, not a list: a space off duty
+	// sees releases but no new tags, and a list would hold every
+	// released tag's chunks.
+	idle   *intervals.Set
+	usedBy int64
 	// cursor is the append head: allocation is next-fit from here with
 	// wrap-around, so consecutive log writes stay sequential on disk even
 	// after reclamation has opened holes behind the head (the region
@@ -58,7 +63,7 @@ type Space struct {
 type run struct {
 	cur intervals.Span
 	set *intervals.Set
-	i   int
+	it  intervals.Cursor
 	tag int
 }
 
@@ -127,13 +132,12 @@ func (s *Space) Generation() uint64 { return s.gen }
 
 // LargestFree returns the size of the largest contiguous free extent.
 func (s *Space) LargestFree() int64 {
-	var max int64
-	for i := 0; i < s.free.Count(); i++ {
-		if n := s.free.At(i).Len(); n > max {
-			max = n
-		}
+	var largest int64
+	it := s.free.Cursor()
+	for sp, ok := it.Next(); ok; sp, ok = it.Next() {
+		largest = max(largest, sp.Len())
 	}
-	return max
+	return largest
 }
 
 // Alloc reserves n contiguous bytes tagged with tag, next-fit from the
@@ -146,19 +150,19 @@ func (s *Space) Alloc(n int64, tag int) (Alloc, bool) {
 	}
 	// First pass: at or after the cursor (a true append when the cursor
 	// sits inside a free span), starting at the first free span that ends
-	// past it. Indexed iteration (Count/At) avoids the snapshot copy
-	// Spans() would make on this per-write path; take is only called once
-	// a span is chosen, after iteration ends.
-	for i := s.free.FirstAfter(s.cursor); i < s.free.Count(); i++ {
-		sp := s.free.At(i)
+	// past it. take is only called once a span is chosen: it changes the
+	// free set, which ends the walk.
+	it := s.free.CursorAfter(s.cursor)
+	for sp, ok := it.Next(); ok; sp, ok = it.Next() {
 		start := max(sp.Start, s.cursor)
 		if sp.End-start >= n {
 			return s.take(start, n, tag), true
 		}
 	}
 	// Wrap around: restart from the lowest free extent that fits.
-	for i := 0; i < s.free.Count(); i++ {
-		if sp := s.free.At(i); sp.Len() >= n {
+	it = s.free.Cursor()
+	for sp, ok := it.Next(); ok; sp, ok = it.Next() {
+		if sp.Len() >= n {
 			return s.take(sp.Start, n, tag), true
 		}
 	}
@@ -172,7 +176,11 @@ func (s *Space) take(start, n int64, tag int) Alloc {
 	if slot.set == nil || slot.tag != tag {
 		set, ok := s.used[tag]
 		if !ok {
-			set = &intervals.Set{}
+			set = s.idle
+			if set == nil {
+				set = new(intervals.Set)
+			}
+			s.idle = nil
 			s.used[tag] = set
 		}
 		*slot = tagSlot{tag: tag, set: set}
@@ -185,7 +193,8 @@ func (s *Space) take(start, n int64, tag int) Alloc {
 
 // ReleaseTag invalidates every extent allocated under tag and returns the
 // number of bytes reclaimed. This is the proactive reclamation step that
-// follows a completed destage.
+// follows a completed destage. The tag's emptied set waits for the next
+// new tag, in place of any set released before it.
 func (s *Space) ReleaseTag(tag int) int64 {
 	set, ok := s.used[tag]
 	if !ok {
@@ -193,12 +202,14 @@ func (s *Space) ReleaseTag(tag int) int64 {
 	}
 	s.gen++
 	var freed int64
-	for i := 0; i < set.Count(); i++ {
-		sp := set.At(i)
+	it := set.Cursor()
+	for sp, ok := it.Next(); ok; sp, ok = it.Next() {
 		s.free.Add(sp.Start, sp.End)
 		freed += sp.Len()
 	}
 	delete(s.used, tag)
+	set.Clear()
+	s.idle = set
 	if slot := &s.tagCache[uint(tag)%tagSlots]; slot.tag == tag {
 		slot.set = nil
 	}
@@ -232,8 +243,8 @@ func (s *Space) Reset() {
 	s.gen++
 	s.free.Clear()
 	var from int64
-	for i := 0; i < s.donated.Count(); i++ {
-		sp := s.donated.At(i)
+	it := s.donated.Cursor()
+	for sp, ok := it.Next(); ok; sp, ok = it.Next() {
 		s.free.Add(from, sp.Start)
 		from = sp.End
 	}
@@ -292,8 +303,9 @@ func (s *Space) CheckInvariants() error {
 		if r.tag >= 0 {
 			usedTotal += r.set.Total()
 		}
-		if r.set.Count() > 0 {
-			r.cur = r.set.At(0)
+		r.it = r.set.Cursor()
+		if sp, ok := r.it.Next(); ok {
+			r.cur = sp
 			live = append(live, r)
 			spans += r.set.Count()
 		}
@@ -317,9 +329,9 @@ func (s *Space) CheckInvariants() error {
 		prevEnd = sp.End
 		total += sp.Len()
 		next := node{start: math.MaxInt64, run: w}
-		if r.i++; r.i < r.set.Count() {
-			r.cur = r.set.At(r.i)
-			next.start = r.cur.Start
+		if sp, ok := r.it.Next(); ok {
+			r.cur = sp
+			next.start = sp.Start
 		}
 		replay(tree, next)
 	}

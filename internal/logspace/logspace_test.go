@@ -77,6 +77,30 @@ func TestReleaseTagReclaims(t *testing.T) {
 	}
 }
 
+// TestReleaseTagKeepsSetForNextTag: a released tag's set, emptied but
+// holding its chunks, becomes the next new tag's set.
+func TestReleaseTagKeepsSetForNextTag(t *testing.T) {
+	s := mustSpace(t, 1<<20)
+	for i := 0; i < 300; i++ { // tag 2's extents keep tag 1's 300 apart
+		s.Alloc(100, 1)
+		s.Alloc(100, 2)
+	}
+	released := s.used[1]
+	s.ReleaseTag(1)
+	if _, ok := s.Alloc(100, 3); !ok {
+		t.Fatal("alloc failed")
+	}
+	if s.used[3] != released {
+		t.Fatal("the next new tag did not reuse the released tag's set")
+	}
+	if got := s.TagBytes(3); got != 100 {
+		t.Fatalf("TagBytes(3) = %d, want 100", got)
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestAllocStaysSequentialAfterReclaim(t *testing.T) {
 	// Reclaiming extents behind the append head must not pull subsequent
 	// allocations backwards into the holes: the log is circular, so the

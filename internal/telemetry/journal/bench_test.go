@@ -61,11 +61,12 @@ func BenchmarkSyncJSONLSinkEmit(b *testing.B) {
 	}
 }
 
-// BenchmarkAsyncSinkEmit measures what the simulation goroutine pays per
-// event with the async pipeline over the same file-backed journal: a
-// ring push under an uncontended mutex. Encoding and IO happen on the
-// writer goroutine. The acceptance gate for the async journal work is
-// this number dropping below the synchronous baseline above.
+// BenchmarkAsyncSinkEmit measures the async pipeline's sustained,
+// writer-bound throughput over the same file-backed journal. It emits
+// without pause under PolicyBlock, so once the ring fills, Emit waits
+// for the writer goroutine and ns/op is the writer's encode and IO rate
+// per event. BenchmarkCoreJournalEmit measures what the simulation
+// goroutine itself pays per event.
 func BenchmarkAsyncSinkEmit(b *testing.B) {
 	f, err := os.Create(filepath.Join(b.TempDir(), "journal.jsonl"))
 	if err != nil {

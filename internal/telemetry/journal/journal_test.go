@@ -443,3 +443,190 @@ func TestRotatingWriterWriteErrorMidSegment(t *testing.T) {
 		t.Fatalf("a failed journal wrote a manifest: %v", err)
 	}
 }
+
+// readCut drains the journal at path, failing on any error but io.EOF,
+// and returns the events and whether the Reader reported a cut.
+func readCut(t *testing.T, path string) ([]telemetry.Event, bool) {
+	t.Helper()
+	r, err := Open(path)
+	if err != nil {
+		t.Fatalf("Open(%s): %v", path, err)
+	}
+	defer r.Close()
+	var out []telemetry.Event
+	for {
+		ev, err := r.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("Next after %d events: %v", len(out), err)
+		}
+		out = append(out, ev)
+	}
+	// A second call after the end stays at the end.
+	if _, err := r.Next(); err != io.EOF {
+		t.Fatalf("Next past the end: %v, want io.EOF", err)
+	}
+	return out, r.Truncated()
+}
+
+// writeGzipCut writes lines to path as a gzip stream flushed but never
+// closed: no trailer, as a crash leaves a compressed active segment.
+func writeGzipCut(t *testing.T, path string, lines []byte) {
+	t.Helper()
+	var buf bytes.Buffer
+	gz := gzip.NewWriter(&buf)
+	if _, err := gz.Write(lines); err != nil {
+		t.Fatal(err)
+	}
+	if err := gz.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReaderStopsAtCrashCut reads journals whose last segment a crash
+// cut: the Reader returns every complete line, then io.EOF, and reports
+// the cut.
+func TestReaderStopsAtCrashCut(t *testing.T) {
+	evs := genEvents(100, 11)
+	all := encodeAll(evs)
+	lastLine := bytes.LastIndexByte(all[:len(all)-1], '\n') + 1
+	for _, c := range []struct {
+		name  string
+		write func(t *testing.T, dir string)
+		want  int // events read before the cut
+	}{
+		{"gzip stream without trailer", func(t *testing.T, dir string) {
+			// A compressing writer flushed but never closed.
+			w, err := NewRotatingWriter(RotateConfig{Dir: dir, Compress: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { w.Close() })
+			for i, ev := range evs {
+				if err := w.WriteEvent(all[lineStart(all, i):lineStart(all, i+1)], ev.At); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}, 100},
+		{"empty gzip segment after a rotation", func(t *testing.T, dir string) {
+			// Every event rotates, so the active segment is still empty.
+			w, err := NewRotatingWriter(RotateConfig{Dir: dir, SegmentBytes: 1, Compress: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { w.Close() })
+			for i, ev := range evs {
+				if err := w.WriteEvent(all[lineStart(all, i):lineStart(all, i+1)], ev.At); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if st, err := os.Stat(filepath.Join(dir, "run-00101.jsonl.gz")); err != nil || st.Size() != 0 {
+				t.Fatalf("active segment: %v, %v; want an empty file", st, err)
+			}
+		}, 100},
+		{"gzip segment cut inside a line", func(t *testing.T, dir string) {
+			writeGzipCut(t, filepath.Join(dir, "run-00001.jsonl.gz"), all[:lastLine+5])
+		}, 99},
+		{"plain segment cut inside a line", func(t *testing.T, dir string) {
+			if err := os.WriteFile(filepath.Join(dir, "run-00001.jsonl"), all[:lastLine], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "run-00002.jsonl"), all[lastLine:len(all)-1], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, 99},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			c.write(t, dir)
+			got, cut := readCut(t, dir)
+			if !cut {
+				t.Error("Truncated() = false after a cut")
+			}
+			if len(got) != c.want {
+				t.Fatalf("read %d events, want %d", len(got), c.want)
+			}
+			if !bytes.Equal(encodeAll(got), all[:lineStart(all, c.want)]) {
+				t.Fatal("events read before the cut differ from those written")
+			}
+		})
+	}
+
+	// A sealed journal reads without a cut.
+	dir := t.TempDir()
+	writeRotated(t, dir, RotateConfig{SegmentBytes: 2048, Compress: true}, evs)
+	if got, cut := readCut(t, dir); cut || len(got) != len(evs) {
+		t.Fatalf("sealed journal: %d events, Truncated() = %v; want %d, false", len(got), cut, len(evs))
+	}
+}
+
+// lineStart returns the offset of line i of the encoded journal b, or
+// len(b) past its last line.
+func lineStart(b []byte, i int) int {
+	off := 0
+	for ; i > 0 && off < len(b); i-- {
+		off += bytes.IndexByte(b[off:], '\n') + 1
+	}
+	return off
+}
+
+// TestReaderEarlierSegmentsStayStrict: a cut before the last segment is
+// corruption, not a crash, since rotation seals a segment before it opens
+// the next one.
+func TestReaderEarlierSegmentsStayStrict(t *testing.T) {
+	all := encodeAll(genEvents(20, 12))
+	half := lineStart(all, 10)
+	for _, c := range []struct {
+		name  string
+		first func(t *testing.T, path string)
+		want  string
+	}{
+		{"gzip stream without trailer", func(t *testing.T, path string) { writeGzipCut(t, path+".gz", all[:half]) }, "unexpected EOF"},
+		{"empty gzip segment", func(t *testing.T, path string) {
+			if err := os.WriteFile(path+".gz", nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, "EOF"},
+		{"line without its newline", func(t *testing.T, path string) {
+			if err := os.WriteFile(path, all[:half-3], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, "line 10"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			c.first(t, filepath.Join(dir, "run-00001.jsonl"))
+			if err := os.WriteFile(filepath.Join(dir, "run-00002.jsonl"), all[half:], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			r, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			for {
+				_, err := r.Next()
+				if err == io.EOF {
+					t.Fatal("journal read to its end past a cut first segment")
+				}
+				if err != nil {
+					if !strings.Contains(err.Error(), c.want) {
+						t.Fatalf("error %q, want one naming %q", err, c.want)
+					}
+					break
+				}
+			}
+			if r.Truncated() {
+				t.Error("Truncated() = true for a cut before the last segment")
+			}
+		})
+	}
+}

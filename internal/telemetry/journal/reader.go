@@ -2,7 +2,9 @@ package journal
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -19,6 +21,13 @@ import (
 // memory. cmd/rolostat's folds run over it, so analysis cost is
 // constant-memory in the event count.
 //
+// The last segment may end where a crash cut the run: a gzip stream
+// without its trailer, a .gz file still empty after a rotation, or a
+// final line without its newline. The Reader ends the journal there,
+// after the last complete line, and Truncated reports the cut. Earlier
+// segments were sealed before the next one opened, so any of these is
+// an error there.
+//
 //rolosan:resource
 type Reader struct {
 	files []string // segment paths, in replay order
@@ -29,6 +38,8 @@ type Reader struct {
 	f  *os.File
 	gz *gzip.Reader
 	sc *bufio.Scanner
+
+	truncated bool
 }
 
 // isSegmentName reports whether a directory entry is a journal segment
@@ -109,7 +120,11 @@ func (r *Reader) nextFile() error {
 	if strings.HasSuffix(path, ".gz") {
 		gz, err := gzip.NewReader(f)
 		if err != nil {
-			_ = f.Close() // already failing; the gzip open error is the root cause
+			_ = f.Close() // already failing, or a cut: the gzip open error is what counts
+			if r.last() && cutShort(err) {
+				r.truncated = true
+				return io.EOF
+			}
 			return fmt.Errorf("journal: %s: %w", path, err)
 		}
 		r.gz = gz
@@ -120,13 +135,42 @@ func (r *Reader) nextFile() error {
 	r.line = 0
 	r.sc = bufio.NewScanner(src)
 	r.sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	if r.last() {
+		r.sc.Split(r.completeLines)
+	}
 	return nil
 }
+
+// last reports whether the segment opened last is the journal's last.
+func (r *Reader) last() bool { return r.idx == len(r.files) }
+
+// cutShort reports whether err is a stream ending early: a .gz file
+// without a whole header, or a gzip stream without its trailer.
+func cutShort(err error) bool { return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) }
+
+// completeLines is the last segment's split function: bufio.ScanLines,
+// except that a final line without its newline is dropped and recorded
+// as a cut.
+func (r *Reader) completeLines(data []byte, atEOF bool) (int, []byte, error) {
+	if atEOF && len(data) > 0 && bytes.IndexByte(data, '\n') < 0 {
+		r.truncated = true
+		return len(data), nil, nil
+	}
+	return bufio.ScanLines(data, atEOF)
+}
+
+// Truncated reports whether the journal's last segment ended in a cut
+// that the Reader stopped at: a missing gzip trailer, an empty .gz file
+// or a final line without its newline. It is meaningful once Next has
+// returned io.EOF.
+func (r *Reader) Truncated() bool { return r.truncated }
 
 func (r *Reader) closeCurrent() error {
 	var err error
 	if r.gz != nil {
-		err = r.gz.Close()
+		if err = r.gz.Close(); r.truncated && cutShort(err) {
+			err = nil // the cut Next stopped at
+		}
 		r.gz = nil
 	}
 	if r.f != nil {
@@ -143,7 +187,8 @@ func (r *Reader) closeCurrent() error {
 }
 
 // Next returns the next event in journal order. It returns io.EOF after
-// the last event of the last segment.
+// the last event of the last segment, or after the last complete line
+// before a cut in it.
 func (r *Reader) Next() (telemetry.Event, error) {
 	for {
 		if r.sc == nil {
@@ -164,7 +209,10 @@ func (r *Reader) Next() (telemetry.Event, error) {
 			return ev, nil
 		}
 		if err := r.sc.Err(); err != nil {
-			return telemetry.Event{}, fmt.Errorf("journal: %s line %d: %w", r.cur, r.line, err)
+			if !r.last() || !errors.Is(err, io.ErrUnexpectedEOF) {
+				return telemetry.Event{}, fmt.Errorf("journal: %s line %d: %w", r.cur, r.line, err)
+			}
+			r.truncated = true
 		}
 		r.sc = nil // segment exhausted; advance
 	}

@@ -11,8 +11,10 @@
 # whole module and writes the best wall time to BENCH_lint.json (the
 # 850 ms budget scripts/check.sh enforces), then runs the end-to-end benchmark
 # (perfbench/run.py) for 20 s per workload at seed 0 and writes each
-# workload's end-to-end medians to BENCH_e2e.json. Run from the
-# repository root (or via `make bench`).
+# workload's end-to-end medians to BENCH_e2e.json, beside the paper-scale
+# cost: the CPU seconds and stdout sha256 of
+# `roloexp -run fig10 -scale 1 -jobs 1`. Run from the repository root
+# (or via `make bench`).
 #
 #	BENCH_COUNT=5 ./scripts/bench.sh    # more repetitions (best-of is kept)
 #	BENCH_OUT=/tmp/b.json ./scripts/bench.sh
@@ -111,6 +113,24 @@ for w in replay_write replay_read fleet observed; do
 	echo "== perfbench $w (seed 0, 20 s)" >&2
 	python3 perfbench/run.py --workload "$w" --seed 0 --seconds 20 >"$e2eraw/$w" || exit 1
 done
+# Paper-scale cost: Figure 10's ten runs (five schemes on src2_2 and
+# proj_0, replay_write's runs) at scale 1, one at a time. The child's CPU
+# seconds come from getrusage, so no time(1) is needed.
+echo "== roloexp -run fig10 -scale 1 -jobs 1" >&2
+go build -o bin/roloexp ./cmd/roloexp || exit 1
+python3 - "$e2eraw/paper_scale" <<'EOF' || exit 1
+import hashlib, json, resource, subprocess, sys
+
+cmd = ["bin/roloexp", "-run", "fig10", "-scale", "1", "-jobs", "1"]
+out = subprocess.run(cmd, stdout=subprocess.PIPE, check=True).stdout
+ru = resource.getrusage(resource.RUSAGE_CHILDREN)
+with open(sys.argv[1], "w") as f:
+    json.dump({
+        "command": "roloexp -run fig10 -scale 1 -jobs 1",
+        "cpu_s": {"value": round(ru.ru_utime + ru.ru_stime, 2), "unit": "s"},
+        "stdout_sha256": hashlib.sha256(out).hexdigest(),
+    }, f)
+EOF
 python3 - "$e2eraw" "$(go env GOVERSION)" >"$e2eout" <<'EOF' || exit 1
 import json, os, sys
 
@@ -124,6 +144,8 @@ for w in ("replay_write", "replay_read", "fleet", "observed"):
     m = res["metrics"]
     out["workloads"][w] = {"iterations": res["attempted"]}
     out["workloads"][w].update({k: m[k] for k in ("setup_s", "sim_req_per_cpu_s", "peak_rss_mb")})
+with open(os.path.join(raw, "paper_scale")) as f:
+    out["paper_scale"] = json.load(f)
 json.dump(out, sys.stdout, indent=2)
 print()
 EOF
