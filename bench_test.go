@@ -114,12 +114,8 @@ func BenchmarkAblationMultiLogger(b *testing.B) {
 	for _, loggers := range []int{1, 2} {
 		loggers := loggers
 		b.Run(strconv.Itoa(loggers), func(b *testing.B) {
-			cfg := rolo.DefaultConfig(rolo.SchemeRoLoP)
+			cfg := rolo.ScaledConfig(rolo.SchemeRoLoP, o.Scale, 8)
 			cfg.Pairs = o.Pairs
-			cfg.Disk.CapacityBytes = int64(18.4 * o.Scale * float64(int64(1)<<30))
-			cfg.Disk.CapacityBytes -= cfg.Disk.CapacityBytes % (1 << 20)
-			cfg.FreeBytesPerDisk = int64(8 * o.Scale * float64(int64(1)<<30))
-			cfg.FreeBytesPerDisk -= cfg.FreeBytesPerDisk % (1 << 20)
 			cfg.RoLo.OnDutyLoggers = loggers
 			recs, err := rolo.GenerateProfile("src2_2", cfg, o.Scale)
 			if err != nil {
@@ -154,12 +150,8 @@ func BenchmarkAblationBackgroundGuard(b *testing.B) {
 			name = "unguarded"
 		}
 		b.Run(name, func(b *testing.B) {
-			cfg := rolo.DefaultConfig(rolo.SchemeRoLoP)
+			cfg := rolo.ScaledConfig(rolo.SchemeRoLoP, o.Scale, 8)
 			cfg.Pairs = o.Pairs
-			cfg.Disk.CapacityBytes = int64(18.4 * o.Scale * float64(int64(1)<<30))
-			cfg.Disk.CapacityBytes -= cfg.Disk.CapacityBytes % (1 << 20)
-			cfg.FreeBytesPerDisk = int64(8 * o.Scale * float64(int64(1)<<30))
-			cfg.FreeBytesPerDisk -= cfg.FreeBytesPerDisk % (1 << 20)
 			if !guard {
 				cfg.Disk.BackgroundGuard = 0
 			}

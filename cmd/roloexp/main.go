@@ -13,6 +13,11 @@
 // are identical for every job count. Per-experiment timing goes to
 // stderr, keeping stdout deterministic; under -run all it is one line per
 // experiment, in registry order, printed after the run.
+//
+// -check, -probe-interval and -journal reach every simulation except the
+// recovery and parity experiments, which assemble their controllers by
+// hand, and the fleet experiment, whose shards take -check only. A
+// simulation that several experiments share runs once per invocation.
 package main
 
 import (
@@ -40,7 +45,7 @@ func run() (err error) {
 		scale      = flag.Float64("scale", 0.1, "geometry+trace scale factor in (0,1]")
 		pairs      = flag.Int("pairs", 20, "number of mirrored pairs (disks = 2*pairs)")
 		jobs       = flag.Int("jobs", 0, "max simulations in flight (0 = GOMAXPROCS)")
-		journalDir = flag.String("journal", "", "write one JSONL telemetry journal per run into this directory")
+		journalDir = flag.String("journal", "", "write one JSONL telemetry journal per simulation into this directory, named <scheme>_<trace>_<hash>.jsonl, where the hash covers the run's configuration and workload (a <scheme>_<trace>_<hash>/ directory with -journal-segment)")
 		jSegment   = flag.Int64("journal-segment", 0, "rotate each run's journal into segments of this many bytes, one subdirectory per run (0 = single file per run)")
 		jCompress  = flag.Bool("journal-compress", false, "write every journal segment gzip-compressed, as run-NNNNN.jsonl.gz (requires -journal-segment)")
 		jRetain    = flag.Int("journal-retain", 0, "keep only the newest N segments per run (0 = all; requires -journal-segment)")

@@ -77,12 +77,9 @@ func run() (err error) {
 	if err != nil {
 		return err
 	}
-	cfg := rolo.DefaultConfig(s)
+	cfg := rolo.ScaledConfig(s, *scale, *freeGiB)
 	cfg.Pairs = *pairs
 	cfg.StripeUnitBytes = *stripeKB << 10
-	cfg.Disk.CapacityBytes = scaleB(18.4*(1<<30), *scale)
-	cfg.FreeBytesPerDisk = scaleB(*freeGiB*(1<<30), *scale)
-	cfg.GRAID.LogCapacityBytes = scaleB(16*(1<<30), *scale)
 
 	var recs []trace.Record
 	if *traceFile != "" {
@@ -124,9 +121,6 @@ func run() (err error) {
 	case *journalTo != "" && *jSegment > 0:
 		// Rotated mode: -journal names a directory; encoding and IO move
 		// to the async pipeline's writer goroutine.
-		if mkerr := os.MkdirAll(*journalTo, 0o755); mkerr != nil {
-			return mkerr
-		}
 		w, werr := journal.NewRotatingWriter(journal.RotateConfig{
 			Dir:          *journalTo,
 			SegmentBytes: *jSegment,
@@ -233,15 +227,6 @@ func run() (err error) {
 			rep.SanitizerEvents, rep.SanitizerSweeps)
 	}
 	return nil
-}
-
-func scaleB(b, scale float64) int64 {
-	v := int64(b * scale)
-	v -= v % (1 << 20)
-	if v < 1<<20 {
-		v = 1 << 20
-	}
-	return v
 }
 
 func clampToVolume(recs []trace.Record, volume int64) []trace.Record {

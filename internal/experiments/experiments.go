@@ -19,12 +19,12 @@ package experiments
 
 import (
 	"fmt"
+	"hash/fnv"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"github.com/rolo-storage/rolo"
@@ -42,9 +42,12 @@ type Options struct {
 	// i.e. a 40-disk array).
 	Pairs int
 	// JournalDir, when non-empty, writes one JSONL telemetry journal per
-	// simulation run into this directory, named <scheme>_<profile>.jsonl.
-	// With JournalSegmentBytes set, each run instead gets a rotated
-	// journal directory <scheme>_<profile>/ written through the async
+	// simulation into this directory (which must exist), named
+	// <scheme>_<trace>_<hash>.jsonl, where the hash covers the run's whole
+	// configuration and workload: distinct runs get distinct names, and
+	// the names are the same at every job count. With
+	// JournalSegmentBytes set, each run instead gets a rotated journal
+	// directory <scheme>_<trace>_<hash>/ written through the async
 	// pipeline (see internal/telemetry/journal).
 	JournalDir string
 	// JournalSegmentBytes rotates each run's journal into segments of
@@ -70,6 +73,10 @@ type Options struct {
 	// "no pool": acquire is a no-op and runPar degenerates to a serial
 	// loop.
 	sem chan struct{}
+	// memo, attached by Pool beside sem, runs each distinct leaf once
+	// for as long as the pool lives; without a pool it is nil and every
+	// leaf simulates.
+	memo *leafMemo
 	// stats, when non-nil, observes slot occupancy (tests attach it to
 	// pin the shared-budget invariant; see slotStats).
 	stats *slotStats
@@ -147,114 +154,117 @@ func Lookup(id string) (Experiment, error) {
 	return e, nil
 }
 
-// scaledConfig builds the paper's configuration scaled by o.Scale:
-// 18.4 GB drives with freeGiB of logging space each, a 16 GB GRAID log
-// disk, and a 64 KB stripe unit.
-func scaledConfig(scheme rolo.Scheme, o Options, freeGiB float64, stripe int64) rolo.Config {
-	cfg := rolo.DefaultConfig(scheme)
+// leaf is one simulation of an experiment: the configuration it runs,
+// without a telemetry sink, the workload that generates its records, and
+// the trace label that names it. simulate adds the options' sanitizer,
+// probes and journal. A leaf determines its report, so leaves are
+// comparable values and, under one pool, equal leaves run once
+// (leafMemo).
+type leaf struct {
+	cfg   rolo.Config
+	wl    trace.Synthetic
+	trace string
+}
+
+// profileLeaf is scheme replaying a calibrated MSR profile on the paper's
+// geometry scaled by o.Scale, with o.Pairs pairs, freeGiB of logging
+// space per disk and the given stripe unit.
+func profileLeaf(o Options, scheme rolo.Scheme, profile string, freeGiB float64, stripe int64) (leaf, error) {
+	cfg := rolo.ScaledConfig(scheme, o.Scale, freeGiB)
 	cfg.Pairs = o.Pairs
 	cfg.StripeUnitBytes = stripe
-	cfg.Disk.CapacityBytes = scaleBytes(18.4*(1<<30), o.Scale)
-	cfg.FreeBytesPerDisk = scaleBytes(freeGiB*(1<<30), o.Scale)
-	cfg.GRAID.LogCapacityBytes = scaleBytes(16*(1<<30), o.Scale)
-	return cfg
-}
-
-func scaleBytes(b float64, scale float64) int64 {
-	v := int64(b * scale)
-	const align = 1 << 20
-	v -= v % align
-	if v < align {
-		v = align
+	p, err := trace.Lookup(profile)
+	if err != nil {
+		return leaf{}, err
 	}
-	return v
-}
-
-// journalNames uniquifies per-run journal directory names across the
-// whole process; which duplicate gets which suffix depends on pool
-// scheduling, but every directory is internally complete and verifiable.
-var journalNames struct {
-	mu   sync.Mutex
-	used map[string]int
-}
-
-func claimJournalName(base string) string {
-	journalNames.mu.Lock()
-	defer journalNames.mu.Unlock()
-	if journalNames.used == nil {
-		journalNames.used = map[string]int{}
+	wl, err := p.Synthetic(o.Scale)
+	if err != nil {
+		return leaf{}, err
 	}
-	journalNames.used[base]++
-	if n := journalNames.used[base]; n > 1 {
-		return fmt.Sprintf("%s_%d", base, n)
-	}
-	return base
+	return leaf{cfg: cfg, wl: wl, trace: profile}, nil
 }
 
-// runProfile simulates one scheme against one calibrated trace profile at
-// the option scale. When o.JournalDir is set, the run's telemetry journal
-// is written alongside; probes follow o.ProbeInterval either way.
-func runProfile(scheme rolo.Scheme, o Options, profile string, freeGiB float64, stripe int64) (rep rolo.Report, err error) {
+// journalName names the leaf's journal: its scheme and trace, then a
+// 64-bit FNV hash of the whole leaf. Distinct leaves therefore get
+// distinct journals, barring a hash collision, and the names do not
+// depend on which experiment ran a leaf first.
+func (l leaf) journalName() string {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%#v", l)
+	return fmt.Sprintf("%s_%s_%016x", l.cfg.Scheme, l.trace, h.Sum64())
+}
+
+// runLeaves runs the leaves across the option pool and returns their
+// reports in leaf order. Under a pool each distinct leaf is simulated
+// once, and later callers, from any experiment, share its report.
+func (o Options) runLeaves(leaves []leaf) ([]rolo.Report, error) {
+	reps := make([]rolo.Report, len(leaves))
+	err := runPar(o, len(leaves), func(i int) (err error) {
+		l := leaves[i]
+		if o.memo == nil {
+			reps[i], err = o.simulate(l)
+		} else {
+			e := o.memo.entry(l)
+			e.once.Do(func() { e.rep, e.err = o.simulate(l) })
+			reps[i], err = e.rep, e.err
+		}
+		if err != nil {
+			return fmt.Errorf("%v on %s: %w", l.cfg.Scheme, l.trace, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return reps, nil
+}
+
+// simulate runs one leaf in a pool slot with the options' sanitizer and
+// probes, writing its telemetry journal when o.JournalDir is set.
+func (o Options) simulate(l leaf) (rep rolo.Report, err error) {
 	defer o.acquire()() // one pool slot per leaf simulation
-	cfg := scaledConfig(scheme, o, freeGiB, stripe)
-	recs, err := rolo.GenerateProfile(profile, cfg, o.Scale)
+	cfg := l.cfg
+	recs, err := l.wl.Generate(cfg.VolumeBytes())
 	if err != nil {
 		return rolo.Report{}, err
 	}
 	cfg.Telemetry.ProbeInterval = o.ProbeInterval
 	cfg.Check = o.Check
+	var closeJournal func() error
 	switch {
 	case o.JournalDir != "" && o.JournalSegmentBytes > 0:
-		// Rotated mode: one journal directory per run, written through
+		// Rotated mode: one journal directory per leaf, written through
 		// the async pipeline. Blocking policy keeps the journal complete
-		// and byte-deterministic; the per-run directory keeps concurrent
-		// runs from interleaving segments. Several experiments simulate
-		// the same (scheme, profile) cell with different free-space or
-		// stripe parameters, so duplicate names get a _2, _3, … suffix —
-		// two rotating writers in one directory would corrupt each other.
-		dir := filepath.Join(o.JournalDir, claimJournalName(fmt.Sprintf("%s_%s", scheme, profile)))
-		if mkerr := os.MkdirAll(dir, 0o755); mkerr != nil {
-			return rolo.Report{}, mkerr
-		}
-		w, werr := journal.NewRotatingWriter(journal.RotateConfig{
-			Dir:          dir,
+		// and byte-deterministic.
+		w, err := journal.NewRotatingWriter(journal.RotateConfig{
+			Dir:          filepath.Join(o.JournalDir, l.journalName()),
 			SegmentBytes: o.JournalSegmentBytes,
 			Compress:     o.JournalCompress,
 			Retain:       o.JournalRetain,
 		})
-		if werr != nil {
-			return rolo.Report{}, werr
+		if err != nil {
+			return rolo.Report{}, err
 		}
 		sink := journal.NewAsyncSink(w, journal.AsyncConfig{Policy: journal.PolicyBlock})
-		// Closing drains the ring and writes the manifest; a close
-		// failure means a broken journal, so it surfaces as the run's
-		// error.
-		defer func() {
-			if cerr := sink.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}()
-		cfg.Telemetry.Sink = sink
+		cfg.Telemetry.Sink, closeJournal = sink, sink.Close
 	case o.JournalDir != "":
-		name := fmt.Sprintf("%s_%s.jsonl", scheme, profile)
-		f, ferr := os.Create(filepath.Join(o.JournalDir, name))
-		if ferr != nil {
-			return rolo.Report{}, ferr
+		f, err := os.Create(filepath.Join(o.JournalDir, l.journalName()+".jsonl"))
+		if err != nil {
+			return rolo.Report{}, err
 		}
-		// The journal is written through this file; a failed close means
-		// a truncated journal, so it surfaces as the run's error.
+		cfg.Telemetry.Sink, closeJournal = telemetry.NewJSONLSink(f), f.Close
+	}
+	if closeJournal != nil {
+		// Closing drains the async ring and writes the manifest, or ends
+		// the file; a close failure means a broken journal, so it
+		// surfaces as the run's error.
 		defer func() {
-			if cerr := f.Close(); cerr != nil && err == nil {
+			if cerr := closeJournal(); cerr != nil && err == nil {
 				err = cerr
 			}
 		}()
-		cfg.Telemetry.Sink = telemetry.NewJSONLSink(f)
 	}
-	rep, err = rolo.Run(cfg, recs)
-	if err != nil {
-		return rolo.Report{}, fmt.Errorf("%v on %s: %w", scheme, profile, err)
-	}
-	return rep, nil
+	return rolo.Run(cfg, recs)
 }
 
 // table is a minimal fixed-width table printer.
@@ -307,6 +317,3 @@ func pct(v float64) string {
 
 // mainTraces are the two write-intensive traces of the main evaluation.
 var mainTraces = []string{"src2_2", "proj_0"}
-
-// ensure the trace package profiles exist at init (programming guard).
-var _ = trace.Profiles

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"github.com/rolo-storage/rolo"
 )
 
 func tinyOptions() Options {
@@ -94,7 +96,7 @@ func TestMainExperimentsShape(t *testing.T) {
 	// loggers big enough to amortize spin-ups; 0.02-scale, 20-disk runs
 	// keep the test under a minute.
 	o := Options{Scale: 0.02, Pairs: 10}
-	res, err := mainResults(o)
+	res, err := gridResults(o, mainTraces)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +162,11 @@ func TestTableWriter(t *testing.T) {
 func TestScaledConfigAlignment(t *testing.T) {
 	for _, scale := range []float64{0.01, 0.05, 0.37, 1} {
 		o := Options{Scale: scale, Pairs: 4}
-		cfg := scaledConfig(0, o, 8, 64<<10)
-		cfg.Scheme = 1 // RAID10
+		l, err := profileLeaf(o, rolo.SchemeRAID10, "src2_2", 8, 64<<10)
+		if err != nil {
+			t.Fatalf("scale %g: %v", scale, err)
+		}
+		cfg := l.cfg
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("scale %g: %v", scale, err)
 		}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"github.com/rolo-storage/rolo"
 )
@@ -31,94 +30,42 @@ func init() {
 	})
 }
 
-// mainResults runs all five schemes over the two write-intensive traces,
-// memoized per (scale, pairs) so the Figure 10 family of experiments pays
-// for the simulations once — even when fig10, table1, table4 and table5
-// ask for the same key concurrently under RunAll: the first caller
-// computes, everyone else waits on the entry's once.
-type mainKey struct {
-	scale float64
-	pairs int
-}
-
-// mainEntry is one memoized (scale, pairs) computation. The once provides
-// both in-flight deduplication and the happens-before edge publishing res
-// and err to every waiter.
-type mainEntry struct {
-	once sync.Once
-	res  map[string]map[rolo.Scheme]rolo.Report
-	err  error
-}
-
-// mainMemo is the cross-experiment result cache. Only the entry map needs
-// a lock: entries themselves synchronize through their once.
-type mainMemo struct {
-	mu sync.Mutex
-	//rolosan:guardedby mu
-	entries map[mainKey]*mainEntry
-}
-
-// entry returns the memo cell for key, creating it on first request.
-func (m *mainMemo) entry(key mainKey) *mainEntry {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.entries == nil {
-		m.entries = map[mainKey]*mainEntry{}
-	}
-	e := m.entries[key]
-	if e == nil {
-		e = &mainEntry{}
-		m.entries[key] = e
-	}
-	return e
-}
-
-var mainCache mainMemo
-
-func mainResults(o Options) (map[string]map[rolo.Scheme]rolo.Report, error) {
+// gridResults runs every scheme over each trace at o's scale and array
+// size, with the paper's 8 GiB of free space per disk and 64 KiB stripe
+// unit, and indexes the reports by trace and scheme. Over mainTraces it
+// is the Figure 10 grid, which fig10, table1, table4 and table5 all read
+// (under one pool the leaf memo simulates it once); over lightTraces it
+// is Figure 14's.
+func gridResults(o Options, traces []string) (map[string]map[rolo.Scheme]rolo.Report, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	e := mainCache.entry(mainKey{o.Scale, o.Pairs})
-	e.once.Do(func() { e.res, e.err = computeMain(o) })
-	return e.res, e.err
-}
-
-// computeMain fans the (profile, scheme) grid out across the option pool
-// and assembles the nested result maps single-threadedly afterwards, so
-// the maps are never written concurrently.
-func computeMain(o Options) (map[string]map[rolo.Scheme]rolo.Report, error) {
-	type cell struct {
-		trace  string
-		scheme rolo.Scheme
-	}
-	var jobs []cell
-	for _, tr := range mainTraces {
+	var leaves []leaf
+	for _, tr := range traces {
 		for _, s := range rolo.Schemes {
-			jobs = append(jobs, cell{tr, s})
+			l, err := profileLeaf(o, s, tr, 8, 64<<10)
+			if err != nil {
+				return nil, err
+			}
+			leaves = append(leaves, l)
 		}
 	}
-	reps := make([]rolo.Report, len(jobs))
-	err := runPar(o, len(jobs), func(i int) error {
-		rep, err := runProfile(jobs[i].scheme, o, jobs[i].trace, 8, 64<<10)
-		reps[i] = rep
-		return err
-	})
+	reps, err := o.runLeaves(leaves)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]map[rolo.Scheme]rolo.Report, len(mainTraces))
-	for i, j := range jobs {
-		if out[j.trace] == nil {
-			out[j.trace] = make(map[rolo.Scheme]rolo.Report, len(rolo.Schemes))
+	out := make(map[string]map[rolo.Scheme]rolo.Report, len(traces))
+	for i, l := range leaves {
+		if out[l.trace] == nil {
+			out[l.trace] = make(map[rolo.Scheme]rolo.Report, len(rolo.Schemes))
 		}
-		out[j.trace][j.scheme] = reps[i]
+		out[l.trace][l.cfg.Scheme] = reps[i]
 	}
 	return out, nil
 }
 
 func runFig10(o Options, w io.Writer) error {
-	res, err := mainResults(o)
+	res, err := gridResults(o, mainTraces)
 	if err != nil {
 		return err
 	}
@@ -167,7 +114,7 @@ func runFig10(o Options, w io.Writer) error {
 }
 
 func runTable1(o Options, w io.Writer) error {
-	res, err := mainResults(o)
+	res, err := gridResults(o, mainTraces)
 	if err != nil {
 		return err
 	}
@@ -185,7 +132,7 @@ func runTable1(o Options, w io.Writer) error {
 }
 
 func runTable4(o Options, w io.Writer) error {
-	res, err := mainResults(o)
+	res, err := gridResults(o, mainTraces)
 	if err != nil {
 		return err
 	}
@@ -218,7 +165,7 @@ func runTable4(o Options, w io.Writer) error {
 }
 
 func runTable5(o Options, w io.Writer) error {
-	res, err := mainResults(o)
+	res, err := gridResults(o, mainTraces)
 	if err != nil {
 		return err
 	}

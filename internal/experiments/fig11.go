@@ -22,20 +22,24 @@ func init() {
 
 var fig11Pairs = []int{10, 15, 20}
 
-// prefetchPairs warms the Figure-10 memo for every array size in
-// parallel, so the per-size loops below hit the cache and the three
-// sizes' simulation grids overlap on the pool.
-func prefetchPairs(o Options) error {
-	return runPar(o, len(fig11Pairs), func(i int) error {
+// sizeResults runs the Figure 10 grid at every Figure 11 array size.
+func sizeResults(o Options) ([]map[string]map[rolo.Scheme]rolo.Report, error) {
+	out := make([]map[string]map[rolo.Scheme]rolo.Report, len(fig11Pairs))
+	for i, pairs := range fig11Pairs {
 		po := o
-		po.Pairs = fig11Pairs[i]
-		_, err := mainResults(po)
-		return err
-	})
+		po.Pairs = pairs
+		res, err := gridResults(po, mainTraces)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = res
+	}
+	return out, nil
 }
 
 func runFig11(o Options, w io.Writer) error {
-	if err := prefetchPairs(o); err != nil {
+	sizes, err := sizeResults(o)
+	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "Figure 11: energy saved over RAID10 as a function of array size (scale=%.2f)\n", o.Scale)
@@ -43,13 +47,7 @@ func runFig11(o Options, w io.Writer) error {
 		fmt.Fprintf(w, "\nunder %s:\n", tr)
 		t := &table{header: []string{"scheme", "20 disks", "30 disks", "40 disks"}}
 		rows := map[rolo.Scheme][]string{}
-		for _, pairs := range fig11Pairs {
-			po := o
-			po.Pairs = pairs
-			res, err := mainResults(po)
-			if err != nil {
-				return err
-			}
+		for _, res := range sizes {
 			base := res[tr][rolo.SchemeRAID10].EnergyJ
 			for _, s := range rolo.Schemes[1:] {
 				rows[s] = append(rows[s], pct(1-res[tr][s].EnergyJ/base))
@@ -69,7 +67,8 @@ func runFig11(o Options, w io.Writer) error {
 }
 
 func runFig12(o Options, w io.Writer) error {
-	if err := prefetchPairs(o); err != nil {
+	sizes, err := sizeResults(o)
+	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "Figure 12: mean response time (ms) as a function of array size (scale=%.2f)\n", o.Scale)
@@ -77,13 +76,7 @@ func runFig12(o Options, w io.Writer) error {
 		fmt.Fprintf(w, "\nunder %s:\n", tr)
 		t := &table{header: []string{"scheme", "20 disks", "30 disks", "40 disks"}}
 		rows := map[rolo.Scheme][]string{}
-		for _, pairs := range fig11Pairs {
-			po := o
-			po.Pairs = pairs
-			res, err := mainResults(po)
-			if err != nil {
-				return err
-			}
+		for _, res := range sizes {
 			for _, s := range rolo.Schemes {
 				rows[s] = append(rows[s], f2(res[tr][s].MeanResponseMs))
 			}

@@ -25,31 +25,6 @@ func init() {
 	})
 }
 
-// profileCell is one (trace, scheme, free-space, stripe) simulation of a
-// sweep, fanned out with runPar and formatted afterwards in sweep order.
-type profileCell struct {
-	tr     string
-	scheme rolo.Scheme
-	free   float64
-	stripe int64
-}
-
-// runCells simulates every cell across the option pool and returns the
-// reports in cell order.
-func runCells(o Options, cells []profileCell) ([]rolo.Report, error) {
-	reps := make([]rolo.Report, len(cells))
-	err := runPar(o, len(cells), func(i int) error {
-		c := cells[i]
-		rep, err := runProfile(c.scheme, o, c.tr, c.free, c.stripe)
-		reps[i] = rep
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return reps, nil
-}
-
 func runFig13(o Options, w io.Writer) error {
 	if err := o.Validate(); err != nil {
 		return err
@@ -57,16 +32,24 @@ func runFig13(o Options, w io.Writer) error {
 	fmt.Fprintf(w, "Figure 13: energy saved over GRAID vs free storage space (scale=%.2f)\n", o.Scale)
 	freeGiBs := []float64{8, 6, 4}
 	roloSchemes := []rolo.Scheme{rolo.SchemeRoLoP, rolo.SchemeRoLoR, rolo.SchemeRoLoE}
-	var cells []profileCell
+	var leaves []leaf
 	for _, tr := range mainTraces {
-		cells = append(cells, profileCell{tr, rolo.SchemeGRAID, 8, 64 << 10})
+		l, err := profileLeaf(o, rolo.SchemeGRAID, tr, 8, 64<<10)
+		if err != nil {
+			return err
+		}
+		leaves = append(leaves, l)
 		for _, s := range roloSchemes {
 			for _, free := range freeGiBs {
-				cells = append(cells, profileCell{tr, s, free, 64 << 10})
+				l, err := profileLeaf(o, s, tr, free, 64<<10)
+				if err != nil {
+					return err
+				}
+				leaves = append(leaves, l)
 			}
 		}
 	}
-	reps, err := runCells(o, cells)
+	reps, err := o.runLeaves(leaves)
 	if err != nil {
 		return err
 	}
@@ -101,13 +84,17 @@ func runStripe(o Options, w io.Writer) error {
 	fmt.Fprintf(w, "Stripe-unit sensitivity: energy saved over RAID10 under src2_2 (scale=%.2f)\n", o.Scale)
 	t := &table{header: []string{"scheme", "16KB", "32KB", "64KB"}}
 	stripes := []int64{16 << 10, 32 << 10, 64 << 10}
-	var cells []profileCell
+	var leaves []leaf
 	for _, su := range stripes {
 		for _, s := range rolo.Schemes {
-			cells = append(cells, profileCell{"src2_2", s, 8, su})
+			l, err := profileLeaf(o, s, "src2_2", 8, su)
+			if err != nil {
+				return err
+			}
+			leaves = append(leaves, l)
 		}
 	}
-	reps, err := runCells(o, cells)
+	reps, err := o.runLeaves(leaves)
 	if err != nil {
 		return err
 	}
@@ -156,39 +143,24 @@ func runDiskSize(o Options, w io.Writer) error {
 		{"4GB log", 4.6, 2, 4},
 	}
 	roloSchemes := []rolo.Scheme{rolo.SchemeRoLoP, rolo.SchemeRoLoR, rolo.SchemeRoLoE}
-	run := func(s rolo.Scheme, tr string, sz size) (rolo.Report, error) {
-		defer o.acquire()() // one pool slot per leaf simulation
-		cfg := rolo.DefaultConfig(s)
-		cfg.Pairs = o.Pairs
-		cfg.Disk.CapacityBytes = scaleBytes(sz.diskGiB*(1<<30), o.Scale)
-		cfg.FreeBytesPerDisk = scaleBytes(sz.freeGiB*(1<<30), o.Scale)
-		cfg.GRAID.LogCapacityBytes = scaleBytes(sz.graidGiB*(1<<30), o.Scale)
-		recs, err := rolo.GenerateProfile(tr, cfg, o.Scale)
-		if err != nil {
-			return rolo.Report{}, err
-		}
-		return rolo.Run(cfg, recs)
-	}
-	type cell struct {
-		tr     string
-		scheme rolo.Scheme
-		sz     size
-	}
-	var cells []cell
+	// Each size runs GRAID, then the RoLo schemes measured against it.
+	schemes := append([]rolo.Scheme{rolo.SchemeGRAID}, roloSchemes...)
+	var leaves []leaf
 	for _, tr := range mainTraces {
 		for _, sz := range sizes {
-			cells = append(cells, cell{tr, rolo.SchemeGRAID, sz})
-			for _, s := range roloSchemes {
-				cells = append(cells, cell{tr, s, sz})
+			for _, s := range schemes {
+				l, err := profileLeaf(o, s, tr, sz.freeGiB, 64<<10)
+				if err != nil {
+					return err
+				}
+				l.cfg.Disk.CapacityBytes = rolo.ScaleBytes(sz.diskGiB*(1<<30), o.Scale)
+				l.cfg.GRAID.LogCapacityBytes = rolo.ScaleBytes(sz.graidGiB*(1<<30), o.Scale)
+				leaves = append(leaves, l)
 			}
 		}
 	}
-	reps := make([]rolo.Report, len(cells))
-	if err := runPar(o, len(cells), func(i int) error {
-		rep, err := run(cells[i].scheme, cells[i].tr, cells[i].sz)
-		reps[i] = rep
-		return err
-	}); err != nil {
+	reps, err := o.runLeaves(leaves)
+	if err != nil {
 		return err
 	}
 	k := 0

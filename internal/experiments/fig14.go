@@ -20,25 +20,9 @@ func init() {
 var lightTraces = []string{"mds_0", "hm_1", "rsrch_2", "wdev_0", "web_1"}
 
 func runFig14(o Options, w io.Writer) error {
-	if err := o.Validate(); err != nil {
-		return err
-	}
-	var cells []profileCell
-	for _, tr := range lightTraces {
-		for _, s := range rolo.Schemes {
-			cells = append(cells, profileCell{tr, s, 8, 64 << 10})
-		}
-	}
-	reps, err := runCells(o, cells)
+	results, err := gridResults(o, lightTraces)
 	if err != nil {
 		return err
-	}
-	results := make(map[string]map[rolo.Scheme]rolo.Report, len(lightTraces))
-	for i, c := range cells {
-		if results[c.tr] == nil {
-			results[c.tr] = make(map[rolo.Scheme]rolo.Report, len(rolo.Schemes))
-		}
-		results[c.tr][c.scheme] = reps[i]
 	}
 
 	fmt.Fprintf(w, "Figure 14(a): energy consumption normalized to RAID10 (scale=%.2f)\n", o.Scale)

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"io"
 
-	"github.com/rolo-storage/rolo/internal/array"
-	"github.com/rolo-storage/rolo/internal/baseline"
+	"github.com/rolo-storage/rolo"
 	"github.com/rolo-storage/rolo/internal/disk"
 	"github.com/rolo-storage/rolo/internal/metrics"
-	"github.com/rolo-storage/rolo/internal/raid"
 	"github.com/rolo-storage/rolo/internal/sim"
 	"github.com/rolo-storage/rolo/internal/trace"
 )
@@ -26,57 +24,22 @@ func init() {
 	})
 }
 
-// fig2Run drives the Section II micro-benchmark: a 10-pair RAID10 with
-// centralized logging (GRAID), 100 % writes, 70 % random, 64 KB requests
-// at a fixed rate, long enough for several logging cycles.
-type fig2Result struct {
-	phase     *metrics.PhaseLog
-	primaries []*disk.Disk
-	logDisk   *disk.Disk
-	horizon   sim.Time
-}
-
-func fig2Run(o Options, logCapBytes int64, iops float64) (*fig2Result, error) {
-	defer o.acquire()() // one pool slot per leaf simulation
-	eng := sim.New()
-	diskCap := scaleBytes(18.4*(1<<30), o.Scale)
-	dataBytes := diskCap - diskCap/4 // plenty of data region; log disk is dedicated
-	dataBytes -= dataBytes % (64 << 10)
-	geom := raid.Geometry{Pairs: 10, StripeUnitBytes: 64 << 10, DataBytesPerDisk: dataBytes}
-	cfg := disk.Ultrastar36Z15().WithCapacity(diskCap)
-	arr, err := array.New(eng, geom, cfg, 1)
-	if err != nil {
-		return nil, err
-	}
-	gcfg := baseline.DefaultGRAIDConfig()
-	gcfg.LogCapacityBytes = logCapBytes
-	if gcfg.LogCapacityBytes > diskCap {
-		gcfg.LogCapacityBytes = diskCap
-	}
-	ctrl, err := baseline.NewGRAID(arr, gcfg)
-	if err != nil {
-		return nil, err
-	}
-	// Run for ~3.5 logging cycles of this configuration.
-	cycleBytes := float64(gcfg.LogCapacityBytes) * gcfg.DestageThreshold
+// fig2Leaf is the Section II micro-benchmark: a 10-pair RAID10 with
+// centralized logging (GRAID) on a log disk of logGiB (scaled), 100 %
+// writes, 70 % random, 64 KB requests at a fixed rate, long enough for
+// about 3.5 logging cycles.
+func fig2Leaf(o Options, logGiB, iops float64) leaf {
+	cfg := rolo.ScaledConfig(rolo.SchemeGRAID, o.Scale, 0)
+	cfg.Pairs = 10
+	// GRAID logs to its dedicated disk; leaving a quarter of each drive
+	// free just sizes the data region.
+	cfg.FreeBytesPerDisk = cfg.Disk.CapacityBytes / 4
+	cfg.GRAID.LogCapacityBytes = min(rolo.ScaleBytes(logGiB*(1<<30), o.Scale), cfg.Disk.CapacityBytes)
+	cycleBytes := float64(cfg.GRAID.LogCapacityBytes) * cfg.GRAID.DestageThreshold
 	fill := cycleBytes / (iops * 64 * 1024)
-	dur := sim.FromSeconds(3.5 * fill)
-	syn := trace.Uniform70Random64K(iops, dur, 42)
-	syn.WriteWorkingSetBytes = geom.VolumeBytes() / 2
-	recs, err := syn.Generate(geom.VolumeBytes())
-	if err != nil {
-		return nil, err
-	}
-	res, err := array.Replay(eng, arr, ctrl, recs)
-	if err != nil {
-		return nil, err
-	}
-	return &fig2Result{
-		phase:     ctrl.Phases(),
-		primaries: arr.Primaries,
-		logDisk:   arr.Extras[0],
-		horizon:   res.Horizon,
-	}, nil
+	wl := trace.Uniform70Random64K(iops, sim.FromSeconds(3.5*fill), 42)
+	wl.WriteWorkingSetBytes = cfg.VolumeBytes() / 2
+	return leaf{cfg: cfg, wl: wl, trace: fmt.Sprintf("w64k_%giops", iops)}
 }
 
 func runFig2(o Options, w io.Writer) error {
@@ -86,23 +49,29 @@ func runFig2(o Options, w io.Writer) error {
 	caps := []float64{8, 12, 16}
 	rates := []float64{10, 50, 100, 200}
 
-	fmt.Fprintf(w, "Figure 2(a,b): per-phase mean interval and energy at 100 IOPS (scale=%.2f)\n", o.Scale)
-	tab := &table{header: []string{"logger", "log int(s)", "dest int(s)", "log E(J)", "dest E(J)"}}
 	abGiBs := []float64{8, 16}
-	abRes := make([]*fig2Result, len(abGiBs))
-	if err := runPar(o, len(abGiBs), func(i int) error {
-		r, err := fig2Run(o, scaleBytes(abGiBs[i]*(1<<30), o.Scale), 100)
-		abRes[i] = r
-		return err
-	}); err != nil {
+	var leaves []leaf
+	for _, gib := range abGiBs {
+		leaves = append(leaves, fig2Leaf(o, gib, 100))
+	}
+	for _, gib := range caps {
+		for _, iops := range rates {
+			leaves = append(leaves, fig2Leaf(o, gib, iops))
+		}
+	}
+	reps, err := o.runLeaves(leaves)
+	if err != nil {
 		return err
 	}
+
+	fmt.Fprintf(w, "Figure 2(a,b): per-phase mean interval and energy at 100 IOPS (scale=%.2f)\n", o.Scale)
+	tab := &table{header: []string{"logger", "log int(s)", "dest int(s)", "log E(J)", "dest E(J)"}}
 	for i, gib := range abGiBs {
-		r := abRes[i]
-		dur, energy := r.phase.Totals()
+		phases := &reps[i].Phases
+		dur, energy := phases.Totals()
 		nLog, nDest := 0, 0
-		for k := 0; k < r.phase.Len(); k++ {
-			if r.phase.At(k).Phase == metrics.Logging {
+		for k := 0; k < phases.Len(); k++ {
+			if phases.At(k).Phase == metrics.Logging {
 				nLog++
 			} else {
 				nDest++
@@ -126,22 +95,14 @@ func runFig2(o Options, w io.Writer) error {
 	tc := &table{header: []string{"logger\\iops", "10", "50", "100", "200"}}
 	fmt.Fprintln(w)
 	td := &table{header: []string{"logger\\iops", "10", "50", "100", "200"}}
-	grid := make([]*fig2Result, len(caps)*len(rates))
-	if err := runPar(o, len(grid), func(k int) error {
-		gib, iops := caps[k/len(rates)], rates[k%len(rates)]
-		r, err := fig2Run(o, scaleBytes(gib*(1<<30), o.Scale), iops)
-		grid[k] = r
-		return err
-	}); err != nil {
-		return err
-	}
+	grid := reps[len(abGiBs):]
 	for ci, gib := range caps {
 		rowC := []string{fmt.Sprintf("%.0fGB", gib)}
 		rowD := []string{fmt.Sprintf("%.0fGB", gib)}
 		for ri := range rates {
 			r := grid[ci*len(rates)+ri]
-			rowC = append(rowC, f3(r.phase.DestagingIntervalRatio()))
-			rowD = append(rowD, f3(r.phase.DestagingEnergyRatio()))
+			rowC = append(rowC, f3(r.DestagingIntervalRatio))
+			rowD = append(rowD, f3(r.DestagingEnergyRatio))
 		}
 		tc.add(rowC...)
 		td.add(rowD...)
@@ -168,20 +129,20 @@ func runFig3(o Options, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "Figure 3: fraction of time in IDLE vs ACTIVE+STANDBY (scale=%.2f)\n", o.Scale)
 	t := &table{header: []string{"iops", "primary idle", "primary act/stby", "log idle", "log act/stby"}}
-	logCap := scaleBytes(16*(1<<30), o.Scale)
 	fig3Rates := []float64{10, 50, 100, 200}
-	fig3Res := make([]*fig2Result, len(fig3Rates))
-	if err := runPar(o, len(fig3Rates), func(i int) error {
-		r, err := fig2Run(o, logCap, fig3Rates[i])
-		fig3Res[i] = r
-		return err
-	}); err != nil {
+	leaves := make([]leaf, len(fig3Rates))
+	for i, iops := range fig3Rates {
+		leaves[i] = fig2Leaf(o, 16, iops)
+	}
+	reps, err := o.runLeaves(leaves)
+	if err != nil {
 		return err
 	}
 	for i, iops := range fig3Rates {
-		r := fig3Res[i]
-		pi, pa := stateSplit(array.StateDurations(r.primaries))
-		li, la := stateSplit(array.StateDurations([]*disk.Disk{r.logDisk}))
+		// Disk IDs run primaries, then mirrors, then GRAID's log disk.
+		disks, pairs := reps[i].DiskStateSeconds, leaves[i].cfg.Pairs
+		pi, pa := stateSplit(disks[:pairs]...)
+		li, la := stateSplit(disks[2*pairs])
 		t.add(fmt.Sprintf("%.0f", iops), pct(pi), pct(pa), pct(li), pct(la))
 	}
 	if err := t.write(w); err != nil {
@@ -193,16 +154,25 @@ func runFig3(o Options, w io.Writer) error {
 	return nil
 }
 
-// stateSplit returns (idle fraction, active+standby fraction) of total time.
-func stateSplit(durs map[disk.PowerState]sim.Time) (idle, activeStandby float64) {
-	var total sim.Time
-	for _, d := range durs {
-		total += d
+// stateSplit returns the (IDLE, ACTIVE+STANDBY) fractions of the disks'
+// total time, from their per-state report seconds. It sums whole
+// microseconds, so the fractions do not depend on map order.
+func stateSplit(disks ...map[string]float64) (idle, activeStandby float64) {
+	var total, idleT, activeStandbyT sim.Time
+	for _, d := range disks {
+		for state, secs := range d {
+			t := sim.FromSeconds(secs)
+			total += t
+			switch state {
+			case disk.Idle.String():
+				idleT += t
+			case disk.Active.String(), disk.Standby.String():
+				activeStandbyT += t
+			}
+		}
 	}
 	if total == 0 {
 		return 0, 0
 	}
-	idle = float64(durs[disk.Idle]) / float64(total)
-	activeStandby = float64(durs[disk.Active]+durs[disk.Standby]) / float64(total)
-	return idle, activeStandby
+	return float64(idleT) / float64(total), float64(activeStandbyT) / float64(total)
 }

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/rolo-storage/rolo"
 )
 
 // This file is the experiment runner's concurrency layer. The model has
@@ -16,27 +18,28 @@ import (
 //   - RunAll launches every experiment on its own goroutine with a private
 //     output buffer, then streams the buffers in registry order, so the
 //     bytes written to w never depend on scheduling or on the job count.
-//   - runPar fans a batch of independent closures (one per simulation,
-//     usually one per (scheme, profile) cell) across goroutines. Results
+//   - runPar fans a batch of independent closures (usually one per
+//     leaf simulation, see runLeaves) across goroutines. Results
 //     travel back over a channel; the closures write only to distinct
 //     indices of caller-owned slices, published to the caller by the
 //     channel synchronization.
 //   - acquire bounds the number of simulations actually executing at once
-//     to the pool attached by WithJobs. Slots are held only across one
+//     to the pool attached by Pool. Slots are held only across one
 //     leaf simulation, which waits on nothing else — so slot-holders can
 //     never deadlock against each other or against coordination
 //     goroutines, which hold no slots while they wait.
 //
 // Simulations share no mutable state: each rolo.Run builds a private
 // engine, array, telemetry recorder and sanitizer. The one cross-
-// experiment structure, the Figure-10 result memo, is mutex-guarded and
-// deduplicates in-flight computation (fig10.go).
+// experiment structure, the pool's leaf memo, is mutex-guarded and
+// deduplicates in-flight computation (leafMemo).
 
 // Pool returns a copy of o with a pool of n simulation slots attached
 // (n <= 0 selects Jobs, and failing that GOMAXPROCS). Experiments started
 // with the returned options — including concurrently, under RunAll —
-// share the pool, so at most n simulations are in flight at any moment.
-// Options without a pool run every simulation on the calling goroutine.
+// share the pool, so at most n simulations are in flight at any moment,
+// and share its leaf memo, so each distinct leaf simulates once. Options
+// without a pool run every simulation on the calling goroutine.
 func (o Options) Pool(n int) Options {
 	if n <= 0 {
 		n = o.Jobs
@@ -46,7 +49,41 @@ func (o Options) Pool(n int) Options {
 	}
 	o.Jobs = n
 	o.sem = make(chan struct{}, n)
+	o.memo = &leafMemo{}
 	return o
+}
+
+// leafMemo holds one entry per distinct leaf run under a pool. The first
+// caller of a leaf simulates it; callers of an equal leaf, from the same
+// experiment or another, wait on the entry's once while holding no slot.
+// The once also publishes the report to every waiter, so only the map
+// needs the lock.
+type leafMemo struct {
+	mu sync.Mutex
+	//rolosan:guardedby mu
+	entries map[leaf]*leafEntry
+}
+
+// leafEntry is one memoized leaf simulation.
+type leafEntry struct {
+	once sync.Once
+	rep  rolo.Report
+	err  error
+}
+
+// entry returns the memo cell for l, creating it on first request.
+func (m *leafMemo) entry(l leaf) *leafEntry {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.entries == nil {
+		m.entries = map[leaf]*leafEntry{}
+	}
+	e := m.entries[l]
+	if e == nil {
+		e = &leafEntry{}
+		m.entries[l] = e
+	}
+	return e
 }
 
 // acquire claims one pool slot, blocking while n simulations are already
@@ -177,8 +214,8 @@ const separator = "\n===========================================================
 // It returns, in list order, the time each experiment's leaf simulations
 // held pool slots, fleet shards included: where the sweep's CPU went.
 // Waits for a slot do not count, so at one job the times sum to at most
-// the sweep's wall time. A memoized Figure-10 cell counts for the
-// experiment that computed it.
+// the sweep's wall time. A leaf that several experiments share counts
+// for the one that simulated it.
 //
 // The first error in list order stops the streaming: outputs of the
 // experiments before the failing one are still written, matching the

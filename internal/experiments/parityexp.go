@@ -4,8 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"github.com/rolo-storage/rolo/internal/array"
-	"github.com/rolo-storage/rolo/internal/disk"
+	"github.com/rolo-storage/rolo"
 	"github.com/rolo-storage/rolo/internal/parity"
 	"github.com/rolo-storage/rolo/internal/sim"
 	"github.com/rolo-storage/rolo/internal/trace"
@@ -62,16 +61,15 @@ func runParity(o Options, w io.Writer) error {
 // single leaf because the speedup column relates the two runs.
 func parityPoint(o Options, disks int, iops float64) ([]string, error) {
 	defer o.acquire()() // one pool slot per leaf simulation
-	diskCap := scaleBytes(18.4*(1<<30), o.Scale)
-	free := scaleBytes(8*(1<<30), o.Scale)
-	data := diskCap - free
+	cfg := rolo.ScaledConfig(rolo.SchemeRAID10, o.Scale, 8)
+	data := cfg.Disk.CapacityBytes - cfg.FreeBytesPerDisk
 	data -= data % (64 << 10)
 	geom := parity.Geometry{Disks: disks, StripUnitBytes: 64 << 10, DataBytesPerDisk: data}
 	syn := trace.Uniform70Random64K(iops, 3*sim.Minute, 17)
 
 	runOne := func(useRoLo bool) (mean float64, logged, rmw, stale int64, err error) {
 		eng := sim.New()
-		arr, err := parity.NewArray(eng, geom, disk.Ultrastar36Z15().WithCapacity(diskCap))
+		arr, err := parity.NewArray(eng, geom, cfg.Disk)
 		if err != nil {
 			return 0, 0, 0, 0, err
 		}
@@ -97,10 +95,14 @@ func parityPoint(o Options, disks int, iops float64) ([]string, error) {
 				return c.Responses().Mean(), 0, c.RMWWrites(), 0
 			}
 		}
-		if err := array.ScheduleArrivals(eng, recs, func(rec trace.Record) { _ = submit(rec) }); err != nil {
+		var in feed
+		if err := in.schedule(eng, recs, submit); err != nil {
 			return 0, 0, 0, 0, err
 		}
 		eng.Run()
+		if in.err != nil {
+			return 0, 0, 0, 0, in.err
+		}
 		m, l, r, s := finish()
 		return m, l, r, s, nil
 	}

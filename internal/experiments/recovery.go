@@ -4,11 +4,10 @@ import (
 	"fmt"
 	"io"
 
+	"github.com/rolo-storage/rolo"
 	"github.com/rolo-storage/rolo/internal/array"
 	"github.com/rolo-storage/rolo/internal/baseline"
 	"github.com/rolo-storage/rolo/internal/core"
-	"github.com/rolo-storage/rolo/internal/disk"
-	"github.com/rolo-storage/rolo/internal/raid"
 	"github.com/rolo-storage/rolo/internal/sim"
 	"github.com/rolo-storage/rolo/internal/trace"
 )
@@ -22,31 +21,66 @@ func init() {
 }
 
 // recoveryArray builds the shared array-plus-workload fixture of the
-// failure scenarios.
-func recoveryArray(o Options, extras int) (*array.Array, *sim.Engine, []trace.Record, error) {
-	eng := sim.New()
-	diskCap := scaleBytes(18.4*(1<<30), o.Scale)
-	free := scaleBytes(8*(1<<30), o.Scale)
-	data := diskCap - free
-	data -= data % (64 << 10)
-	geom := raid.Geometry{Pairs: o.Pairs, StripeUnitBytes: 64 << 10, DataBytesPerDisk: data}
-	arr, err := array.New(eng, geom, disk.Ultrastar36Z15().WithCapacity(diskCap), extras)
+// failure scenarios: the paper's scaled geometry with 8 GiB free per disk.
+func recoveryArray(o Options, extras int) (*array.Array, []trace.Record, error) {
+	cfg := rolo.ScaledConfig(rolo.SchemeRoLoP, o.Scale, 8)
+	cfg.Pairs = o.Pairs
+	geom := cfg.Geometry()
+	arr, err := array.New(sim.New(), geom, cfg.Disk, extras)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	syn := trace.Uniform70Random64K(50, 2*sim.Minute, 33)
 	syn.WriteWorkingSetBytes = geom.VolumeBytes() / 4
 	recs, err := syn.Generate(geom.VolumeBytes())
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return arr, eng, recs, nil
+	return arr, recs, nil
+}
+
+// feed schedules trace records into a controller the way array.Replay
+// does: the first failed Submit stops the engine and is kept in err.
+type feed struct{ err error }
+
+func (f *feed) schedule(eng *sim.Engine, recs []trace.Record, submit func(trace.Record) error) error {
+	return array.ScheduleArrivals(eng, recs, func(rec trace.Record) {
+		if f.err != nil {
+			return
+		}
+		if err := submit(rec); err != nil {
+			f.err = fmt.Errorf("submit record at %v: %w", rec.At, err)
+			eng.Stop()
+		}
+	})
+}
+
+// afterFailure replays recs into submit, calls fail 30 s in, drains the
+// run and returns the spin-ups from the failure on.
+func afterFailure(arr *array.Array, recs []trace.Record, submit func(trace.Record) error, fail func() error) (int, error) {
+	var in feed
+	if err := in.schedule(arr.Eng, recs, submit); err != nil {
+		return 0, err
+	}
+	arr.Eng.RunUntil(30 * sim.Second)
+	if in.err != nil {
+		return 0, in.err
+	}
+	before := arr.TotalSpinCycles()
+	if err := fail(); err != nil {
+		return 0, err
+	}
+	arr.Eng.Run()
+	if in.err != nil {
+		return 0, in.err
+	}
+	return arr.TotalSpinCycles() - before, nil
 }
 
 // recoverOnDutyMirror fails RoLo-P's on-duty mirror mid-run.
 func recoverOnDutyMirror(o Options) ([]string, error) {
 	defer o.acquire()() // one pool slot per leaf simulation
-	arr, eng, recs, err := recoveryArray(o, 0)
+	arr, recs, err := recoveryArray(o, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -54,17 +88,15 @@ func recoverOnDutyMirror(o Options) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := array.ScheduleArrivals(eng, recs, func(rec trace.Record) { _ = ctrl.Submit(rec) }); err != nil {
-		return nil, err
-	}
-	eng.RunUntil(30 * sim.Second)
-	before := arr.TotalSpinCycles()
-	plan, err := ctrl.FailMirror(ctrl.OnDuty())
+	var plan core.RecoveryPlan
+	spins, err := afterFailure(arr, recs, ctrl.Submit, func() (err error) {
+		plan, err = ctrl.FailMirror(ctrl.OnDuty())
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	eng.Run()
-	return []string{"RoLo-P", "on-duty mirror", fmt.Sprintf("%d", arr.TotalSpinCycles()-before),
+	return []string{"RoLo-P", "on-duty mirror", fmt.Sprintf("%d", spins),
 		fmt.Sprintf("%v", plan.NewOnDuty >= 0),
 		fmt.Sprintf("duty handed to M%d at once", plan.NewOnDuty)}, nil
 }
@@ -72,7 +104,7 @@ func recoverOnDutyMirror(o Options) ([]string, error) {
 // recoverPrimary fails a RoLo-P primary.
 func recoverPrimary(o Options) ([]string, error) {
 	defer o.acquire()() // one pool slot per leaf simulation
-	arr, eng, recs, err := recoveryArray(o, 0)
+	arr, recs, err := recoveryArray(o, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -80,44 +112,41 @@ func recoverPrimary(o Options) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := array.ScheduleArrivals(eng, recs, func(rec trace.Record) { _ = ctrl.Submit(rec) }); err != nil {
-		return nil, err
-	}
-	eng.RunUntil(30 * sim.Second)
-	before := arr.TotalSpinCycles()
-	victim := (ctrl.OnDuty() + 1) % arr.Geom.Pairs
-	plan, err := ctrl.FailPrimary(victim)
+	var victim int
+	var plan core.RecoveryPlan
+	spins, err := afterFailure(arr, recs, ctrl.Submit, func() (err error) {
+		victim = (ctrl.OnDuty() + 1) % arr.Geom.Pairs
+		plan, err = ctrl.FailPrimary(victim)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	eng.Run()
 	return []string{"RoLo-P", fmt.Sprintf("primary P%d", victim),
-		fmt.Sprintf("%d", arr.TotalSpinCycles()-before), "true",
+		fmt.Sprintf("%d", spins), "true",
 		fmt.Sprintf("woke mirror + %d log-source logger(s)", len(plan.LogSourceLoggers))}, nil
 }
 
 // recoverGRAIDLogDisk fails GRAID's dedicated log disk.
 func recoverGRAIDLogDisk(o Options) ([]string, error) {
 	defer o.acquire()() // one pool slot per leaf simulation
-	arr, eng, recs, err := recoveryArray(o, 1)
+	arr, recs, err := recoveryArray(o, 1)
 	if err != nil {
 		return nil, err
 	}
-	gcfg := baseline.DefaultGRAIDConfig()
-	gcfg.LogCapacityBytes = scaleBytes(16*(1<<30), o.Scale)
-	ctrl, err := baseline.NewGRAID(arr, gcfg)
+	ctrl, err := baseline.NewGRAID(arr, rolo.ScaledConfig(rolo.SchemeGRAID, o.Scale, 8).GRAID)
 	if err != nil {
 		return nil, err
 	}
-	if err := array.ScheduleArrivals(eng, recs, func(rec trace.Record) { _ = ctrl.Submit(rec) }); err != nil {
+	var exposed int64
+	spins, err := afterFailure(arr, recs, ctrl.Submit, func() error {
+		exposed = ctrl.FailLogDisk()
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	eng.RunUntil(30 * sim.Second)
-	before := arr.TotalSpinCycles()
-	exposed := ctrl.FailLogDisk()
-	eng.Run()
-	return []string{"GRAID", "dedicated log disk",
-		fmt.Sprintf("%d", arr.TotalSpinCycles()-before), "false",
+	return []string{"GRAID", "dedicated log disk", fmt.Sprintf("%d", spins), "false",
 		fmt.Sprintf("%.0f MB exposed; every mirror woke", float64(exposed)/(1<<20))}, nil
 }
 

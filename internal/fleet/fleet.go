@@ -13,7 +13,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -123,12 +122,9 @@ func (s *Spec) SchemeFor(shard int) rolo.Scheme {
 
 // ShardConfig builds shard i's array configuration and derived workload.
 func (s *Spec) ShardConfig(shard int) (rolo.Config, trace.Synthetic) {
-	cfg := rolo.DefaultConfig(s.SchemeFor(shard))
+	cfg := rolo.ScaledConfig(s.SchemeFor(shard), s.Scale, s.FreeGiB)
 	cfg.Pairs = s.Pairs
 	cfg.StripeUnitBytes = s.StripeKB << 10
-	cfg.Disk.CapacityBytes = scaleBytes(18.4*(1<<30), s.Scale)
-	cfg.FreeBytesPerDisk = scaleBytes(s.FreeGiB*(1<<30), s.Scale)
-	cfg.GRAID.LogCapacityBytes = scaleBytes(16*(1<<30), s.Scale)
 	cfg.Check = s.Check
 	return cfg, s.Rule.Derive(s.Base, shard)
 }
@@ -143,16 +139,12 @@ func (s *Spec) RunShard(shard int) (rep rolo.Report, err error) {
 		return rolo.Report{}, fmt.Errorf("fleet: shard %d workload: %w", shard, err)
 	}
 	if s.JournalDir != "" {
-		dir := filepath.Join(s.JournalDir, fmt.Sprintf("shard-%05d", shard))
-		if mkerr := os.MkdirAll(dir, 0o755); mkerr != nil {
-			return rolo.Report{}, mkerr
-		}
 		segment := s.JournalSegmentBytes
 		if segment == 0 {
 			segment = 4 << 20
 		}
 		w, werr := journal.NewRotatingWriter(journal.RotateConfig{
-			Dir:          dir,
+			Dir:          filepath.Join(s.JournalDir, fmt.Sprintf("shard-%05d", shard)),
 			SegmentBytes: segment,
 			Compress:     s.JournalCompress,
 			Retain:       s.JournalRetain,
@@ -175,18 +167,6 @@ func (s *Spec) RunShard(shard int) (rep rolo.Report, err error) {
 		return rolo.Report{}, fmt.Errorf("fleet: shard %d (%v): %w", shard, cfg.Scheme, err)
 	}
 	return rep, nil
-}
-
-// scaleBytes shrinks a byte quantity by the scale factor, aligned down to
-// 1 MiB (the same rounding the experiments package uses).
-func scaleBytes(b float64, scale float64) int64 {
-	v := int64(b * scale)
-	const align = 1 << 20
-	v -= v % align
-	if v < align {
-		v = align
-	}
-	return v
 }
 
 // ParseSpec reads a fleet spec: one "key value" pair per line, with '#'

@@ -152,6 +152,31 @@ func DefaultConfig(scheme Scheme) Config {
 	}
 }
 
+// ScaleBytes shrinks a byte quantity of the paper's geometry by scale,
+// aligned down to 1 MiB and never below 1 MiB.
+func ScaleBytes(b, scale float64) int64 {
+	v := int64(b * scale)
+	const align = 1 << 20
+	v -= v % align
+	if v < align {
+		v = align
+	}
+	return v
+}
+
+// ScaledConfig returns DefaultConfig(scheme) on the paper's geometry
+// shrunk by scale: 18.4 GiB drives with freeGiB GiB of logging space
+// each and a 16 GiB GRAID log disk, every size scaled by ScaleBytes.
+// Shrinking geometry and trace together preserves the paper's
+// comparisons (see internal/experiments).
+func ScaledConfig(scheme Scheme, scale, freeGiB float64) Config {
+	cfg := DefaultConfig(scheme)
+	cfg.Disk.CapacityBytes = ScaleBytes(18.4*(1<<30), scale)
+	cfg.FreeBytesPerDisk = ScaleBytes(freeGiB*(1<<30), scale)
+	cfg.GRAID.LogCapacityBytes = ScaleBytes(16*(1<<30), scale)
+	return cfg
+}
+
 // Geometry derives the RAID10 geometry: the data region is the disk
 // capacity minus the logging region, rounded down to a stripe multiple.
 func (c Config) Geometry() raid.Geometry {
@@ -257,6 +282,12 @@ type Report struct {
 	// metrics (schemes with centralized destaging phases).
 	DestagingIntervalRatio float64
 	DestagingEnergyRatio   float64
+	// Phases is the log of completed logging and destaging periods
+	// behind the two ratios (empty unless the scheme destages
+	// centrally; Figure 2 reads its per-phase means). Like the
+	// histograms it shares the controller's storage and is omitted from
+	// JSON reports.
+	Phases metrics.PhaseLog `json:"-"`
 
 	// StateSeconds aggregates time per power state over all disks.
 	StateSeconds map[string]float64
@@ -440,8 +471,9 @@ func Run(cfg Config, recs []trace.Record) (rep Report, err error) {
 		rep.Rotations = lg.Rotations()
 		rep.Destages = lg.Destages()
 		rep.DirectWrites = lg.DirectWrites()
-		rep.DestagingIntervalRatio = lg.Phases().DestagingIntervalRatio()
-		rep.DestagingEnergyRatio = lg.Phases().DestagingEnergyRatio()
+		rep.Phases = *lg.Phases()
+		rep.DestagingIntervalRatio = rep.Phases.DestagingIntervalRatio()
+		rep.DestagingEnergyRatio = rep.Phases.DestagingEnergyRatio()
 	}
 	if e, ok := scheme.(interface{ ReadHitRate() float64 }); ok {
 		rep.ReadHitRate = e.ReadHitRate()

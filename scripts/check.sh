@@ -140,15 +140,27 @@ fi
 # through the async pipeline (ring handoff, writer goroutine, rotation,
 # gzip archival, manifest) and rolostat verifies every segment checksum
 # against the manifest. This drives the real binaries end to end under
-# the race detector — the integration the unit tests can't cover.
+# the race detector — the integration the unit tests can't cover. Then
+# the whole experiment sweep writes one single-file journal per
+# simulation on four jobs, and rolostat must read every one of them
+# cleanly: concurrent runs must never share a journal file.
 if want journal-smoke; then
-	stage "build rolosim (-race) + rolostat" \
-		sh -c 'go build -race -o bin/rolosim.race ./cmd/rolosim && go build -o bin/rolostat ./cmd/rolostat'
+	stage "build rolosim (-race) + rolostat + roloexp" \
+		sh -c 'go build -race -o bin/rolosim.race ./cmd/rolosim && go build -o bin/rolostat ./cmd/rolostat && \
+			go build -o bin/roloexp ./cmd/roloexp'
 	stage "rolosim -journal-segment -journal-compress (async journal smoke)" \
 		sh -c 'rm -rf bin/journal-smoke && ./bin/rolosim.race -scheme RoLo-P -profile src2_2 -scale 0.01 -probe-interval 30s \
 			-journal bin/journal-smoke -journal-segment 65536 -journal-compress >/dev/null'
 	stage "rolostat -verify (manifest integrity)" \
 		sh -c './bin/rolostat -verify bin/journal-smoke >/dev/null && rm -rf bin/journal-smoke'
+	stage "roloexp -run all -jobs 4 -journal: rolostat reads every journal" \
+		sh -c 'rm -rf bin/exp-journals && \
+			./bin/roloexp -run all -scale 0.01 -pairs 4 -jobs 4 -journal bin/exp-journals >/dev/null && \
+			n=0 && for f in bin/exp-journals/*.jsonl; do \
+				err=$(./bin/rolostat "$f" 2>&1 >/dev/null) && [ -z "$err" ] || \
+					{ echo "rolostat $f: $err" >&2; exit 1; }; \
+				n=$((n + 1)); \
+			done && echo "rolostat read $n journals" && rm -rf bin/exp-journals'
 fi
 
 # Fleet smoke: a race-built rolofleet runs a sharded cluster with the
