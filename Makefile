@@ -50,12 +50,13 @@ check:
 # smoke, writing one rotated, compressed telemetry journal per run
 # through the async pipeline and then verifying every journal's manifest
 # (segment checksums, counts, time ranges) with rolostat. The
-# .github/workflows/nightly.yml schedule runs exactly this. Three
-# experiments escape part of it: recovery and parity assemble their
-# controllers by hand and run unchecked, without journals or probes, and
-# the fleet experiment's shards are checked but write no journal and take
-# no probes. The default scale was raised from 0.2 when the
-# allocation-free core (DESIGN §11) made checked sweeps ~5.7× faster.
+# .github/workflows/nightly.yml schedule runs exactly this. Two
+# experiments escape it: recovery and parity assemble their controllers
+# by hand and run unchecked, without journals or probes. The fleet
+# experiment's shards write their journals as shard-NNNNN/ directories,
+# which the verify loop covers too. The default scale was raised from
+# 0.2 when the allocation-free core (DESIGN §11) made checked sweeps
+# ~5.7× faster.
 NIGHTLY_SCALE ?= 0.5
 NIGHTLY_PAIRS ?= 20
 NIGHTLY_JOBS ?= 0

@@ -16,8 +16,9 @@
 //
 // -check, -probe-interval and -journal reach every simulation except the
 // recovery and parity experiments, which assemble their controllers by
-// hand, and the fleet experiment, whose shards take -check only. A
-// simulation that several experiments share runs once per invocation.
+// hand. The fleet experiment's shards each write a rotated journal
+// directory, shard-NNNNN/, under the -journal directory. A simulation
+// that several experiments share runs once per invocation.
 package main
 
 import (

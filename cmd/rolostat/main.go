@@ -130,7 +130,6 @@ type fold struct {
 	writes      int64
 	latSum      float64
 	latMax      int64
-	latN        int64
 	rotations   int64
 	rotGap      sim.Time // sum of inter-rotation gaps
 	lastRot     sim.Time
@@ -175,16 +174,14 @@ func (f *fold) fold(ev telemetry.Event) error {
 	f.events++
 	f.counts[ev.Kind]++
 	switch ev.Kind {
-	case telemetry.KindRequestStart:
+	case telemetry.KindRequestDone:
 		f.reqBytes += ev.Bytes
 		if ev.Write {
 			f.writes++
 		} else {
 			f.reads++
 		}
-	case telemetry.KindRequestDone:
 		f.latSum += float64(ev.LatencyUs)
-		f.latN++
 		if ev.LatencyUs > f.latMax {
 			f.latMax = ev.LatencyUs
 		}
@@ -249,10 +246,8 @@ func (f *fold) report(w io.Writer) error {
 	if n := f.reads + f.writes; n > 0 {
 		fmt.Fprintf(w, "\nrequests: %d (%d reads, %d writes), %.2f MiB total\n",
 			n, f.reads, f.writes, float64(f.reqBytes)/(1<<20))
-	}
-	if f.latN > 0 {
 		fmt.Fprintf(w, "response: mean %.3f ms, max %.3f ms over %d completions\n",
-			f.latSum/float64(f.latN)/1000, float64(f.latMax)/1000, f.latN)
+			f.latSum/float64(n)/1000, float64(f.latMax)/1000, n)
 	}
 
 	if f.rotations > 0 {

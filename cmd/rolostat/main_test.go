@@ -16,10 +16,8 @@ import (
 // spin cycles, an overlapping destage window, and probes.
 func sampleRun() []telemetry.Event {
 	return []telemetry.Event{
-		{At: 1_000_000, Kind: telemetry.KindRequestStart, Disk: -1, Pair: -1, Write: true, Bytes: 64 << 10},
-		{At: 1_200_000, Kind: telemetry.KindRequestDone, Disk: -1, Pair: -1, Write: true, LatencyUs: 200_000},
-		{At: 1_500_000, Kind: telemetry.KindRequestStart, Disk: -1, Pair: -1, Bytes: 4 << 10},
-		{At: 1_550_000, Kind: telemetry.KindRequestDone, Disk: -1, Pair: -1, LatencyUs: 50_000},
+		{At: 1_200_000, Kind: telemetry.KindRequestDone, Disk: -1, Pair: -1, Write: true, Bytes: 64 << 10, LatencyUs: 200_000},
+		{At: 1_550_000, Kind: telemetry.KindRequestDone, Disk: -1, Pair: -1, Bytes: 4 << 10, LatencyUs: 50_000},
 		{At: 2_000_000, Kind: telemetry.KindProbe, Disk: -1, Pair: -1, States: "AISU", LogUsed: 10, LogCap: 100, Backlog: 1 << 20},
 		{At: 3_000_000, Kind: telemetry.KindRotation, Disk: -1, Pair: 0},
 		{At: 3_100_000, Kind: telemetry.KindSpinUp, Disk: 2, Pair: -1},
@@ -104,7 +102,8 @@ func TestSummaryIdenticalAcrossLayouts(t *testing.T) {
 	if got != want {
 		t.Fatalf("rotated summary diverges from single-file summary:\n--- single ---\n%s--- rotated ---\n%s", want, got)
 	}
-	for _, fragment := range []string{"journal: 14 events", "destages: 2", "phase timeline (3 phases):", "rotations: 2, mean interval"} {
+	for _, fragment := range []string{"journal: 12 events", "destages: 2", "phase timeline (3 phases):", "rotations: 2, mean interval",
+		"requests: 2 (1 reads, 1 writes), 0.07 MiB total", "response: mean 125.000 ms, max 200.000 ms over 2 completions"} {
 		if !bytes.Contains([]byte(got), []byte(fragment)) {
 			t.Fatalf("summary missing %q:\n%s", fragment, got)
 		}
@@ -113,7 +112,7 @@ func TestSummaryIdenticalAcrossLayouts(t *testing.T) {
 
 func TestFoldRejectsNonMonotonicJournal(t *testing.T) {
 	f := newFold()
-	if err := f.fold(telemetry.Event{At: 100, Kind: telemetry.KindRequestStart, Disk: -1, Pair: -1}); err != nil {
+	if err := f.fold(telemetry.Event{At: 100, Kind: telemetry.KindRotation, Disk: -1, Pair: 0}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.fold(telemetry.Event{At: 50, Kind: telemetry.KindRequestDone, Disk: -1, Pair: -1}); err == nil {
@@ -127,7 +126,7 @@ func TestFoldConstantishMemory(t *testing.T) {
 	// is bounded by destage windows, held at one here).
 	f := newFold()
 	for i := 0; i < 100_000; i++ {
-		ev := telemetry.Event{At: sim.Time(i + 1), Kind: telemetry.KindRequestStart, Disk: -1, Pair: -1, Bytes: 4096}
+		ev := telemetry.Event{At: sim.Time(i + 1), Kind: telemetry.KindRequestDone, Disk: -1, Pair: -1, Bytes: 4096, LatencyUs: 1}
 		if err := f.fold(ev); err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +165,7 @@ func TestSummaryOfCrashedCompressedRun(t *testing.T) {
 	if err := summarize(dir, &stdout, &stderr); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(stdout.Bytes(), []byte("journal: 14 events")) {
+	if !bytes.Contains(stdout.Bytes(), []byte("journal: 12 events")) {
 		t.Fatalf("report of the crashed run misses its events:\n%s", stdout.String())
 	}
 	if !bytes.Contains(stderr.Bytes(), []byte("warning: journal is truncated")) {

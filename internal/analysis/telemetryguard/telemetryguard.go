@@ -7,7 +7,7 @@
 // path even when telemetry is disabled. The sanctioned shapes are:
 //
 //	if c.tel != nil {
-//	        c.tel.RequestDone(now, isWrite, rt)
+//	        c.tel.RequestDone(now, isWrite, size, rt)
 //	}
 //
 // an equivalent Enabled() guard:
@@ -20,7 +20,7 @@
 //	        return
 //	}
 //	...
-//	c.tel.RequestStart(...)
+//	c.tel.CacheHit(...)
 //
 // Enabled() itself is exempt (it is the guard). _test.go files are
 // exempt: tests exercise the nil-safety deliberately.

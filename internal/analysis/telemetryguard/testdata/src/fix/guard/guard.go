@@ -14,7 +14,7 @@ func (engine) After(d int64, fn func(now int64)) {}
 
 func unguarded(c *controller) {
 	c.tel.Emit(telemetry.Event{At: 1}) // want `unguarded telemetry emission c\.tel\.Emit`
-	c.tel.RequestStart(0, false, 512)  // want `unguarded telemetry emission c\.tel\.RequestStart`
+	c.tel.CacheHit(0, -1, 512)         // want `unguarded telemetry emission c\.tel\.CacheHit`
 	_ = c.tel.Enabled()                // the guard method itself is fine
 }
 
@@ -23,7 +23,7 @@ func guardedIf(c *controller) {
 		c.tel.Emit(telemetry.Event{At: 1}) // guarded: fine
 	}
 	if nil != c.tel {
-		c.tel.RequestStart(0, true, 1) // reversed operands: fine
+		c.tel.CacheHit(0, -1, 1) // reversed operands: fine
 	}
 	if c.tel != nil && true {
 		c.tel.Emit(telemetry.Event{}) // conjunction keeps the guard: fine
@@ -40,7 +40,7 @@ func guardedEarlyReturn(c *controller) {
 	if c.tel == nil {
 		return
 	}
-	c.tel.RequestDone(5, false, 7) // dominated by the early return: fine
+	c.tel.RequestDone(5, false, 512, 7) // dominated by the early return: fine
 }
 
 func guardedElse(c *controller) {
@@ -65,11 +65,11 @@ func closureUnderGuard(c *controller, eng engine) {
 		// The recorder is wired once before the run; a closure scheduled
 		// under the guard still sees a non-nil recorder when it fires.
 		eng.After(3, func(now int64) {
-			c.tel.RequestDone(now, true, 9) // fine
+			c.tel.RequestDone(now, true, 512, 9) // fine
 		})
 	}
 	eng.After(4, func(now int64) {
-		c.tel.RequestDone(now, true, 9) // want `unguarded telemetry emission c\.tel\.RequestDone`
+		c.tel.RequestDone(now, true, 512, 9) // want `unguarded telemetry emission c\.tel\.RequestDone`
 	})
 }
 

@@ -19,8 +19,8 @@ func (r *Recorder) Enabled() bool { return r != nil && r.enabled }
 // Emit is an emission method.
 func (r *Recorder) Emit(ev Event) {}
 
-// RequestStart is an emission method.
-func (r *Recorder) RequestStart(at int64, write bool, bytes int64) {}
-
 // RequestDone is an emission method.
-func (r *Recorder) RequestDone(at int64, write bool, latency int64) {}
+func (r *Recorder) RequestDone(at int64, write bool, bytes, latency int64) {}
+
+// CacheHit is an emission method.
+func (r *Recorder) CacheHit(at int64, pair int, bytes int64) {}

@@ -97,16 +97,15 @@ func (c *CachedController) Submit(rec trace.Record) error {
 		c.hits++
 		if c.tel != nil {
 			c.tel.CacheHit(rec.At, -1, rec.Size)
-			// The inner controller never sees a RAM hit, so the cache
-			// emits the request events itself.
-			c.tel.RequestStart(rec.At, false, rec.Size)
 		}
-		arrive := rec.At
+		// The inner controller never sees a RAM hit, so the cache
+		// completes the request itself.
+		arrive, size := rec.At, rec.Size
 		c.eng.After(c.hitLatency, func(now sim.Time) {
 			rt := now - arrive
 			c.resp.AddClass(rt, false)
 			if c.tel != nil {
-				c.tel.RequestDone(now, false, rt)
+				c.tel.RequestDone(now, false, size, rt)
 			}
 		})
 		return nil

@@ -19,6 +19,7 @@ type Request struct {
 	Done func(now sim.Time)
 
 	arrive    sim.Time
+	size      int64
 	write     bool
 	remaining int
 	pool      *Requests
@@ -36,22 +37,19 @@ type Requests struct {
 	exts []raid.Extent // Arrive's extent scratch
 }
 
-// SetTelemetry makes arrivals and completions emit RequestStart and
-// RequestDone events to rec (nil disables them).
+// SetTelemetry makes completions emit one RequestDone event per request
+// to rec (nil disables them).
 func (p *Requests) SetTelemetry(rec *telemetry.Recorder) { p.tel = rec }
 
-// Arrive journals rec's arrival and maps it onto geom's per-pair extents.
-// The extents live in a scratch slice reused by the next arrival, so the
-// controller must consume them before Submit returns.
+// Arrive maps rec onto geom's per-pair extents. The extents live in a
+// scratch slice reused by the next arrival, so the controller must
+// consume them before Submit returns.
 func (p *Requests) Arrive(geom raid.Geometry, rec trace.Record) ([]raid.Extent, error) {
 	exts, err := geom.AppendExtents(p.exts[:0], rec.Offset, rec.Size)
 	if err != nil {
 		return nil, err
 	}
 	p.exts = exts
-	if p.tel != nil {
-		p.tel.RequestStart(rec.At, rec.Op == trace.Write, rec.Size)
-	}
 	return exts, nil
 }
 
@@ -66,7 +64,7 @@ func (p *Requests) Start(rec trace.Record, n int) *Request {
 		r = &Request{pool: p}
 		r.Done = r.done
 	}
-	r.arrive, r.write, r.remaining = rec.At, rec.Op == trace.Write, n
+	r.arrive, r.size, r.write, r.remaining = rec.At, rec.Size, rec.Op == trace.Write, n
 	return r
 }
 
@@ -79,7 +77,7 @@ func (r *Request) done(now sim.Time) {
 	rt := now - r.arrive
 	p.Resp.AddClass(rt, r.write)
 	if p.tel != nil {
-		p.tel.RequestDone(now, r.write, rt)
+		p.tel.RequestDone(now, r.write, r.size, rt)
 	}
 	p.free = append(p.free, r)
 }

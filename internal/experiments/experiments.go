@@ -48,7 +48,9 @@ type Options struct {
 	// the names are the same at every job count. With
 	// JournalSegmentBytes set, each run instead gets a rotated journal
 	// directory <scheme>_<trace>_<hash>/ written through the async
-	// pipeline (see internal/telemetry/journal).
+	// pipeline (see internal/telemetry/journal). The fleet experiment
+	// always writes rotated directories, one per shard, named
+	// shard-NNNNN/.
 	JournalDir string
 	// JournalSegmentBytes rotates each run's journal into segments of
 	// this many bytes (0 keeps the single-file layout).

@@ -2,8 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/rolo-storage/rolo/internal/fleet"
+	"github.com/rolo-storage/rolo/internal/sim"
+	"github.com/rolo-storage/rolo/internal/telemetry/journal"
 )
 
 // TestFleetSharesSlotBudget pins the no-pool-in-pool invariant: under
@@ -58,5 +64,57 @@ func TestFleetExperimentDeterministic(t *testing.T) {
 	serial := run(o)
 	if parallel := run(o.Pool(4)); parallel != serial {
 		t.Fatalf("fleet experiment output depends on job count:\n--- serial ---\n%s--- jobs=4 ---\n%s", serial, parallel)
+	}
+}
+
+// TestFleetExperimentJournals pins that the fleet experiment honours the
+// journal and probe options: every shard writes one rotated journal
+// directory, shard-NNNNN/, directly under the journal dir, and each
+// verifies against its manifest with no dropped events and with probe
+// samples in it. The flags observe the shards, so stdout is the same as
+// without them.
+func TestFleetExperimentJournals(t *testing.T) {
+	fleetExp, err := Lookup("fleet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(o Options) string {
+		var buf bytes.Buffer
+		if err := fleetExp.Run(o, &buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	o := DefaultOptions()
+	o.Scale = 0.05
+	plain := run(o)
+
+	dir := t.TempDir()
+	o.JournalDir = dir
+	o.ProbeInterval = 2 * sim.Second
+	if got := run(o.Pool(2)); got != plain {
+		t.Errorf("journals and probes changed the fleet's output:\n--- without ---\n%s--- with ---\n%s", plain, got)
+	}
+
+	shards := fleet.DefaultSpec().Shards
+	var want []string
+	for i := 0; i < shards; i++ {
+		want = append(want, fmt.Sprintf("shard-%05d", i))
+	}
+	if got := listJournals(t, dir, ""); strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("journal dir holds %v, want one directory per shard %v", got, want)
+	}
+	for _, name := range want {
+		path := filepath.Join(dir, name)
+		m, err := journal.Verify(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Writer == nil || m.Writer.Dropped != 0 {
+			t.Errorf("%s: writer stats %+v, want no drops", name, m.Writer)
+		}
+		if journalProbes(t, path) == 0 {
+			t.Errorf("%s: no probe events", name)
+		}
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"strings"
 
 	"github.com/rolo-storage/rolo"
+	"github.com/rolo-storage/rolo/internal/sim"
 	"github.com/rolo-storage/rolo/internal/telemetry/journal"
 	"github.com/rolo-storage/rolo/internal/trace"
 )
@@ -43,6 +44,9 @@ type Spec struct {
 	Rule trace.ShardRule
 	// Check enables the RoloSan sanitizer in every shard.
 	Check bool
+	// ProbeInterval enables periodic telemetry probes in every shard
+	// (0 disables them).
+	ProbeInterval sim.Time
 	// WorstK is how many worst shards (by p99 latency) the cluster
 	// report digests. Zero means 8.
 	WorstK int
@@ -126,6 +130,7 @@ func (s *Spec) ShardConfig(shard int) (rolo.Config, trace.Synthetic) {
 	cfg.Pairs = s.Pairs
 	cfg.StripeUnitBytes = s.StripeKB << 10
 	cfg.Check = s.Check
+	cfg.Telemetry.ProbeInterval = s.ProbeInterval
 	return cfg, s.Rule.Derive(s.Base, shard)
 }
 

@@ -22,8 +22,7 @@ func (discard) Write(p []byte) (int, error) { return len(p), nil }
 func BenchmarkCoreTelemetryEncode(b *testing.B) {
 	s := NewJSONLSink(discard{})
 	evs := [...]Event{
-		{At: 1000, Kind: KindRequestStart, Disk: -1, Pair: -1, Write: true, Bytes: 65536},
-		{At: 1400, Kind: KindRequestDone, Disk: -1, Pair: -1, Write: true, LatencyUs: 400},
+		{At: 1400, Kind: KindRequestDone, Disk: -1, Pair: -1, Write: true, Bytes: 65536, LatencyUs: 400},
 		{At: 2000, Kind: KindRotation, Disk: -1, Pair: 7},
 		{At: 2100, Kind: KindSpinUp, Disk: 13, Pair: -1},
 		{At: 2400, Kind: KindProbe, Disk: -1, Pair: -1,

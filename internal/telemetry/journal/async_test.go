@@ -81,7 +81,7 @@ func TestAsyncSinkDropPolicy(t *testing.T) {
 	bw := &gatedWriter{inner: mw, gate: gate}
 	s := NewAsyncSink(bw, AsyncConfig{Buffer: 8, Policy: PolicyDrop})
 	for i := 0; i < 100; i++ {
-		s.Emit(telemetry.Event{At: sim.Time(i), Kind: telemetry.KindRequestStart, Disk: -1, Pair: -1})
+		s.Emit(telemetry.Event{At: sim.Time(i), Kind: telemetry.KindRequestDone, Disk: -1, Pair: -1})
 	}
 	close(gate)
 	if err := s.Close(); err != nil {

@@ -26,16 +26,15 @@ func (nullIOWriter) Write(p []byte) (int, error) { return len(p), nil }
 
 var benchEvents = genBenchEvents()
 
-func genBenchEvents() [8]telemetry.Event {
-	return [8]telemetry.Event{
-		{At: 1000, Kind: telemetry.KindRequestStart, Disk: -1, Pair: -1, Write: true, Bytes: 65536},
-		{At: 1400, Kind: telemetry.KindRequestDone, Disk: -1, Pair: -1, Write: true, LatencyUs: 400},
+func genBenchEvents() [7]telemetry.Event {
+	return [7]telemetry.Event{
+		{At: 1400, Kind: telemetry.KindRequestDone, Disk: -1, Pair: -1, Write: true, Bytes: 65536, LatencyUs: 400},
 		{At: 2000, Kind: telemetry.KindRotation, Disk: -1, Pair: 7},
 		{At: 2100, Kind: telemetry.KindSpinUp, Disk: 13, Pair: -1},
 		{At: 2200, Kind: telemetry.KindCacheHit, Disk: -1, Pair: 0, Bytes: 4096},
 		{At: 2300, Kind: telemetry.KindLogInvalidate, Disk: -1, Pair: 3, Bytes: 1 << 20},
 		{At: 2400, Kind: telemetry.KindProbe, Disk: -1, Pair: -1, States: "AISUDAISUD", LogUsed: 100, LogCap: 1000, Backlog: 5},
-		{At: 2500, Kind: telemetry.KindRequestDone, Disk: -1, Pair: -1, LatencyUs: 90},
+		{At: 2500, Kind: telemetry.KindRequestDone, Disk: -1, Pair: -1, Bytes: 4096, LatencyUs: 90},
 	}
 }
 
@@ -131,7 +130,7 @@ func BenchmarkCoreJournalEmit(b *testing.B) {
 }
 
 // replaySegment encodes at least n bytes of events shaped like a replay
-// journal, which is mostly request start/done pairs: mostly-write
+// journal, which is mostly one RequestDone per request: mostly-write
 // requests of 4 KiB multiples, a latency of up to 20 ms each, and a probe
 // every 256 requests.
 func replaySegment(n int) []byte {
@@ -145,10 +144,8 @@ func replaySegment(n int) []byte {
 		}
 		at += sim.Time(rng.Intn(100000))
 		write, lat := rng.Intn(10) > 0, rng.Int63n(20000)
-		out = telemetry.AppendEvent(out, telemetry.Event{At: at, Kind: telemetry.KindRequestStart, Disk: -1, Pair: -1,
-			Write: write, Bytes: int64(rng.Intn(16)+1) * 4096})
 		out = telemetry.AppendEvent(out, telemetry.Event{At: at + sim.Time(lat), Kind: telemetry.KindRequestDone, Disk: -1, Pair: -1,
-			Write: write, LatencyUs: lat})
+			Write: write, Bytes: int64(rng.Intn(16)+1) * 4096, LatencyUs: lat})
 	}
 	return out
 }

@@ -26,11 +26,9 @@ func genEvents(n int, seed int64) []telemetry.Event {
 		kind := telemetry.Kinds[rng.Intn(len(telemetry.Kinds))]
 		ev := telemetry.Event{At: at, Kind: kind, Disk: -1, Pair: -1}
 		switch kind {
-		case telemetry.KindRequestStart:
-			ev.Write = rng.Intn(2) == 0
-			ev.Bytes = int64(rng.Intn(1 << 20))
 		case telemetry.KindRequestDone:
 			ev.Write = rng.Intn(2) == 0
+			ev.Bytes = int64(rng.Intn(1 << 20))
 			ev.LatencyUs = int64(rng.Intn(1e6))
 		case telemetry.KindSpinUp, telemetry.KindSpinDown:
 			ev.Disk = rng.Intn(40)

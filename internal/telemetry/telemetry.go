@@ -5,7 +5,7 @@
 // The journal is built around three pieces:
 //
 //   - Event, a typed record of one thing that happened inside a run
-//     (a request arriving or completing, a logger rotation, a destage
+//     (a request completing, a logger rotation, a destage
 //     starting or draining, a disk spinning up or down, a log-extent
 //     invalidation, a cache hit or miss, a periodic probe sample);
 //   - Sink, the pluggable consumer interface (JSONL for offline analysis
@@ -36,14 +36,15 @@ import (
 // Kind enumerates the event types in the journal taxonomy.
 type Kind int
 
-// The event taxonomy. Request events cover the foreground I/O path;
-// Rotation/DestageStart/DestageDone/LogInvalidate cover the logging
-// life cycle; SpinUp/SpinDown cover the power state machine; CacheHit and
-// CacheMiss cover both the controller RAM cache and RoLo-E's on-duty read
-// cache; Probe carries a periodic time-series sample.
+// The event taxonomy. RequestDone covers the foreground I/O path with one
+// event per request, carrying its class, size and latency, so the arrival
+// time is At - LatencyUs; Rotation/DestageStart/DestageDone/LogInvalidate
+// cover the logging life cycle; SpinUp/SpinDown cover the power state
+// machine; CacheHit and CacheMiss cover both the controller RAM cache and
+// RoLo-E's on-duty read cache; Probe carries a periodic time-series
+// sample.
 const (
-	KindRequestStart Kind = iota + 1
-	KindRequestDone
+	KindRequestDone Kind = iota + 1
 	KindRotation
 	KindDestageStart
 	KindDestageDone
@@ -59,16 +60,14 @@ const (
 
 // Kinds lists every event kind in declaration order.
 var Kinds = []Kind{
-	KindRequestStart, KindRequestDone, KindRotation, KindDestageStart,
-	KindDestageDone, KindSpinUp, KindSpinDown, KindLogInvalidate,
-	KindCacheHit, KindCacheMiss, KindProbe,
+	KindRequestDone, KindRotation, KindDestageStart, KindDestageDone,
+	KindSpinUp, KindSpinDown, KindLogInvalidate, KindCacheHit,
+	KindCacheMiss, KindProbe,
 }
 
 // String returns the journal name of the kind.
 func (k Kind) String() string {
 	switch k {
-	case KindRequestStart:
-		return "RequestStart"
 	case KindRequestDone:
 		return "RequestDone"
 	case KindRotation:
@@ -140,10 +139,11 @@ type Event struct {
 	Pair int `json:"pair,omitempty"`
 	// Write marks request and cache events on the write path.
 	Write bool `json:"write,omitempty"`
-	// Bytes is the request size (request/cache events) or the number of
-	// log bytes reclaimed (LogInvalidate).
+	// Bytes is the request size (RequestDone/cache events) or the number
+	// of log bytes reclaimed (LogInvalidate).
 	Bytes int64 `json:"bytes,omitempty"`
-	// LatencyUs is the response time in microseconds (RequestDone only).
+	// LatencyUs is the response time in microseconds (RequestDone only);
+	// the request arrived at At - LatencyUs.
 	LatencyUs int64 `json:"lat_us,omitempty"`
 	// States is the per-disk power-state string for Probe events: one
 	// character per disk ID (A=active, I=idle, S=standby, U=spinning up,
@@ -198,20 +198,13 @@ func (r *Recorder) Emit(ev Event) {
 	r.sink.Emit(ev)
 }
 
-// RequestStart records a logical request arriving at a controller.
-func (r *Recorder) RequestStart(now sim.Time, write bool, bytes int64) {
+// RequestDone records a logical request of the given class and size
+// completing with the given latency; it arrived at now - latency.
+func (r *Recorder) RequestDone(now sim.Time, write bool, bytes int64, latency sim.Time) {
 	if r == nil || r.sink == nil {
 		return
 	}
-	r.sink.Emit(Event{At: now, Kind: KindRequestStart, Disk: -1, Pair: -1, Write: write, Bytes: bytes})
-}
-
-// RequestDone records a logical request completing with the given latency.
-func (r *Recorder) RequestDone(now sim.Time, write bool, latency sim.Time) {
-	if r == nil || r.sink == nil {
-		return
-	}
-	r.sink.Emit(Event{At: now, Kind: KindRequestDone, Disk: -1, Pair: -1, Write: write, LatencyUs: int64(latency)})
+	r.sink.Emit(Event{At: now, Kind: KindRequestDone, Disk: -1, Pair: -1, Write: write, Bytes: bytes, LatencyUs: int64(latency)})
 }
 
 // Rotation records a logger rotation; pair is the newly on-duty logger.

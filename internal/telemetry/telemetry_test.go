@@ -31,8 +31,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 		t.Fatal("nil recorder enabled")
 	}
 	// Every helper must be a no-op on a nil receiver.
-	r.RequestStart(1, true, 10)
-	r.RequestDone(2, false, 5)
+	r.RequestDone(2, false, 10, 5)
 	r.Rotation(3, 1)
 	r.DestageStart(4, 0)
 	r.DestageDone(5, 0)
@@ -50,8 +49,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 func TestNilRecorderAllocatesNothing(t *testing.T) {
 	var r *Recorder
 	allocs := testing.AllocsPerRun(1000, func() {
-		r.RequestStart(1, true, 4096)
-		r.RequestDone(2, true, 100)
+		r.RequestDone(2, true, 4096, 100)
 		r.SpinUp(3, 7)
 	})
 	if allocs != 0 {
@@ -82,8 +80,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	s := NewJSONLSink(&buf)
 	r := NewRecorder(s)
 	events := []func(){
-		func() { r.RequestStart(100, true, 8192) },
-		func() { r.RequestDone(5000, true, 4900) },
+		func() { r.RequestDone(5000, true, 8192, 4900) },
 		func() { r.Rotation(6000, 3) },
 		func() { r.DestageStart(6000, 3) },
 		func() { r.DestageDone(9000, 3) },
@@ -111,8 +108,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 		t.Fatalf("parsed %d events, wrote %d", len(got), len(events))
 	}
 	want := []Event{
-		{At: 100, Kind: KindRequestStart, Disk: -1, Pair: -1, Write: true, Bytes: 8192},
-		{At: 5000, Kind: KindRequestDone, Disk: -1, Pair: -1, Write: true, LatencyUs: 4900},
+		{At: 5000, Kind: KindRequestDone, Disk: -1, Pair: -1, Write: true, Bytes: 8192, LatencyUs: 4900},
 		{At: 6000, Kind: KindRotation, Disk: -1, Pair: 3},
 		{At: 6000, Kind: KindDestageStart, Disk: -1, Pair: 3},
 		{At: 9000, Kind: KindDestageDone, Disk: -1, Pair: 3},
@@ -135,8 +131,7 @@ func TestJSONLDeterministicBytes(t *testing.T) {
 		var buf bytes.Buffer
 		s := NewJSONLSink(&buf)
 		r := NewRecorder(s)
-		r.RequestStart(1, false, 512)
-		r.RequestDone(2, false, 1)
+		r.RequestDone(2, false, 512, 1)
 		r.SpinUp(3, 0)
 		_ = s.Flush()
 		return buf.String()
@@ -206,8 +201,7 @@ func TestKindJSONRoundTrip(t *testing.T) {
 func TestJSONLSinkZeroAlloc(t *testing.T) {
 	s := NewJSONLSink(io.Discard)
 	evs := []Event{
-		{At: 1, Kind: KindRequestStart, Disk: -1, Pair: -1, Write: true, Bytes: 1 << 16},
-		{At: 2, Kind: KindRequestDone, Disk: -1, Pair: -1, LatencyUs: 1234},
+		{At: 2, Kind: KindRequestDone, Disk: -1, Pair: -1, Write: true, Bytes: 1 << 16, LatencyUs: 1234},
 		{At: 3, Kind: KindProbe, Disk: -1, Pair: -1,
 			States:  `AISUDAISUDAISUDAISUD"quoted\escape"AISUD`,
 			LogUsed: 1 << 40, LogCap: 1 << 42, Backlog: 1 << 30},

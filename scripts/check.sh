@@ -138,29 +138,44 @@ fi
 
 # Journal smoke: a race-built rolosim writes a rotated, compressed journal
 # through the async pipeline (ring handoff, writer goroutine, rotation,
-# gzip archival, manifest) and rolostat verifies every segment checksum
-# against the manifest. This drives the real binaries end to end under
-# the race detector — the integration the unit tests can't cover. Then
-# the whole experiment sweep writes one single-file journal per
-# simulation on four jobs, and rolostat must read every one of them
-# cleanly: concurrent runs must never share a journal file.
+# gzip archival, manifest) and its JSON report, rolostat verifies every
+# segment checksum against the manifest, and the request count rolostat
+# folds from the journal's RequestDone events must equal the report's.
+# This drives the real binaries end to end under the race detector — the
+# integration the unit tests can't cover. Then the whole experiment sweep
+# writes one single-file journal per simulation on four jobs, and
+# rolostat must read every one of them cleanly: concurrent runs must
+# never share a journal file. The fleet experiment's shards write rotated
+# shard-NNNNN/ directories beside them, and each must verify against its
+# manifest without a warning (a shard emits ~1.3k events here, fewer than
+# the async ring holds, so even the drop policy cannot drop).
 if want journal-smoke; then
 	stage "build rolosim (-race) + rolostat + roloexp" \
 		sh -c 'go build -race -o bin/rolosim.race ./cmd/rolosim && go build -o bin/rolostat ./cmd/rolostat && \
 			go build -o bin/roloexp ./cmd/roloexp'
 	stage "rolosim -journal-segment -journal-compress (async journal smoke)" \
 		sh -c 'rm -rf bin/journal-smoke && ./bin/rolosim.race -scheme RoLo-P -profile src2_2 -scale 0.01 -probe-interval 30s \
-			-journal bin/journal-smoke -journal-segment 65536 -journal-compress >/dev/null'
+			-journal bin/journal-smoke -journal-segment 65536 -journal-compress -json >bin/journal-smoke.json'
 	stage "rolostat -verify (manifest integrity)" \
-		sh -c './bin/rolostat -verify bin/journal-smoke >/dev/null && rm -rf bin/journal-smoke'
-	stage "roloexp -run all -jobs 4 -journal: rolostat reads every journal" \
+		sh -c './bin/rolostat -verify bin/journal-smoke >/dev/null'
+	stage "rolostat requests: count equals the -json report's Requests" \
+		sh -c 'want=$(sed -n "s/^  \"Requests\": \([0-9]*\),\$/\1/p" bin/journal-smoke.json) && \
+			got=$(./bin/rolostat bin/journal-smoke | sed -n "s/^requests: \([0-9]*\) .*/\1/p") && \
+			[ -n "$want" ] && [ "$got" = "$want" ] || \
+				{ echo "rolostat counts \"$got\" requests, the report \"$want\"" >&2; exit 1; }; \
+			echo "journal and report agree on $want requests" && rm -rf bin/journal-smoke bin/journal-smoke.json'
+	stage "roloexp -run all -jobs 4 -journal: rolostat reads every journal, verifies every fleet shard" \
 		sh -c 'rm -rf bin/exp-journals && \
 			./bin/roloexp -run all -scale 0.01 -pairs 4 -jobs 4 -journal bin/exp-journals >/dev/null && \
 			n=0 && for f in bin/exp-journals/*.jsonl; do \
 				err=$(./bin/rolostat "$f" 2>&1 >/dev/null) && [ -z "$err" ] || \
 					{ echo "rolostat $f: $err" >&2; exit 1; }; \
 				n=$((n + 1)); \
-			done && echo "rolostat read $n journals" && rm -rf bin/exp-journals'
+			done && s=0 && for d in bin/exp-journals/shard-*/; do \
+				err=$(./bin/rolostat -verify "$d" 2>&1 >/dev/null) && [ -z "$err" ] || \
+					{ echo "rolostat -verify $d: $err" >&2; exit 1; }; \
+				s=$((s + 1)); \
+			done && echo "rolostat read $n journals and verified $s fleet shards" && rm -rf bin/exp-journals'
 fi
 
 # Fleet smoke: a race-built rolofleet runs a sharded cluster with the
