@@ -47,8 +47,9 @@ check:
 
 # nightly regenerates every experiment with the RoloSan sanitizer on, in
 # parallel across the machine's cores, at a larger scale than the CI
-# smoke, writing one rotated, compressed telemetry journal per run
-# through the async pipeline and then verifying every journal's manifest
+# smoke, writing one telemetry journal directory per run (4 MiB
+# gzip-compressed segments and a manifest, like every journal) through
+# the async pipeline and then verifying every journal's manifest
 # (segment checksums, counts, time ranges) with rolostat. The
 # .github/workflows/nightly.yml schedule runs exactly this. Two
 # experiments escape it: recovery and parity assemble their controllers

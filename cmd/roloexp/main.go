@@ -16,9 +16,12 @@
 //
 // -check, -probe-interval and -journal reach every simulation except the
 // recovery and parity experiments, which assemble their controllers by
-// hand. The fleet experiment's shards each write a rotated journal
-// directory, shard-NNNNN/, under the -journal directory. A simulation
-// that several experiments share runs once per invocation.
+// hand. -journal DIR gives every simulation a rotated journal directory
+// of its own under DIR, named <scheme>_<trace>_<hash>/, and the fleet
+// experiment's shards theirs, named shard-NNNNN/; each holds
+// run-NNNNN.jsonl[.gz] segments and a manifest that rolostat -verify
+// checks. A simulation that several experiments share runs once per
+// invocation.
 package main
 
 import (
@@ -30,6 +33,7 @@ import (
 	"github.com/rolo-storage/rolo/internal/cliprof"
 	"github.com/rolo-storage/rolo/internal/experiments"
 	"github.com/rolo-storage/rolo/internal/sim"
+	"github.com/rolo-storage/rolo/internal/telemetry/journal"
 )
 
 func main() {
@@ -41,20 +45,28 @@ func main() {
 
 func run() (err error) {
 	var (
-		id         = flag.String("run", "", "experiment id to run, or \"all\"")
-		list       = flag.Bool("list", false, "list available experiments")
-		scale      = flag.Float64("scale", 0.1, "geometry+trace scale factor in (0,1]")
-		pairs      = flag.Int("pairs", 20, "number of mirrored pairs (disks = 2*pairs)")
-		jobs       = flag.Int("jobs", 0, "max simulations in flight (0 = GOMAXPROCS)")
-		journalDir = flag.String("journal", "", "write one JSONL telemetry journal per simulation into this directory, named <scheme>_<trace>_<hash>.jsonl, where the hash covers the run's configuration and workload (a <scheme>_<trace>_<hash>/ directory with -journal-segment)")
-		jSegment   = flag.Int64("journal-segment", 0, "rotate each run's journal into segments of this many bytes, one subdirectory per run (0 = single file per run)")
-		jCompress  = flag.Bool("journal-compress", false, "write every journal segment gzip-compressed, as run-NNNNN.jsonl.gz (requires -journal-segment)")
-		jRetain    = flag.Int("journal-retain", 0, "keep only the newest N segments per run (0 = all; requires -journal-segment)")
-		probeIv    = flag.Duration("probe-interval", 0, "periodic telemetry probe spacing (e.g. 30s; 0 disables)")
-		check      = flag.Bool("check", false, "enable RoloSan: validate simulation invariants in every run and fail on the first violation")
+		id      = flag.String("run", "", "experiment id to run, or \"all\"")
+		list    = flag.Bool("list", false, "list available experiments")
+		scale   = flag.Float64("scale", 0.1, "geometry+trace scale factor in (0,1]")
+		pairs   = flag.Int("pairs", 20, "number of mirrored pairs (disks = 2*pairs)")
+		jobs    = flag.Int("jobs", 0, "max simulations in flight (0 = GOMAXPROCS)")
+		probeIv = flag.Duration("probe-interval", 0, "periodic telemetry probe spacing (e.g. 30s; 0 disables)")
+		check   = flag.Bool("check", false, "enable RoloSan: validate simulation invariants in every run and fail on the first violation")
 	)
+	jcfg := journal.Flags("write one telemetry journal directory per simulation under this directory, named <scheme>_<trace>_<hash>/, where the hash covers the run's configuration and workload")
 	prof := cliprof.Flags()
 	flag.Parse()
+	opts := experiments.Options{
+		Scale:         *scale,
+		Pairs:         *pairs,
+		Journal:       *jcfg,
+		ProbeInterval: sim.Time((*probeIv) / time.Microsecond),
+		Check:         *check,
+		Jobs:          *jobs,
+	}
+	if err := opts.Validate(); err != nil {
+		return err
+	}
 	if err := prof.Start(); err != nil {
 		return err
 	}
@@ -73,25 +85,6 @@ func run() (err error) {
 		return nil
 	}
 
-	opts := experiments.Options{
-		Scale:               *scale,
-		Pairs:               *pairs,
-		JournalDir:          *journalDir,
-		JournalSegmentBytes: *jSegment,
-		JournalCompress:     *jCompress,
-		JournalRetain:       *jRetain,
-		ProbeInterval:       sim.Time((*probeIv) / time.Microsecond),
-		Check:               *check,
-		Jobs:                *jobs,
-	}
-	if err := opts.Validate(); err != nil {
-		return err
-	}
-	if opts.JournalDir != "" {
-		if err := os.MkdirAll(opts.JournalDir, 0o755); err != nil {
-			return err
-		}
-	}
 	opts = opts.Pool(0)
 
 	start := time.Now() //lint:allow simdeterminism:wall-clock wall-clock runtime of the harness itself, not simulated time

@@ -14,8 +14,9 @@
 // A spec file (-fleet) holds one "key value" pair per line — shards,
 // scheme, pairs, scale, free, stripe, seed-stride, iops-spread, worst,
 // workload — and command-line flags override it. With -journal DIR every
-// shard writes a rotated telemetry journal under DIR/shard-NNNNN/
-// through the async pipeline's drop policy.
+// shard writes a rotated telemetry journal, run-NNNNN.jsonl[.gz]
+// segments and a manifest, under DIR/shard-NNNNN/ through the async
+// pipeline's drop policy; the manifest counts what was dropped.
 package main
 
 import (
@@ -27,6 +28,7 @@ import (
 
 	"github.com/rolo-storage/rolo/internal/cliprof"
 	"github.com/rolo-storage/rolo/internal/fleet"
+	"github.com/rolo-storage/rolo/internal/telemetry/journal"
 	"github.com/rolo-storage/rolo/internal/trace"
 )
 
@@ -53,11 +55,8 @@ func run() (err error) {
 		jobs       = flag.Int("jobs", 1, "concurrent shard simulations (0 = GOMAXPROCS)")
 		check      = flag.Bool("check", false, "enable RoloSan invariant checking in every shard")
 		asJSON     = flag.Bool("json", false, "emit the cluster report as JSON instead of text")
-		journalTo  = flag.String("journal", "", "write one rotated telemetry journal per shard under this directory")
-		jSegment   = flag.Int64("journal-segment", 0, "journal segment size in bytes (requires -journal; 0 = default)")
-		jCompress  = flag.Bool("journal-compress", false, "write every journal segment gzip-compressed, as run-NNNNN.jsonl.gz (requires -journal)")
-		jRetain    = flag.Int("journal-retain", 0, "keep only the newest N segments per shard (0 = all; requires -journal)")
 	)
+	jcfg := journal.Flags("write one telemetry journal directory per shard under this directory, named shard-NNNNN/")
 	prof := cliprof.Flags()
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -123,15 +122,7 @@ func run() (err error) {
 		spec.WorstK = *worstK
 	}
 	spec.Check = *check
-	if *journalTo == "" && (*jSegment != 0 || *jCompress || *jRetain != 0) {
-		return fmt.Errorf("journal options require -journal <dir>")
-	}
-	if *journalTo != "" {
-		spec.JournalDir = *journalTo
-		spec.JournalSegmentBytes = *jSegment
-		spec.JournalCompress = *jCompress
-		spec.JournalRetain = *jRetain
-	}
+	spec.Journal = *jcfg
 	if err := spec.Validate(); err != nil {
 		return err
 	}

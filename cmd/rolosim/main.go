@@ -8,13 +8,12 @@
 //	rolosim -scheme GRAID -trace /path/to/src2_2.csv
 //	rolosim -scheme RoLo-E -profile proj_0 -pairs 10 -free 4
 //
-// With -journal alone the telemetry journal is a single JSONL file,
-// written synchronously on the simulation goroutine. Adding
-// -journal-segment turns -journal into a directory and switches to the
-// async pipeline: events are handed to a writer goroutine that rotates
-// size-bounded segments, optionally writes every segment gzipped
-// (-journal-compress), caps how many are kept (-journal-retain), and
-// records a manifest that rolostat -verify can check:
+// -journal DIR writes the run's telemetry journal to DIR: run-NNNNN.jsonl
+// segments plus a manifest that rolostat -verify checks. Events are
+// handed to a writer goroutine through the async pipeline, which never
+// drops one. -journal-segment bounds the segments' size (by default the
+// journal is one segment), -journal-compress writes every segment
+// gzipped and -journal-retain caps how many are kept:
 //
 //	rolosim -scheme RoLo-P -journal rundir -journal-segment 4194304 -journal-compress
 //	rolostat -verify rundir
@@ -31,7 +30,6 @@ import (
 	"github.com/rolo-storage/rolo"
 	"github.com/rolo-storage/rolo/internal/cliprof"
 	"github.com/rolo-storage/rolo/internal/sim"
-	"github.com/rolo-storage/rolo/internal/telemetry"
 	"github.com/rolo-storage/rolo/internal/telemetry/journal"
 	"github.com/rolo-storage/rolo/internal/trace"
 )
@@ -52,18 +50,16 @@ func run() (err error) {
 		pairs     = flag.Int("pairs", 20, "mirrored pairs (disks = 2*pairs)")
 		freeGiB   = flag.Float64("free", 8, "per-disk free (logging) space in GiB before scaling")
 		stripeKB  = flag.Int64("stripe", 64, "stripe unit in KB")
-		journalTo = flag.String("journal", "", "write a JSONL telemetry event journal to this file (or directory with -journal-segment)")
-		jSegment  = flag.Int64("journal-segment", 0, "rotate the journal into segments of this many bytes; -journal becomes a directory (0 = single file)")
-		jCompress = flag.Bool("journal-compress", false, "write every journal segment gzip-compressed, as run-NNNNN.jsonl.gz; the active one is a gzip stream without its trailer until sealed (requires -journal-segment)")
-		jRetain   = flag.Int("journal-retain", 0, "keep only the newest N journal segments (0 = all; requires -journal-segment)")
-		jDrop     = flag.Bool("journal-drop", false, "drop events instead of blocking when the journal writer falls behind (requires -journal-segment)")
-		jBuffer   = flag.Int("journal-buffer", 0, "async journal ring capacity in events (0 = default; requires -journal-segment)")
 		probeIv   = flag.Duration("probe-interval", 0, "periodic telemetry probe spacing (e.g. 30s; 0 disables)")
 		check     = flag.Bool("check", false, "enable RoloSan: validate simulation invariants during the run and fail on the first violation")
 		asJSON    = flag.Bool("json", false, "emit the full report as JSON instead of text")
 	)
+	jcfg := journal.Flags("write the telemetry journal to this directory, as run-NNNNN.jsonl segments plus manifest.json")
 	prof := cliprof.Flags()
 	flag.Parse()
+	if err := jcfg.Validate(); err != nil {
+		return err
+	}
 	if err := prof.Start(); err != nil {
 		return err
 	}
@@ -92,9 +88,10 @@ func run() (err error) {
 		if err != nil {
 			return err
 		}
-		// Clamp out-of-volume records rather than failing: real traces
-		// address their original volume.
-		recs = clampToVolume(recs, cfg.VolumeBytes())
+		recs, err = clampToVolume(recs, cfg.VolumeBytes())
+		if err != nil {
+			return err
+		}
 	} else {
 		recs, err = rolo.GenerateProfile(*profile, cfg, *scale)
 		if err != nil {
@@ -102,67 +99,20 @@ func run() (err error) {
 		}
 	}
 
-	if *jSegment == 0 {
-		for _, mod := range []struct {
-			set  bool
-			name string
-		}{
-			{*jCompress, "-journal-compress"},
-			{*jRetain != 0, "-journal-retain"},
-			{*jDrop, "-journal-drop"},
-			{*jBuffer != 0, "-journal-buffer"},
-		} {
-			if mod.set {
-				return fmt.Errorf("%s requires -journal-segment", mod.name)
-			}
+	if jcfg.Dir != "" {
+		sink, jerr := journal.Create(*jcfg, journal.PolicyBlock)
+		if jerr != nil {
+			return jerr
 		}
-	}
-	switch {
-	case *journalTo != "" && *jSegment > 0:
-		// Rotated mode: -journal names a directory; encoding and IO move
-		// to the async pipeline's writer goroutine.
-		w, werr := journal.NewRotatingWriter(journal.RotateConfig{
-			Dir:          *journalTo,
-			SegmentBytes: *jSegment,
-			Compress:     *jCompress,
-			Retain:       *jRetain,
-		})
-		if werr != nil {
-			return werr
-		}
-		policy := journal.PolicyBlock
-		if *jDrop {
-			policy = journal.PolicyDrop
-		}
-		sink := journal.NewAsyncSink(w, journal.AsyncConfig{Buffer: *jBuffer, Policy: policy})
-		// Closing drains the ring, seals the final segment and writes the
+		// Closing drains the ring, seals the last segment and writes the
 		// manifest; a close failure means a broken journal, so it
 		// surfaces as the run's error.
 		defer func() {
 			if cerr := sink.Close(); cerr != nil && err == nil {
 				err = cerr
 			}
-			if st := sink.Stats(); st.Dropped > 0 {
-				fmt.Fprintf(os.Stderr, "rolosim: journal dropped %d of %d events under backpressure\n",
-					st.Dropped, st.Dropped+st.Enqueued)
-			}
 		}()
 		cfg.Telemetry.Sink = sink
-	case *journalTo != "":
-		f, ferr := os.Create(*journalTo)
-		if ferr != nil {
-			return ferr
-		}
-		// The journal is written through this file; a failed close means
-		// a truncated journal, so it surfaces as the run's error.
-		defer func() {
-			if cerr := f.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}()
-		cfg.Telemetry.Sink = telemetry.NewJSONLSink(f)
-	case *jSegment > 0:
-		return fmt.Errorf("-journal-segment requires -journal <dir>")
 	}
 	cfg.Telemetry.ProbeInterval = sim.Time((*probeIv) / time.Microsecond)
 	cfg.Check = *check
@@ -229,17 +179,26 @@ func run() (err error) {
 	return nil
 }
 
-func clampToVolume(recs []trace.Record, volume int64) []trace.Record {
+// clampToVolume folds records that run past the end of the volume back
+// into it, 512-byte aligned, rather than failing: real traces address
+// their original, larger volume. A record larger than the whole volume
+// cannot fit anywhere and is an error naming its trace line.
+func clampToVolume(recs []trace.Record, volume int64) ([]trace.Record, error) {
 	out := recs[:0]
-	for _, r := range recs {
-		if r.Size <= 0 {
+	for i, r := range recs {
+		switch {
+		case r.Size <= 0:
 			continue
-		}
-		if r.End() > volume {
-			r.Offset = r.Offset % (volume - r.Size)
+		case r.Size > volume:
+			return nil, fmt.Errorf("trace line %d: %d-byte request at offset %d exceeds the %d-byte volume",
+				i+1, r.Size, r.Offset, volume)
+		case r.End() > volume:
+			// The offset lands in [0, volume-size]: a record that fills
+			// the whole volume starts at 0.
+			r.Offset %= max(volume-r.Size, 1)
 			r.Offset -= r.Offset % 512
 		}
 		out = append(out, r)
 	}
-	return out
+	return out, nil
 }

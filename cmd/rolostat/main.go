@@ -1,18 +1,20 @@
-// Command rolostat analyzes a JSONL telemetry journal produced by
-// rolosim -journal (or roloexp -journal) and prints a run summary: event
-// counts, request statistics, rotation and destage activity, per-disk
-// spin cycles, and the reconstructed normal/destaging phase timeline.
+// Command rolostat analyzes a telemetry journal written by rolosim,
+// roloexp or rolofleet -journal and prints a run summary: event counts,
+// request statistics, rotation and destage activity, per-disk spin
+// cycles, and the reconstructed normal/destaging phase timeline.
 //
-// The argument may be a single journal file or a rotated journal
-// directory (run-NNNNN.jsonl[.gz] segments plus manifest.json, as
-// written by rolosim -journal-segment). Events are folded in a single
-// streaming pass, so memory stays constant regardless of journal size.
+// The argument is a journal directory (run-NNNNN.jsonl[.gz] segments plus
+// manifest.json, as every tool writes it), or a single JSONL file: one
+// segment, or the output of the library's telemetry.JSONLSink. Events are
+// folded in a single streaming pass, so memory stays constant regardless
+// of journal size. -verify first checks every segment of a directory
+// against its manifest.
 //
 // Usage:
 //
-//	rolostat run.jsonl
+//	rolostat rundir/
 //	rolostat -verify rundir/
-//	rolosim -scheme RoLo-P -journal run.jsonl && rolostat run.jsonl
+//	rolosim -scheme RoLo-P -journal rundir && rolostat rundir
 package main
 
 import (
@@ -37,7 +39,7 @@ func main() {
 func run() error {
 	verify := flag.Bool("verify", false, "verify the rotated journal against its manifest (directory input only)")
 	flag.Usage = func() {
-		fmt.Fprintln(flag.CommandLine.Output(), "usage: rolostat [-verify] <journal.jsonl | journal-dir>")
+		fmt.Fprintln(flag.CommandLine.Output(), "usage: rolostat [-verify] <journal-dir | journal.jsonl>")
 		flag.PrintDefaults()
 	}
 	flag.Parse()

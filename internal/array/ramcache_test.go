@@ -23,7 +23,7 @@ func (c *countingController) Submit(rec trace.Record) error {
 		c.write++
 	}
 	arrive := rec.At
-	c.eng.After(5*sim.Millisecond, func(now sim.Time) { c.resp.Add(now - arrive) })
+	c.eng.After(5*sim.Millisecond, func(now sim.Time) { c.resp.AddClass(now-arrive, rec.Op == trace.Write) })
 	return nil
 }
 

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -29,7 +28,6 @@ import (
 
 	"github.com/rolo-storage/rolo"
 	"github.com/rolo-storage/rolo/internal/sim"
-	"github.com/rolo-storage/rolo/internal/telemetry"
 	"github.com/rolo-storage/rolo/internal/telemetry/journal"
 	"github.com/rolo-storage/rolo/internal/trace"
 )
@@ -41,24 +39,14 @@ type Options struct {
 	// Pairs is the number of mirrored pairs (the paper's default is 20,
 	// i.e. a 40-disk array).
 	Pairs int
-	// JournalDir, when non-empty, writes one JSONL telemetry journal per
-	// simulation into this directory (which must exist), named
-	// <scheme>_<trace>_<hash>.jsonl, where the hash covers the run's whole
+	// Journal, when Journal.Dir is non-empty, writes one rotated
+	// telemetry journal per simulation into Journal.Dir, a directory
+	// named <scheme>_<trace>_<hash>/ written through the async pipeline
+	// (see internal/telemetry/journal). The hash covers the run's whole
 	// configuration and workload: distinct runs get distinct names, and
-	// the names are the same at every job count. With
-	// JournalSegmentBytes set, each run instead gets a rotated journal
-	// directory <scheme>_<trace>_<hash>/ written through the async
-	// pipeline (see internal/telemetry/journal). The fleet experiment
-	// always writes rotated directories, one per shard, named
-	// shard-NNNNN/.
-	JournalDir string
-	// JournalSegmentBytes rotates each run's journal into segments of
-	// this many bytes (0 keeps the single-file layout).
-	JournalSegmentBytes int64
-	// JournalCompress writes every journal segment gzip-compressed.
-	JournalCompress bool
-	// JournalRetain keeps only the newest N segments per run (0 = all).
-	JournalRetain int
+	// the names are the same at every job count. The fleet experiment's
+	// shards write theirs there too, named shard-NNNNN/.
+	Journal journal.RotateConfig
 	// ProbeInterval enables periodic telemetry probes in every run.
 	ProbeInterval sim.Time
 	// Check enables the RoloSan invariant sanitizer in every run; the
@@ -104,11 +92,8 @@ func (o Options) Validate() error {
 	if o.ProbeInterval < 0 {
 		return fmt.Errorf("experiments: negative probe interval %v", o.ProbeInterval)
 	}
-	if o.JournalSegmentBytes < 0 {
-		return fmt.Errorf("experiments: negative journal segment size %d", o.JournalSegmentBytes)
-	}
-	if (o.JournalCompress || o.JournalRetain != 0) && o.JournalSegmentBytes == 0 {
-		return fmt.Errorf("experiments: journal compression/retention requires a segment size")
+	if err := o.Journal.Validate(); err != nil {
+		return err
 	}
 	if o.Jobs < 0 {
 		return fmt.Errorf("experiments: negative job count %d", o.Jobs)
@@ -222,7 +207,7 @@ func (o Options) runLeaves(leaves []leaf) ([]rolo.Report, error) {
 }
 
 // simulate runs one leaf in a pool slot with the options' sanitizer and
-// probes, writing its telemetry journal when o.JournalDir is set.
+// probes, writing its telemetry journal when o.Journal.Dir is set.
 func (o Options) simulate(l leaf) (rep rolo.Report, err error) {
 	defer o.acquire()() // one pool slot per leaf simulation
 	cfg := l.cfg
@@ -232,39 +217,24 @@ func (o Options) simulate(l leaf) (rep rolo.Report, err error) {
 	}
 	cfg.Telemetry.ProbeInterval = o.ProbeInterval
 	cfg.Check = o.Check
-	var closeJournal func() error
-	switch {
-	case o.JournalDir != "" && o.JournalSegmentBytes > 0:
-		// Rotated mode: one journal directory per leaf, written through
-		// the async pipeline. Blocking policy keeps the journal complete
-		// and byte-deterministic.
-		w, err := journal.NewRotatingWriter(journal.RotateConfig{
-			Dir:          filepath.Join(o.JournalDir, l.journalName()),
-			SegmentBytes: o.JournalSegmentBytes,
-			Compress:     o.JournalCompress,
-			Retain:       o.JournalRetain,
-		})
-		if err != nil {
-			return rolo.Report{}, err
+	if o.Journal.Dir != "" {
+		// One journal directory per leaf. The blocking policy keeps the
+		// journal complete and byte-deterministic.
+		jc := o.Journal
+		jc.Dir = filepath.Join(jc.Dir, l.journalName())
+		sink, jerr := journal.Create(jc, journal.PolicyBlock)
+		if jerr != nil {
+			return rolo.Report{}, jerr
 		}
-		sink := journal.NewAsyncSink(w, journal.AsyncConfig{Policy: journal.PolicyBlock})
-		cfg.Telemetry.Sink, closeJournal = sink, sink.Close
-	case o.JournalDir != "":
-		f, err := os.Create(filepath.Join(o.JournalDir, l.journalName()+".jsonl"))
-		if err != nil {
-			return rolo.Report{}, err
-		}
-		cfg.Telemetry.Sink, closeJournal = telemetry.NewJSONLSink(f), f.Close
-	}
-	if closeJournal != nil {
-		// Closing drains the async ring and writes the manifest, or ends
-		// the file; a close failure means a broken journal, so it
+		// Closing drains the ring, seals the last segment and writes the
+		// manifest; a close failure means a broken journal, so it
 		// surfaces as the run's error.
 		defer func() {
-			if cerr := closeJournal(); cerr != nil && err == nil {
+			if cerr := sink.Close(); cerr != nil && err == nil {
 				err = cerr
 			}
 		}()
+		cfg.Telemetry.Sink = sink
 	}
 	return rolo.Run(cfg, recs)
 }

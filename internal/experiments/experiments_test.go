@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/rolo-storage/rolo"
+	"github.com/rolo-storage/rolo/internal/telemetry/journal"
 )
 
 func tinyOptions() Options {
@@ -20,6 +21,10 @@ func TestOptionsValidate(t *testing.T) {
 		{Scale: 0, Pairs: 4},
 		{Scale: 1.5, Pairs: 4},
 		{Scale: 0.1, Pairs: 1},
+		// Journal options without a directory to journal into.
+		{Scale: 0.1, Pairs: 4, Journal: journal.RotateConfig{SegmentBytes: 65536}},
+		{Scale: 0.1, Pairs: 4, Journal: journal.RotateConfig{Compress: true}},
+		{Scale: 0.1, Pairs: 4, Journal: journal.RotateConfig{Retain: 2}},
 	}
 	for i, o := range bad {
 		if err := o.Validate(); err == nil {

@@ -36,15 +36,9 @@ func runFleet(o Options, w io.Writer) error {
 	spec := fleet.DefaultSpec()
 	spec.Check = o.Check
 	spec.ProbeInterval = o.ProbeInterval
-	if o.JournalDir != "" {
-		// Each shard writes a rotated journal directory, shard-NNNNN/,
-		// beside the other experiments' journals. The spec rejects
-		// segment options without a directory, which Options ignore.
-		spec.JournalDir = o.JournalDir
-		spec.JournalSegmentBytes = o.JournalSegmentBytes
-		spec.JournalCompress = o.JournalCompress
-		spec.JournalRetain = o.JournalRetain
-	}
+	// Each shard writes its journal directory, shard-NNNNN/, beside the
+	// other experiments' journals.
+	spec.Journal = o.Journal
 	// The fleet rides the experiment scale: o.Scale is calibrated for
 	// 20-pair single-array runs, and DefaultSpec's geometry (4 pairs,
 	// 1/5 the scale) keeps a 64-shard fleet comparable to one of them.

@@ -90,7 +90,7 @@ func TestFleetExperimentJournals(t *testing.T) {
 	plain := run(o)
 
 	dir := t.TempDir()
-	o.JournalDir = dir
+	o.Journal.Dir = dir
 	o.ProbeInterval = 2 * sim.Second
 	if got := run(o.Pool(2)); got != plain {
 		t.Errorf("journals and probes changed the fleet's output:\n--- without ---\n%s--- with ---\n%s", plain, got)
@@ -101,7 +101,7 @@ func TestFleetExperimentJournals(t *testing.T) {
 	for i := 0; i < shards; i++ {
 		want = append(want, fmt.Sprintf("shard-%05d", i))
 	}
-	if got := listJournals(t, dir, ""); strings.Join(got, " ") != strings.Join(want, " ") {
+	if got := listJournals(t, dir); strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Fatalf("journal dir holds %v, want one directory per shard %v", got, want)
 	}
 	for _, name := range want {

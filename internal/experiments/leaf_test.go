@@ -48,8 +48,8 @@ func sweepLeaves(t *testing.T, o Options, jobs int) (map[leaf]rolo.Report, int64
 	return reps, o.stats.Total()
 }
 
-// listJournals lists dir's entries, each without suffix, sorted.
-func listJournals(t *testing.T, dir, suffix string) []string {
+// listJournals lists dir's entries, sorted.
+func listJournals(t *testing.T, dir string) []string {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -57,7 +57,7 @@ func listJournals(t *testing.T, dir, suffix string) []string {
 	}
 	var names []string
 	for _, e := range entries {
-		names = append(names, strings.TrimSuffix(e.Name(), suffix))
+		names = append(names, e.Name())
 	}
 	sort.Strings(names)
 	return names
@@ -93,17 +93,19 @@ func journalProbes(t *testing.T, path string) int {
 
 // TestEveryLeafRunsOnceChecked: under one pool, every distinct leaf of
 // every leaf experiment is simulated exactly once, with the sanitizer,
-// probes and a journal of its own. At 20 pairs the sweep has 105 distinct
-// leaves; 132 simulations ran before every experiment shared the memo.
-// Journal names depend on the leaves alone, so a serial rotated sweep
-// names its journal directories as the parallel single-file sweep names
-// its files, and every directory verifies against its manifest.
+// probes and a journal directory of its own, which verifies against its
+// manifest, drops nothing and holds as many probes as the leaf's report.
+// At 20 pairs the sweep has 105 distinct leaves; 132 simulations ran
+// before every experiment shared the memo. Journal names depend on the
+// leaves alone, so a serial sweep, which also cuts its journals into
+// segments, names them as the parallel sweep does.
 func TestEveryLeafRunsOnceChecked(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the leaf experiments twice with journals")
 	}
-	single := t.TempDir()
-	o := Options{Scale: 0.005, Pairs: 20, Check: true, ProbeInterval: 4 * sim.Second, JournalDir: single}
+	checked := t.TempDir()
+	o := Options{Scale: 0.005, Pairs: 20, Check: true, ProbeInterval: 4 * sim.Second,
+		Journal: journal.RotateConfig{Dir: checked}}
 	reps, sims := sweepLeaves(t, o, 4)
 	if len(reps) != 105 {
 		t.Errorf("%d distinct leaves at 20 pairs, want 105", len(reps))
@@ -118,24 +120,33 @@ func TestEveryLeafRunsOnceChecked(t *testing.T) {
 		if rep.SanitizerEvents == 0 || rep.ProbeSamples == 0 {
 			t.Errorf("%s: %d sanitizer events, %d probe samples", name, rep.SanitizerEvents, rep.ProbeSamples)
 		}
-		if got := journalProbes(t, filepath.Join(single, name+".jsonl")); got != rep.ProbeSamples {
+		path := filepath.Join(checked, name)
+		m, err := journal.Verify(path)
+		if err != nil {
+			t.Error(err)
+			continue
+		}
+		if m.Writer == nil || m.Writer.Dropped != 0 {
+			t.Errorf("%s: writer stats %+v, want no drops", name, m.Writer)
+		}
+		if got := journalProbes(t, path); got != rep.ProbeSamples {
 			t.Errorf("%s: journal holds %d probes, report %d", name, got, rep.ProbeSamples)
 		}
 	}
 	sort.Strings(want)
-	if got := listJournals(t, single, ".jsonl"); strings.Join(got, " ") != strings.Join(want, " ") {
+	if got := listJournals(t, checked); strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("journals %v, want one per leaf %v", got, want)
 	}
 
-	rotated := t.TempDir()
-	o = Options{Scale: 0.005, Pairs: 20, JournalDir: rotated, JournalSegmentBytes: 1 << 20}
+	serial := t.TempDir()
+	o = Options{Scale: 0.005, Pairs: 20, Journal: journal.RotateConfig{Dir: serial, SegmentBytes: 1 << 20}}
 	sweepLeaves(t, o, 1)
-	got := listJournals(t, rotated, "")
+	got := listJournals(t, serial)
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("journal names at -jobs 1 %v, at -jobs 4 %v", got, want)
 	}
 	for _, name := range got {
-		if _, err := journal.Verify(filepath.Join(rotated, name)); err != nil {
+		if _, err := journal.Verify(filepath.Join(serial, name)); err != nil {
 			t.Error(err)
 		}
 	}

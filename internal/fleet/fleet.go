@@ -51,15 +51,12 @@ type Spec struct {
 	// report digests. Zero means 8.
 	WorstK int
 
-	// JournalDir, when non-empty, writes one rotated telemetry journal
-	// directory per shard (shard-NNNNN/) through the async pipeline with
-	// the drop backpressure policy — fleet mode favors forward progress
-	// over journal completeness, and the per-shard manifests record the
-	// drop counts.
-	JournalDir          string
-	JournalSegmentBytes int64
-	JournalCompress     bool
-	JournalRetain       int
+	// Journal, when Journal.Dir is non-empty, writes one rotated
+	// telemetry journal directory per shard, shard-NNNNN/ under
+	// Journal.Dir, through the async pipeline with the drop backpressure
+	// policy — fleet mode favors forward progress over journal
+	// completeness, and the per-shard manifests record the drop counts.
+	Journal journal.RotateConfig
 }
 
 // DefaultSpec returns a small but representative fleet: 64 shards
@@ -100,8 +97,9 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("fleet: IOPS spread %g outside [0,1)", s.Rule.IOPSSpread)
 	case s.WorstK < 0:
 		return fmt.Errorf("fleet: negative worst-K %d", s.WorstK)
-	case (s.JournalCompress || s.JournalRetain != 0 || s.JournalSegmentBytes != 0) && s.JournalDir == "":
-		return fmt.Errorf("fleet: journal options require a journal directory")
+	}
+	if err := s.Journal.Validate(); err != nil {
+		return err
 	}
 	for _, sch := range s.Schemes {
 		if _, err := rolo.ParseScheme(sch.String()); err != nil {
@@ -143,23 +141,15 @@ func (s *Spec) RunShard(shard int) (rep rolo.Report, err error) {
 	if err != nil {
 		return rolo.Report{}, fmt.Errorf("fleet: shard %d workload: %w", shard, err)
 	}
-	if s.JournalDir != "" {
-		segment := s.JournalSegmentBytes
-		if segment == 0 {
-			segment = 4 << 20
-		}
-		w, werr := journal.NewRotatingWriter(journal.RotateConfig{
-			Dir:          filepath.Join(s.JournalDir, fmt.Sprintf("shard-%05d", shard)),
-			SegmentBytes: segment,
-			Compress:     s.JournalCompress,
-			Retain:       s.JournalRetain,
-		})
-		if werr != nil {
-			return rolo.Report{}, werr
-		}
+	if s.Journal.Dir != "" {
+		jc := s.Journal
+		jc.Dir = filepath.Join(jc.Dir, fmt.Sprintf("shard-%05d", shard))
 		// Drop policy: a slow journal writer must never stall a fleet of
 		// shards; the manifest records how many events were shed.
-		sink := journal.NewAsyncSink(w, journal.AsyncConfig{Policy: journal.PolicyDrop})
+		sink, jerr := journal.Create(jc, journal.PolicyDrop)
+		if jerr != nil {
+			return rolo.Report{}, jerr
+		}
 		defer func() {
 			if cerr := sink.Close(); cerr != nil && err == nil {
 				err = cerr

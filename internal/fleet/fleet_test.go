@@ -126,12 +126,12 @@ func TestRunWindowedLowestIndexError(t *testing.T) {
 // shard directory appears with at least one segment and a manifest.
 func TestRunShardJournal(t *testing.T) {
 	spec := testSpec(t, 2)
-	spec.JournalDir = t.TempDir()
+	spec.Journal.Dir = t.TempDir()
 	if _, err := Run(spec, nil); err != nil {
 		t.Fatal(err)
 	}
 	for shard := 0; shard < spec.Shards; shard++ {
-		dir := fmt.Sprintf("%s/shard-%05d", spec.JournalDir, shard)
+		dir := fmt.Sprintf("%s/shard-%05d", spec.Journal.Dir, shard)
 		m, err := readManifest(t, dir)
 		if err != nil {
 			t.Fatalf("shard %d manifest: %v", shard, err)
@@ -240,7 +240,7 @@ workload iops=120 write=0.8 duration=30s size=32K random=0.5 seed=42
 // TestSpecValidate covers validation branches not reachable from text.
 func TestSpecValidate(t *testing.T) {
 	s := DefaultSpec()
-	s.JournalCompress = true
+	s.Journal.Compress = true
 	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "journal") {
 		t.Fatalf("journal options without a directory accepted: %v", err)
 	}

@@ -64,11 +64,6 @@ type ResponseStats struct {
 	write ClassStats
 }
 
-// Add records one response time of unknown class (it contributes to the
-// combined statistics only). Controllers that know the request direction
-// should call AddClass instead.
-func (r *ResponseStats) Add(rt sim.Time) { r.all.Add(rt) }
-
 // AddClass records one response time for a read (write=false) or write.
 func (r *ResponseStats) AddClass(rt sim.Time, write bool) {
 	r.all.Add(rt)

@@ -13,9 +13,9 @@ func TestResponseStatsBasics(t *testing.T) {
 	if r.Mean() != 0 || r.Count() != 0 {
 		t.Fatal("zero value not empty")
 	}
-	r.Add(2 * sim.Millisecond)
-	r.Add(4 * sim.Millisecond)
-	r.Add(6 * sim.Millisecond)
+	r.AddClass(2*sim.Millisecond, false)
+	r.AddClass(4*sim.Millisecond, false)
+	r.AddClass(6*sim.Millisecond, false)
 	if r.Count() != 3 {
 		t.Fatalf("Count = %d", r.Count())
 	}
@@ -30,7 +30,7 @@ func TestResponseStatsBasics(t *testing.T) {
 func TestResponseStatsPercentile(t *testing.T) {
 	var r ResponseStats
 	for i := 1; i <= 100; i++ {
-		r.Add(sim.Time(i) * sim.Millisecond)
+		r.AddClass(sim.Time(i)*sim.Millisecond, false)
 	}
 	if got := r.Percentile(50); math.Abs(got-50) > 1 {
 		t.Fatalf("P50 = %g, want ~50", got)
@@ -58,7 +58,7 @@ func TestResponseStatsPercentileMatchesReservoirEra(t *testing.T) {
 	// like real response-time distributions.
 	for i := 1; i <= 4096; i++ {
 		v := sim.Time(i*i) * sim.Microsecond
-		r.Add(v)
+		r.AddClass(v, false)
 		samples = append(samples, v)
 	}
 	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
@@ -88,11 +88,6 @@ func TestResponseStatsClassBreakdown(t *testing.T) {
 	}
 	if got := r.Writes().Max(); got != 10*sim.Millisecond {
 		t.Fatalf("write max = %v", got)
-	}
-	// Add (classless) contributes to the combined stats only.
-	r.Add(100 * sim.Millisecond)
-	if r.Count() != 4 || r.Reads().Count()+r.Writes().Count() != 3 {
-		t.Fatal("classless Add leaked into a class")
 	}
 	if r.Writes().Histogram().Total() != 1 {
 		t.Fatalf("write histogram total = %d", r.Writes().Histogram().Total())
@@ -225,7 +220,7 @@ func TestClassStatsTailRepresentative(t *testing.T) {
 		if i >= 10000 {
 			v = 10 * sim.Millisecond
 		}
-		r.Add(v)
+		r.AddClass(v, false)
 	}
 	p50 := r.Percentile(50)
 	if p50 < 0.99 || p50 > 10.01 {

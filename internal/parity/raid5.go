@@ -135,7 +135,7 @@ func (c *RAID5) Submit(rec trace.Record) error {
 		return fmt.Errorf("raid5: %w", err)
 	}
 	arrive := rec.At
-	record := func(now sim.Time) { c.resp.Add(now - arrive) }
+	record := func(now sim.Time) { c.resp.AddClass(now-arrive, rec.Op == trace.Write) }
 	if rec.Op == trace.Read {
 		j := newJoin(len(strips), record)
 		for _, s := range strips {

@@ -116,7 +116,7 @@ func (r *RoLo5) Submit(rec trace.Record) error {
 		return fmt.Errorf("rolo5: %w", err)
 	}
 	arrive := rec.At
-	record := func(now sim.Time) { r.resp.Add(now - arrive) }
+	record := func(now sim.Time) { r.resp.AddClass(now-arrive, rec.Op == trace.Write) }
 	if rec.Op == trace.Read {
 		j := newJoin(len(strips), record)
 		for _, s := range strips {

@@ -367,6 +367,41 @@ func TestDuplicateSegmentDetected(t *testing.T) {
 	}
 }
 
+// TestRotateConfigValidate: rotation settings need a directory to
+// journal into, negative sizes and caps are errors, and the writer
+// refuses what Validate refuses.
+func TestRotateConfigValidate(t *testing.T) {
+	for _, c := range []struct {
+		cfg  RotateConfig
+		want string // substring of the error; "" accepts
+	}{
+		{RotateConfig{}, ""},
+		{RotateConfig{Dir: "j"}, ""},
+		{RotateConfig{Dir: "j", SegmentBytes: 65536, Compress: true, Retain: 2}, ""},
+		{RotateConfig{SegmentBytes: 65536}, "require -journal"},
+		{RotateConfig{Compress: true}, "require -journal"},
+		{RotateConfig{Retain: 2}, "require -journal"},
+		{RotateConfig{Dir: "j", SegmentBytes: -1}, "negative segment size"},
+		{RotateConfig{Dir: "j", Retain: -1}, "negative retention cap"},
+		{RotateConfig{SegmentBytes: -1}, "negative segment size"},
+	} {
+		err := c.cfg.Validate()
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%+v rejected: %v", c.cfg, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%+v: error %v, want one containing %q", c.cfg, err, c.want)
+		}
+		if c.want != "" && c.cfg.Dir != "" {
+			c.cfg.Dir = t.TempDir()
+			if w, err := NewRotatingWriter(c.cfg); err == nil {
+				t.Errorf("NewRotatingWriter accepted %+v", c.cfg)
+				_ = w.Close() // the test already failed
+			}
+		}
+	}
+}
+
 func TestRerunReplacesStaleJournal(t *testing.T) {
 	// A rerun into the same directory must behave like os.Create on a
 	// file: the previous journal disappears entirely, including segments

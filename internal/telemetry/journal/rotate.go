@@ -3,6 +3,7 @@ package journal
 import (
 	"bufio"
 	"compress/gzip"
+	"flag"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -28,13 +29,16 @@ type EventWriter interface {
 	Close() error
 }
 
-// RotateConfig configures a RotatingWriter.
+// RotateConfig configures a journal: the directory a RotatingWriter
+// fills and how it rotates. The command-line tools declare it with Flags,
+// one flag per field, and callers that run several simulations give each
+// one a subdirectory of Dir. An empty Dir means no journal.
 type RotateConfig struct {
 	// Dir is the journal directory; it is created if missing.
 	Dir string
 	// SegmentBytes cuts a new segment once the active one reaches this
 	// many uncompressed bytes (checked after each line, so lines are
-	// never split). <= 0 keeps a single unbounded segment.
+	// never split). 0 keeps a single unbounded segment.
 	SegmentBytes int64
 	// Compress writes every segment, the active one included, gzipped as
 	// run-NNNNN.jsonl.gz instead of run-NNNNN.jsonl.
@@ -43,6 +47,45 @@ type RotateConfig struct {
 	// exceeded, the oldest is deleted and counted in the manifest's
 	// RemovedSegments. 0 retains everything.
 	Retain int
+}
+
+// Flags registers -journal, -journal-segment, -journal-compress and
+// -journal-retain on the default flag set and returns the config they
+// fill; dirUsage says what -journal writes. Check the parsed config with
+// Validate before the run.
+func Flags(dirUsage string) *RotateConfig {
+	c := &RotateConfig{}
+	flag.StringVar(&c.Dir, "journal", "", dirUsage)
+	flag.Int64Var(&c.SegmentBytes, "journal-segment", 0, "rotate each journal into segments of this many uncompressed bytes (0 = one unbounded segment)")
+	flag.BoolVar(&c.Compress, "journal-compress", false, "write every journal segment gzip-compressed, as run-NNNNN.jsonl.gz; the active one is a gzip stream without its trailer until sealed")
+	flag.IntVar(&c.Retain, "journal-retain", 0, "keep only the newest N segments of each journal (0 = all)")
+	return c
+}
+
+// Validate reports config errors: a negative segment size or retention
+// cap, or a segment, compression or retention setting without a
+// directory to journal into.
+func (c RotateConfig) Validate() error {
+	switch {
+	case c.SegmentBytes < 0:
+		return fmt.Errorf("journal: negative segment size %d", c.SegmentBytes)
+	case c.Retain < 0:
+		return fmt.Errorf("journal: negative retention cap %d", c.Retain)
+	case c.Dir == "" && (c.SegmentBytes != 0 || c.Compress || c.Retain != 0):
+		return fmt.Errorf("journal: -journal-segment, -journal-compress and -journal-retain require -journal <dir>")
+	}
+	return nil
+}
+
+// Create starts a journal in cfg.Dir: a RotatingWriter behind an
+// AsyncSink with the given backpressure policy. Closing the sink drains
+// it, seals the last segment and writes the manifest.
+func Create(cfg RotateConfig, policy Policy) (*AsyncSink, error) {
+	w, err := NewRotatingWriter(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return NewAsyncSink(w, AsyncConfig{Policy: policy}), nil
 }
 
 // segmentName renders the canonical segment file name for seq.
@@ -105,8 +148,8 @@ func NewRotatingWriter(cfg RotateConfig) (*RotatingWriter, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("journal: rotating writer needs a directory")
 	}
-	if cfg.Retain < 0 {
-		return nil, fmt.Errorf("journal: negative retention cap %d", cfg.Retain)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: creating %s: %w", cfg.Dir, err)

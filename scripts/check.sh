@@ -143,16 +143,18 @@ fi
 # folds from the journal's RequestDone events must equal the report's.
 # This drives the real binaries end to end under the race detector — the
 # integration the unit tests can't cover. Then the whole experiment sweep
-# writes one single-file journal per simulation on four jobs, and
-# rolostat must read every one of them cleanly: concurrent runs must
-# never share a journal file. The fleet experiment's shards write rotated
-# shard-NNNNN/ directories beside them, and each must verify against its
-# manifest without a warning (a shard emits ~1.3k events here, fewer than
-# the async ring holds, so even the drop policy cannot drop).
+# writes one journal directory per simulation, and one per fleet shard
+# (shard-NNNNN/), on four jobs, and every directory must verify against
+# its manifest without a word on stderr: concurrent runs must never share
+# a journal, and nothing may be dropped or truncated (a fleet shard emits
+# ~1.3k events here, fewer than the async ring holds, so even the drop
+# policy cannot drop). Last, every tool that journals must refuse a
+# segment size, compression or retention given without -journal, with
+# the one message RotateConfig.Validate gives, before it simulates.
 if want journal-smoke; then
-	stage "build rolosim (-race) + rolostat + roloexp" \
+	stage "build rolosim (-race) + rolostat + roloexp + rolofleet" \
 		sh -c 'go build -race -o bin/rolosim.race ./cmd/rolosim && go build -o bin/rolostat ./cmd/rolostat && \
-			go build -o bin/roloexp ./cmd/roloexp'
+			go build -o bin/roloexp ./cmd/roloexp && go build -o bin/rolofleet ./cmd/rolofleet'
 	stage "rolosim -journal-segment -journal-compress (async journal smoke)" \
 		sh -c 'rm -rf bin/journal-smoke && ./bin/rolosim.race -scheme RoLo-P -profile src2_2 -scale 0.01 -probe-interval 30s \
 			-journal bin/journal-smoke -journal-segment 65536 -journal-compress -json >bin/journal-smoke.json'
@@ -164,18 +166,31 @@ if want journal-smoke; then
 			[ -n "$want" ] && [ "$got" = "$want" ] || \
 				{ echo "rolostat counts \"$got\" requests, the report \"$want\"" >&2; exit 1; }; \
 			echo "journal and report agree on $want requests" && rm -rf bin/journal-smoke bin/journal-smoke.json'
-	stage "roloexp -run all -jobs 4 -journal: rolostat reads every journal, verifies every fleet shard" \
-		sh -c 'rm -rf bin/exp-journals && \
+	stage "roloexp -run all -jobs 4 -journal: rolostat -verify passes every journal directory" \
+		sh -c 'rm -rf bin/exp-journals && t0=$(date +%s%N) && \
 			./bin/roloexp -run all -scale 0.01 -pairs 4 -jobs 4 -journal bin/exp-journals >/dev/null && \
-			n=0 && for f in bin/exp-journals/*.jsonl; do \
-				err=$(./bin/rolostat "$f" 2>&1 >/dev/null) && [ -z "$err" ] || \
-					{ echo "rolostat $f: $err" >&2; exit 1; }; \
-				n=$((n + 1)); \
-			done && s=0 && for d in bin/exp-journals/shard-*/; do \
+			n=0 && s=0 && for d in bin/exp-journals/*/; do \
 				err=$(./bin/rolostat -verify "$d" 2>&1 >/dev/null) && [ -z "$err" ] || \
 					{ echo "rolostat -verify $d: $err" >&2; exit 1; }; \
-				s=$((s + 1)); \
-			done && echo "rolostat read $n journals and verified $s fleet shards" && rm -rf bin/exp-journals'
+				case "$d" in */shard-*) s=$((s + 1)) ;; *) n=$((n + 1)) ;; esac; \
+			done && [ "$n" -gt 0 ] && [ "$s" -gt 0 ] || \
+				{ echo "found $n leaf journals and $s fleet shard journals" >&2; exit 1; }; \
+			t1=$(date +%s%N) && echo "rolostat verified $n leaf journals and $s fleet shards in $(( (t1 - t0) / 1000000 ))ms" && \
+			rm -rf bin/exp-journals'
+	stage "rolosim, roloexp and rolofleet refuse journal options without -journal" \
+		sh -c 't0=$(date +%s%N) && \
+			for cmd in "./bin/rolosim.race -scale 0.01" "./bin/roloexp -run table1 -scale 0.01 -pairs 4" \
+				"./bin/rolofleet -shards 4 -scale 0.01"; do \
+				for opt in "-journal-segment 65536" -journal-compress "-journal-retain 2"; do \
+					err=$($cmd $opt 2>&1 >/dev/null) && \
+						{ echo "$cmd $opt exited 0 without -journal" >&2; exit 1; }; \
+					case "$err" in \
+					*"require -journal"*) ;; \
+					*) echo "$cmd $opt failed for another reason: $err" >&2; exit 1 ;; \
+					esac; \
+				done; \
+			done && t1=$(date +%s%N) && \
+			echo "every tool refused every stray journal option in $(( (t1 - t0) / 1000000 ))ms"'
 fi
 
 # Fleet smoke: a race-built rolofleet runs a sharded cluster with the
