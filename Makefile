@@ -51,9 +51,9 @@ check:
 # gzip-compressed segments and a manifest, like every journal) through
 # the async pipeline and then verifying every journal's manifest
 # (segment checksums, counts, time ranges) with rolostat. The
-# .github/workflows/nightly.yml schedule runs exactly this. Two
-# experiments escape it: recovery and parity assemble their controllers
-# by hand and run unchecked, without journals or probes. The fleet
+# .github/workflows/nightly.yml schedule runs exactly this. One
+# experiment escapes it: recovery assembles its controllers by hand and
+# runs unchecked, without journals or probes. The fleet
 # experiment's shards write their journals as shard-NNNNN/ directories,
 # which the verify loop covers too. The default scale was raised from
 # 0.2 when the allocation-free core (DESIGN §11) made checked sweeps

@@ -175,9 +175,5 @@ func BenchmarkAblationBackgroundGuard(b *testing.B) {
 	}
 }
 
-// BenchmarkParityExtension regenerates the future-work study: RoLo's
-// rotated logging on a RAID5 array vs the read-modify-write baseline.
-func BenchmarkParityExtension(b *testing.B) { benchExperiment(b, "parity") }
-
 // BenchmarkRecovery regenerates the Section III-C/D failure study.
 func BenchmarkRecovery(b *testing.B) { benchExperiment(b, "recovery") }

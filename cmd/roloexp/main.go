@@ -15,9 +15,9 @@
 // experiment, in registry order, printed after the run.
 //
 // -check, -probe-interval and -journal reach every simulation except the
-// recovery and parity experiments, which assemble their controllers by
-// hand. -journal DIR gives every simulation a rotated journal directory
-// of its own under DIR, named <scheme>_<trace>_<hash>/, and the fleet
+// recovery experiment's, which assembles its controllers by hand.
+// -journal DIR gives every simulation a rotated journal directory of its
+// own under DIR, named <scheme>_<trace>_<hash>/, and the fleet
 // experiment's shards theirs, named shard-NNNNN/; each holds
 // run-NNNNN.jsonl[.gz] segments and a manifest that rolostat -verify
 // checks. A simulation that several experiments share runs once per

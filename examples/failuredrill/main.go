@@ -64,8 +64,8 @@ func main() {
 	}
 	fmt.Printf("failed %s; woke its mirror plus %d logger(s) holding its recent writes\n",
 		plan2.Failed, len(plan2.LogSourceLoggers))
-	fmt.Printf("rebuild volume: %.0f MB (data region + live log extents)\n\n",
-		float64(plan2.RebuildBytes)/(1<<20))
+	fmt.Printf("rebuild volume: %.0f MB planned (data region + live log extents); the rebuild copies only the %.0f MB data region\n\n",
+		float64(plan2.RebuildBytes)/(1<<20), float64(geom.DataBytesPerDisk)/(1<<20))
 
 	fmt.Println("== t=70s: background rebuilds begin ==")
 	eng.RunUntil(70 * sim.Second)

@@ -67,7 +67,7 @@ func Replay(eng *sim.Engine, a *Array, ctrl Controller, recs []trace.Record) (Re
 		return res, err
 	}
 	res.Horizon = recs[len(recs)-1].At
-	if _, err := eng.Schedule(res.Horizon, func(sim.Time) {
+	if err := eng.Schedule(res.Horizon, func(sim.Time) {
 		res.EnergyAtHorizonJ = a.TotalEnergyJ()
 	}); err != nil {
 		return res, err

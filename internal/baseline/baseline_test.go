@@ -265,7 +265,7 @@ func TestGRAIDGenerationIsolation(t *testing.T) {
 	recs := writeRecs(205, 64<<10, 5*sim.Millisecond)
 	for i := range recs {
 		rec := recs[i]
-		if _, err := eng.Schedule(rec.At, func(sim.Time) {
+		if err := eng.Schedule(rec.At, func(sim.Time) {
 			if err := c.Submit(rec); err != nil {
 				t.Error(err)
 			}

@@ -87,7 +87,7 @@ func TestRoLoRandomOpsInvariants(t *testing.T) {
 					if rng.Intn(10) == 0 {
 						rec.Op = trace.Read
 					}
-					if _, err := eng.Schedule(rec.At, func(sim.Time) {
+					if err := eng.Schedule(rec.At, func(sim.Time) {
 						if err := r.Submit(rec); err != nil {
 							t.Errorf("submit: %v", err)
 						}
@@ -143,7 +143,7 @@ func TestRoLoFailureInjectionInvariants(t *testing.T) {
 					Offset: rng.Int63n(volume/8192-16) * 8192,
 					Size:   int64(rng.Intn(16)+1) * 8192,
 				}
-				if _, err := eng.Schedule(rec.At, func(sim.Time) {
+				if err := eng.Schedule(rec.At, func(sim.Time) {
 					if err := r.Submit(rec); err != nil {
 						t.Errorf("submit at %v: %v", rec.At, err)
 					}
@@ -157,7 +157,7 @@ func TestRoLoFailureInjectionInvariants(t *testing.T) {
 			failedPrimary := map[int]bool{}
 			for i := 0; i < 4; i++ {
 				failAt := sim.Time(rng.Int63n(int64(at)))
-				if _, err := eng.Schedule(failAt, func(now sim.Time) {
+				if err := eng.Schedule(failAt, func(now sim.Time) {
 					p := rng.Intn(geom.Pairs)
 					if failedMirror[p] || failedPrimary[p] {
 						return

@@ -273,7 +273,7 @@ func TestSanitizerCleanUnderFailureInjection(t *testing.T) {
 					Offset: rng.Int63n(volume/8192-16) * 8192,
 					Size:   int64(rng.Intn(16)+1) * 8192,
 				}
-				if _, err := eng.Schedule(rec.At, func(sim.Time) {
+				if err := eng.Schedule(rec.At, func(sim.Time) {
 					if err := r.Submit(rec); err != nil {
 						t.Errorf("submit: %v", err)
 					}
@@ -284,7 +284,7 @@ func TestSanitizerCleanUnderFailureInjection(t *testing.T) {
 			failed := map[int]bool{}
 			for i := 0; i < 3; i++ {
 				failAt := sim.Time(rng.Int63n(int64(at)))
-				if _, err := eng.Schedule(failAt, func(now sim.Time) {
+				if err := eng.Schedule(failAt, func(now sim.Time) {
 					p := rng.Intn(a.Geom.Pairs)
 					if failed[p] {
 						return

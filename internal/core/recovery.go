@@ -25,8 +25,10 @@ type RecoveryPlan struct {
 	// LogSourceLoggers lists loggers holding live log extents needed to
 	// reconstruct recent writes of the failed disk's pair.
 	LogSourceLoggers []int
-	// RebuildBytes is the data-region volume to copy onto the
-	// replacement (the pair's data region plus unreclaimed log extents).
+	// RebuildBytes is the pair's data region plus, after a primary
+	// failure, the live log bytes tagged for the pair. Rebuild copies only
+	// the data region and reads none of those log bytes; ROADMAP item 5
+	// (failures through one fault interface) makes it read them.
 	RebuildBytes int64
 	// NewOnDuty is the logger that took over if the on-duty logger
 	// failed, else -1.
@@ -130,10 +132,13 @@ func (r *RoLo) FailPrimary(p int) (RecoveryPlan, error) {
 	return plan, nil
 }
 
-// Rebuild replaces the failed disk of pair p and copies its contents back
-// at background priority: the mirror is rebuilt from the primary (or vice
-// versa), plus any live log extents for the pair. It returns a completion
-// hook via done.
+// Rebuild replaces the failed disk of pair p and copies the surviving
+// disk's data region, [0, DataBytesPerDisk), onto it at background
+// priority: the mirror is rebuilt from the primary, or vice versa. It
+// reads no log extent, so a rebuilt primary misses the pair's writes
+// whose newest copy is only on a logger; ROADMAP item 5 (failures through
+// one fault interface) makes it copy them. done, if non-nil, runs when
+// the copy drains.
 func (r *RoLo) Rebuild(p int, mirrorFailed bool, done func(now sim.Time)) error {
 	var failed, src *disk.Disk
 	if mirrorFailed {

@@ -22,7 +22,7 @@ func failSetup(t *testing.T) (*RoLo, *array.Array, *sim.Engine) {
 	recs := writeRecs(64, 64<<10, 20*sim.Millisecond)
 	for i := range recs {
 		rec := recs[i]
-		if _, err := eng.Schedule(rec.At, func(sim.Time) {
+		if err := eng.Schedule(rec.At, func(sim.Time) {
 			if err := r.Submit(rec); err != nil {
 				t.Errorf("submit: %v", err)
 			}

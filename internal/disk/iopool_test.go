@@ -88,7 +88,7 @@ func TestRecycleUnsubmitted(t *testing.T) {
 }
 
 // TestIOSubmitZeroAlloc is the satellite's AllocsPerRun pin: once the pool
-// and the engine slab are warm, a submit→service→complete round trip
+// and the engine queue are warm, a submit→service→complete round trip
 // allocates nothing — the last per-request heap allocation named by the
 // ROADMAP perf guideline is gone.
 func TestIOSubmitZeroAlloc(t *testing.T) {
@@ -110,7 +110,7 @@ func TestIOSubmitZeroAlloc(t *testing.T) {
 		}
 		eng.Run()
 	}
-	round() // warm the pool and the event slab
+	round() // warm the pool and the event queue
 	if n := testing.AllocsPerRun(200, round); n > 0 {
 		t.Fatalf("pooled submit/complete allocates %v per run, want 0", n)
 	}

@@ -41,18 +41,3 @@ func LegalTransition(from, to PowerState) bool {
 	}
 	return uint(from) < uint(numPowerStates) && uint(to) < uint(numPowerStates) && legalEdge[from][to]
 }
-
-// TransitionGraph returns a copy of the declared power-state graph, keyed
-// by source state. Callers may mutate the copy freely.
-func TransitionGraph() map[PowerState][]PowerState {
-	out := make(map[PowerState][]PowerState, len(powerGraph))
-	for from, tos := range powerGraph {
-		out[from] = append([]PowerState(nil), tos...)
-	}
-	return out
-}
-
-// States returns every power state in the model, in declaration order.
-func States() []PowerState {
-	return []PowerState{Active, Idle, Standby, SpinningUp, SpinningDown}
-}

@@ -8,13 +8,15 @@
 //
 // Experiments run at a configurable scale factor s (default 0.1): disk
 // capacity, per-disk free space, the GRAID log capacity and the trace
-// length all shrink by s together. This preserves the quantities the
-// paper's conclusions rest on — rotation and destage counts, spin cycles,
-// idle-slot structure, normalized energy and response-time ratios — while
-// cutting simulation time by 1/s (the paper's own disk-size sensitivity
-// study, Section V-C, is the evidence that absolute disk size does not
-// matter at fixed free-space ratio). Scale 1.0 reproduces the full-size
-// configuration.
+// length all shrink by s together. This preserves the quantities that
+// scale with the log — GRAID's and RoLo-P/R's rotation, destage and spin
+// counts, idle-slot structure, normalized energy — while cutting
+// simulation time by 1/s (the paper's own disk-size sensitivity study,
+// Section V-C, is the evidence that absolute disk size does not matter at
+// fixed free-space ratio). Quantities that follow the replayed window do
+// not hold: RoLo-E's read misses, and with them its spin-ups, hit rate
+// and response time, differ between scales (EXPERIMENTS.md, "Reproducing
+// at other scales"). Scale 1.0 reproduces the full-size configuration.
 package experiments
 
 import (

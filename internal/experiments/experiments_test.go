@@ -37,7 +37,7 @@ func TestRegistryComplete(t *testing.T) {
 	// Every table and figure of the evaluation must be regenerable.
 	want := []string{
 		"eqs", "fig2", "fig3", "fig9", "fig10", "fig11", "fig12",
-		"fig13", "fig14", "table1", "table4", "table5", "stripe", "disksize", "recovery", "parity",
+		"fig13", "fig14", "table1", "table4", "table5", "stripe", "disksize", "recovery",
 	}
 	for _, id := range want {
 		if _, err := Lookup(id); err != nil {

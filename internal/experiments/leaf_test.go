@@ -15,13 +15,13 @@ import (
 )
 
 // leafExperiments returns every registered experiment whose simulations
-// are leaves. Recovery and parity assemble their own controllers, and the
-// fleet's shards run through fleet.Run.
+// are leaves. Recovery assembles its own controllers, and the fleet's
+// shards run through fleet.Run.
 func leafExperiments() []Experiment {
 	var list []Experiment
 	for _, e := range All() {
 		switch e.ID {
-		case "recovery", "parity", "fleet":
+		case "recovery", "fleet":
 		default:
 			list = append(list, e)
 		}

@@ -39,40 +39,33 @@ func recoveryArray(o Options, extras int) (*array.Array, []trace.Record, error) 
 	return arr, recs, nil
 }
 
-// feed schedules trace records into a controller the way array.Replay
-// does: the first failed Submit stops the engine and is kept in err.
-type feed struct{ err error }
-
-func (f *feed) schedule(eng *sim.Engine, recs []trace.Record, submit func(trace.Record) error) error {
-	return array.ScheduleArrivals(eng, recs, func(rec trace.Record) {
-		if f.err != nil {
+// afterFailure replays recs into submit, calls fail 30 s in, drains the
+// run and returns the spin-ups from the failure on. As in array.Replay,
+// the first failed Submit stops the engine and is returned.
+func afterFailure(arr *array.Array, recs []trace.Record, submit func(trace.Record) error, fail func() error) (int, error) {
+	var submitErr error
+	if err := array.ScheduleArrivals(arr.Eng, recs, func(rec trace.Record) {
+		if submitErr != nil {
 			return
 		}
 		if err := submit(rec); err != nil {
-			f.err = fmt.Errorf("submit record at %v: %w", rec.At, err)
-			eng.Stop()
+			submitErr = fmt.Errorf("submit record at %v: %w", rec.At, err)
+			arr.Eng.Stop()
 		}
-	})
-}
-
-// afterFailure replays recs into submit, calls fail 30 s in, drains the
-// run and returns the spin-ups from the failure on.
-func afterFailure(arr *array.Array, recs []trace.Record, submit func(trace.Record) error, fail func() error) (int, error) {
-	var in feed
-	if err := in.schedule(arr.Eng, recs, submit); err != nil {
+	}); err != nil {
 		return 0, err
 	}
 	arr.Eng.RunUntil(30 * sim.Second)
-	if in.err != nil {
-		return 0, in.err
+	if submitErr != nil {
+		return 0, submitErr
 	}
 	before := arr.TotalSpinCycles()
 	if err := fail(); err != nil {
 		return 0, err
 	}
 	arr.Eng.Run()
-	if in.err != nil {
-		return 0, in.err
+	if submitErr != nil {
+		return 0, submitErr
 	}
 	return arr.TotalSpinCycles() - before, nil
 }

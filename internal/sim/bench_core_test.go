@@ -10,9 +10,9 @@ import (
 // `make bench` records them in BENCH_core.json for the perf trajectory.
 // Every path benchmarked here must report 0 allocs/op (DESIGN §11).
 
-// warmEngine returns an engine whose slab and queue have been through a
-// burst larger than the benchmark working set, so steady-state runs reuse
-// slots and backing arrays instead of growing them.
+// warmEngine returns an engine whose queue has been through a burst larger
+// than the benchmark working set, so steady-state runs reuse its backing
+// array instead of growing it.
 func warmEngine(n int) *Engine {
 	e := New()
 	fn := Handler(func(Time) {})
@@ -33,18 +33,6 @@ func BenchmarkCoreEngineScheduleFire(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.After(10, fn)
 		e.Step()
-	}
-}
-
-// BenchmarkCoreEngineScheduleCancel measures one After+Cancel round trip:
-// the generation-stamp path that replaced the byID map delete.
-func BenchmarkCoreEngineScheduleCancel(b *testing.B) {
-	e := warmEngine(64)
-	fn := Handler(func(Time) {})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Cancel(e.After(10, fn))
 	}
 }
 

@@ -7,11 +7,13 @@
 // same trajectory.
 //
 // The implementation is allocation-free in steady state (see DESIGN §11):
-// events live in a slab of reusable slots addressed by a value-based 4-ary
-// heap, EventIDs carry a (slot, generation) pair so Cancel is an O(1)
-// generation check with no map, and Pending is a maintained counter. A
-// time-ordered series of events known up front (a trace's arrivals) is
-// held as a cursor beside the heap rather than in it; see ScheduleSeries.
+// the queue is a 4-ary heap of {due time, sequence, handler} values in one
+// reusable slice, so scheduling pushes an entry and firing pops one and
+// calls it. A time-ordered series of events known up front (a trace's
+// arrivals) is held as a cursor beside the heap rather than in it; see
+// ScheduleSeries. Events cannot be cancelled: a timer that may go stale is
+// invalidated by its owner, which checks a stamp or a predicate when the
+// handler fires.
 package sim
 
 import (
@@ -63,40 +65,15 @@ var ErrSeriesOrder = errors.New("sim: invalid event series")
 // current simulation time (the event's due time).
 type Handler func(now Time)
 
-// EventID identifies a scheduled event so it can be cancelled. It packs the
-// event's slab slot (low 32 bits) and the slot's generation at scheduling
-// time (high 32 bits); generations start at 1, so the zero EventID is never
-// a live event.
-type EventID uint64
-
-func makeEventID(slot, gen uint32) EventID { return EventID(gen)<<32 | EventID(slot) }
-
-func (id EventID) slot() uint32 { return uint32(id) }
-func (id EventID) gen() uint32  { return uint32(id >> 32) }
-
-// slotState is one slab entry. A slot is live from Schedule until the event
-// fires or is cancelled; freeing bumps the generation, so stale EventIDs and
-// stale heap entries are recognized in O(1) without any lookup structure.
-// The handler is cleared on free so the slab never pins dead closures.
-type slotState struct {
-	gen  uint32
-	live bool
-	fn   Handler
+// event is one element of the event queue, held by value (24 bytes).
+type event struct {
+	at  Time
+	seq uint64 // tie-break: FIFO among same-time events
+	fn  Handler
 }
 
-// heapEntry is one element of the event queue. Due time and sequence are
-// copied inline so heap sifting never dereferences the slab; slot+gen tie
-// the entry back to its slab slot. An entry whose generation no longer
-// matches its slot is dead (cancelled) and is dropped lazily when popped.
-type heapEntry struct {
-	at   Time
-	seq  uint64 // tie-break: FIFO among same-time events
-	slot uint32
-	gen  uint32
-}
-
-// before orders entries by due time, then scheduling order.
-func (a heapEntry) before(b heapEntry) bool {
+// before orders events by due time, then scheduling order.
+func (a event) before(b event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -112,11 +89,7 @@ const heapArity = 4
 type Engine struct {
 	now     Time
 	seq     uint64
-	slots   []slotState
-	free    []uint32 // freed slot indices, reused LIFO
-	queue   []heapEntry
-	live    int // scheduled and not yet fired or cancelled
-	dead    int // cancelled entries still sitting in the queue
+	queue   []event
 	stopped bool
 	fired   uint64
 	ser     series
@@ -140,12 +113,12 @@ type series struct {
 // pending reports whether the series has unfired members.
 func (s *series) pending() bool { return s.next < s.n }
 
-// before reports whether the series head sorts before heap entry ent.
-func (s *series) before(ent heapEntry) bool {
-	if s.headAt != ent.at {
-		return s.headAt < ent.at
+// before reports whether the series head sorts before queued event ev.
+func (s *series) before(ev event) bool {
+	if s.headAt != ev.at {
+		return s.headAt < ev.at
 	}
-	return s.base+uint64(s.next)+1 < ent.seq
+	return s.base+uint64(s.next)+1 < ev.seq
 }
 
 // New returns an initialized Engine starting at time zero.
@@ -157,32 +130,20 @@ func (e *Engine) Now() Time { return e.now }
 // Fired reports how many events have been executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending reports how many events are currently scheduled, counting the
-// unfired members of a pending series (see ScheduleSeries). It is O(1):
-// the engine maintains the count across Schedule, Cancel and Step.
-func (e *Engine) Pending() int { return e.live + e.ser.n - e.ser.next }
+// Pending reports how many events are currently scheduled: the queue's
+// length plus the unfired members of a pending series (see
+// ScheduleSeries).
+func (e *Engine) Pending() int { return len(e.queue) + e.ser.n - e.ser.next }
 
-// Schedule registers fn to run at absolute time at. It returns an EventID
-// that can be passed to Cancel. Scheduling in the past is an error.
-func (e *Engine) Schedule(at Time, fn Handler) (EventID, error) {
+// Schedule registers fn to run at absolute time at. Scheduling in the past
+// is an error.
+func (e *Engine) Schedule(at Time, fn Handler) error {
 	if at < e.now {
-		return 0, fmt.Errorf("%w: at=%v now=%v", ErrTimeTravel, at, e.now)
+		return fmt.Errorf("%w: at=%v now=%v", ErrTimeTravel, at, e.now)
 	}
-	var slot uint32
-	if n := len(e.free); n > 0 {
-		slot = e.free[n-1]
-		e.free = e.free[:n-1]
-	} else {
-		e.slots = append(e.slots, slotState{gen: 1})
-		slot = uint32(len(e.slots) - 1)
-	}
-	s := &e.slots[slot]
-	s.live = true
-	s.fn = fn
 	e.seq++
-	e.push(heapEntry{at: at, seq: e.seq, slot: slot, gen: s.gen})
-	e.live++
-	return makeEventID(slot, s.gen), nil
+	e.push(event{at: at, seq: e.seq, fn: fn})
+	return nil
 }
 
 // ScheduleSeries registers n events at once: member i runs fn(i, now) at
@@ -192,7 +153,7 @@ func (e *Engine) Schedule(at Time, fn Handler) (EventID, error) {
 // the series reserves the next n sequence numbers, so same-time ties
 // with other events resolve in scheduling order. Unlike those calls it
 // keeps one cursor instead of n heap entries, so the heap holds only
-// the work in flight. Members cannot be cancelled.
+// the work in flight.
 func (e *Engine) ScheduleSeries(n int, at func(i int) Time, fn func(i int, now Time)) error {
 	if e.ser.pending() {
 		return fmt.Errorf("%w: a series is already pending", ErrSeriesOrder)
@@ -221,67 +182,11 @@ func (e *Engine) ScheduleSeries(n int, at func(i int) Time, fn func(i int, now T
 
 // After schedules fn to run d after the current time. Negative delays clamp
 // to "now".
-func (e *Engine) After(d Time, fn Handler) EventID {
+func (e *Engine) After(d Time, fn Handler) {
 	if d < 0 {
 		d = 0
 	}
-	id, _ := e.Schedule(e.now+d, fn) // cannot fail: e.now+d >= e.now
-	return id
-}
-
-// Cancel removes a scheduled event. It reports whether the event was still
-// pending (false if it already fired, was cancelled, or never existed).
-// The queue entry is normally dropped lazily when it reaches the top of
-// the heap; if dead entries come to dominate the queue (a schedule-heavy,
-// cancel-heavy pattern that rarely fires), the queue is compacted in place
-// so memory stays bounded by twice the live event count.
-func (e *Engine) Cancel(id EventID) bool {
-	slot := id.slot()
-	if int(slot) >= len(e.slots) {
-		return false
-	}
-	s := &e.slots[slot]
-	if !s.live || s.gen != id.gen() {
-		return false
-	}
-	e.freeSlot(slot, s)
-	e.dead++
-	if e.dead > len(e.queue)/2 && len(e.queue) >= compactMin {
-		e.compact()
-	}
-	return true
-}
-
-// compactMin is the queue length below which dead entries are never worth
-// compacting away.
-const compactMin = 64
-
-// compact filters dead entries out of the queue in place and restores the
-// heap property bottom-up. Heap order is total ((at, seq) never ties), so
-// compaction cannot change which event pops next.
-func (e *Engine) compact() {
-	q := e.queue[:0]
-	for _, ent := range e.queue {
-		s := &e.slots[ent.slot]
-		if s.live && s.gen == ent.gen {
-			q = append(q, ent)
-		}
-	}
-	e.queue = q
-	e.dead = 0
-	for i := (len(q) - 2) / heapArity; i >= 0; i-- {
-		e.siftDown(i)
-	}
-}
-
-// freeSlot retires a live slot: the generation bump invalidates any
-// outstanding EventID and heap entry, and the handler reference is dropped.
-func (e *Engine) freeSlot(slot uint32, s *slotState) {
-	s.live = false
-	s.gen++
-	s.fn = nil
-	e.free = append(e.free, slot)
-	e.live--
+	_ = e.Schedule(e.now+d, fn) // cannot fail: e.now+d >= e.now
 }
 
 // Stop halts the run loop after the currently executing event returns.
@@ -299,31 +204,21 @@ func (e *Engine) SetEventHook(fn func(now Time)) { e.onEvent = fn }
 // (time, sequence) sorts before the heap top, which is exactly where it
 // would sit had its members been scheduled individually.
 func (e *Engine) Step() bool {
-	for {
-		if e.ser.pending() && (len(e.queue) == 0 || e.ser.before(e.queue[0])) {
-			e.fireSeries()
-			return true
-		}
-		if len(e.queue) == 0 {
-			return false
-		}
-		ent := e.queue[0]
-		e.pop()
-		s := &e.slots[ent.slot]
-		if !s.live || s.gen != ent.gen {
-			e.dead-- // cancelled; slot may already be reused
-			continue
-		}
-		fn := s.fn
-		e.freeSlot(ent.slot, s)
-		e.now = ent.at
-		e.fired++
-		fn(e.now)
-		if e.onEvent != nil {
-			e.onEvent(e.now)
-		}
+	if e.ser.pending() && (len(e.queue) == 0 || e.ser.before(e.queue[0])) {
+		e.fireSeries()
 		return true
 	}
+	if len(e.queue) == 0 {
+		return false
+	}
+	ev := e.pop()
+	e.now = ev.at
+	e.fired++
+	ev.fn(e.now)
+	if e.onEvent != nil {
+		e.onEvent(e.now)
+	}
+	return true
 }
 
 // fireSeries executes the series head and advances the cursor. Once the
@@ -347,9 +242,9 @@ func (e *Engine) fireSeries() {
 }
 
 // RunUntil executes events until the queue is empty, the engine is stopped,
-// or the next event would fire strictly after the deadline. The clock is
-// left at the time of the last executed event (or at the deadline if it is
-// later and at least one event remained).
+// or the next event would fire strictly after the deadline. It then moves
+// the clock forward to the deadline if the clock is earlier, whichever of
+// the three ended the loop.
 func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
 	for !e.stopped {
@@ -371,27 +266,20 @@ func (e *Engine) Run() {
 	}
 }
 
-// peek reports the due time of the next live event, discarding dead entries
-// from the top of the queue.
+// peek reports the due time of the next event, queued or series head.
 func (e *Engine) peek() (Time, bool) {
-	for len(e.queue) > 0 {
-		ent := e.queue[0]
-		s := &e.slots[ent.slot]
-		if s.live && s.gen == ent.gen {
-			if e.ser.pending() && e.ser.headAt < ent.at {
-				return e.ser.headAt, true
-			}
-			return ent.at, true
-		}
-		e.dead--
-		e.pop()
+	if len(e.queue) == 0 {
+		return e.ser.headAt, e.ser.pending()
 	}
-	return e.ser.headAt, e.ser.pending()
+	if e.ser.pending() && e.ser.headAt < e.queue[0].at {
+		return e.ser.headAt, true
+	}
+	return e.queue[0].at, true
 }
 
-// push inserts an entry into the 4-ary heap.
-func (e *Engine) push(ent heapEntry) {
-	e.queue = append(e.queue, ent)
+// push inserts an event into the 4-ary heap.
+func (e *Engine) push(ev event) {
+	e.queue = append(e.queue, ev)
 	i := len(e.queue) - 1
 	for i > 0 {
 		parent := (i - 1) / heapArity
@@ -403,12 +291,17 @@ func (e *Engine) push(ent heapEntry) {
 	}
 }
 
-// pop removes the minimum entry from the 4-ary heap.
-func (e *Engine) pop() {
+// pop removes and returns the earliest event. The slot it vacates at the
+// end of the slice is zeroed, so the backing array never keeps a fired
+// handler, or anything its closure holds, reachable.
+func (e *Engine) pop() event {
+	top := e.queue[0]
 	n := len(e.queue) - 1
 	e.queue[0] = e.queue[n]
+	e.queue[n] = event{}
 	e.queue = e.queue[:n]
 	e.siftDown(0)
+	return top
 }
 
 // siftDown restores the heap property below index i.

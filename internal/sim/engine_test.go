@@ -12,7 +12,7 @@ import (
 func TestZeroValueEngineUsable(t *testing.T) {
 	var e Engine
 	ran := false
-	if _, err := e.Schedule(5*Millisecond, func(now Time) { ran = true }); err != nil {
+	if err := e.Schedule(5*Millisecond, func(now Time) { ran = true }); err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
 	e.Run()
@@ -28,7 +28,7 @@ func TestScheduleInPast(t *testing.T) {
 	e := New()
 	e.After(10, func(Time) {})
 	e.Run()
-	if _, err := e.Schedule(5, func(Time) {}); err == nil {
+	if err := e.Schedule(5, func(Time) {}); err == nil {
 		t.Fatal("expected ErrTimeTravel scheduling at t=5 after clock reached t=10")
 	}
 }
@@ -58,31 +58,6 @@ func TestSameTimeFIFO(t *testing.T) {
 	e.Run()
 	if !sort.IntsAreSorted(got) {
 		t.Fatalf("same-time events fired out of scheduling order: %v", got)
-	}
-}
-
-func TestCancel(t *testing.T) {
-	e := New()
-	fired := false
-	id := e.After(10, func(Time) { fired = true })
-	if !e.Cancel(id) {
-		t.Fatal("Cancel returned false for pending event")
-	}
-	if e.Cancel(id) {
-		t.Fatal("double Cancel returned true")
-	}
-	e.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-}
-
-func TestCancelAfterFire(t *testing.T) {
-	e := New()
-	id := e.After(1, func(Time) {})
-	e.Run()
-	if e.Cancel(id) {
-		t.Fatal("Cancel returned true for already-fired event")
 	}
 }
 
@@ -189,34 +164,6 @@ func TestQuickMonotonicClock(t *testing.T) {
 	}
 }
 
-// Property: cancelling a random subset of events fires exactly the rest.
-func TestQuickCancelSubset(t *testing.T) {
-	f := func(n uint8, seed int64) bool {
-		e := New()
-		rng := rand.New(rand.NewSource(seed))
-		total := int(n%64) + 1
-		ids := make([]EventID, 0, total)
-		firedCount := 0
-		for i := 0; i < total; i++ {
-			id := e.After(Time(rng.Intn(1000)), func(Time) { firedCount++ })
-			ids = append(ids, id)
-		}
-		cancelled := 0
-		for _, id := range ids {
-			if rng.Intn(2) == 0 {
-				if e.Cancel(id) {
-					cancelled++
-				}
-			}
-		}
-		e.Run()
-		return firedCount == total-cancelled
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTimeConversions(t *testing.T) {
 	cases := []struct {
 		in   Time
@@ -249,39 +196,6 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 			e.After(Time(rng.Intn(1_000_000)), func(Time) {})
 		}
 		e.Run()
-	}
-}
-
-func TestCancelInsideHandler(t *testing.T) {
-	e := New()
-	var id2 EventID
-	fired2 := false
-	e.After(10, func(Time) {
-		if !e.Cancel(id2) {
-			t.Error("cancel of pending event from a handler failed")
-		}
-	})
-	id2 = e.After(20, func(Time) { fired2 = true })
-	e.Run()
-	if fired2 {
-		t.Fatal("cancelled event fired")
-	}
-}
-
-func TestPendingExcludesCancelled(t *testing.T) {
-	e := New()
-	keep := e.After(10, func(Time) {})
-	drop := e.After(20, func(Time) {})
-	_ = keep
-	if !e.Cancel(drop) {
-		t.Fatal("cancel failed")
-	}
-	if got := e.Pending(); got != 1 {
-		t.Fatalf("Pending = %d, want 1", got)
-	}
-	e.Run()
-	if got := e.Pending(); got != 0 {
-		t.Fatalf("Pending after drain = %d", got)
 	}
 }
 

@@ -7,16 +7,15 @@ import (
 	"testing"
 )
 
-// This file cross-checks the slab engine against a reference engine built
-// the way the original implementation was: container/heap over *event
-// pointers with a byID map. The property tests drive both with identical
-// operation scripts and require event-for-event agreement.
+// This file cross-checks the engine against a reference engine built the
+// way the original implementation was: container/heap over *event
+// pointers. The property tests drive both with identical operation
+// scripts and require event-for-event agreement.
 
 type refEvent struct {
-	at   Time
-	seq  uint64
-	fn   Handler
-	dead bool
+	at  Time
+	seq uint64
+	fn  Handler
 }
 
 type refHeap []*refEvent
@@ -33,7 +32,7 @@ func (h *refHeap) Push(x any)   { *h = append(*h, x.(*refEvent)) }
 func (h *refHeap) Pop() any     { old := *h; n := len(old); ev := old[n-1]; *h = old[:n-1]; return ev }
 
 // refEngine reproduces the original engine semantics: FIFO among same-time
-// events, lazy cancellation, clock advance on fire.
+// events, clock advance on fire.
 type refEngine struct {
 	now     Time
 	seq     uint64
@@ -41,73 +40,41 @@ type refEngine struct {
 	stopped bool
 }
 
-func (e *refEngine) schedule(at Time, fn Handler) *refEvent {
+func (e *refEngine) schedule(at Time, fn Handler) {
 	if at < e.now {
 		panic("ref: schedule in past")
 	}
 	e.seq++
-	ev := &refEvent{at: at, seq: e.seq, fn: fn}
-	heap.Push(&e.queue, ev)
-	return ev
+	heap.Push(&e.queue, &refEvent{at: at, seq: e.seq, fn: fn})
 }
 
-func (e *refEngine) after(d Time, fn Handler) *refEvent {
+func (e *refEngine) after(d Time, fn Handler) {
 	if d < 0 {
 		d = 0
 	}
-	return e.schedule(e.now+d, fn)
-}
-
-func (e *refEngine) cancel(ev *refEvent) bool {
-	if ev.dead {
-		return false
-	}
-	ev.dead = true
-	return true
+	e.schedule(e.now+d, fn)
 }
 
 func (e *refEngine) step() bool {
-	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*refEvent)
-		if ev.dead {
-			continue
-		}
-		ev.dead = true
-		e.now = ev.at
-		ev.fn(e.now)
-		return true
+	if len(e.queue) == 0 {
+		return false
 	}
-	return false
+	ev := heap.Pop(&e.queue).(*refEvent)
+	e.now = ev.at
+	ev.fn(e.now)
+	return true
 }
 
-// runUntil mirrors Engine.RunUntil: fire while the next live event is due
-// by the deadline and no handler has called stop.
+// runUntil mirrors Engine.RunUntil: fire while the next event is due by
+// the deadline and no handler has called stop.
 func (e *refEngine) runUntil(deadline Time) {
 	e.stopped = false
-	for !e.stopped {
-		for len(e.queue) > 0 && e.queue[0].dead {
-			heap.Pop(&e.queue)
-		}
-		if len(e.queue) == 0 || e.queue[0].at > deadline {
-			break
-		}
+	for !e.stopped && len(e.queue) > 0 && e.queue[0].at <= deadline {
 		e.step()
 	}
 	if e.now < deadline {
 		e.now = deadline
 	}
-}
-
-// pending counts the scheduled events that have neither fired nor been
-// cancelled.
-func (e *refEngine) pending() int {
-	n := 0
-	for _, ev := range e.queue {
-		if !ev.dead {
-			n++
-		}
-	}
-	return n
 }
 
 // firing records one executed event for trajectory comparison.
@@ -116,9 +83,8 @@ type firing struct {
 	at    Time
 }
 
-// TestSlabEngineMatchesHeapReference drives the slab engine and the
+// TestSlabEngineMatchesHeapReference drives the engine and the
 // container/heap reference with the same randomized script — schedules,
-// cancellations (including of already-fired and already-cancelled events),
 // partial stepping, and handlers that schedule follow-up events — and
 // asserts both fire the same labels at the same times in the same order.
 // From seed 50 on the script also installs event series: the engine takes
@@ -136,9 +102,6 @@ func TestSlabEngineMatchesHeapReference(t *testing.T) {
 		var engLog, refLog []firing
 
 		nextLabel := 0
-		ids := make(map[int]EventID)
-		refs := make(map[int]*refEvent)
-		known := make([]int, 0, 64)
 
 		// handlers builds the engine and reference handlers of one label; a
 		// third of them chain a follow-up event when they fire (a seventh of
@@ -174,12 +137,10 @@ func TestSlabEngineMatchesHeapReference(t *testing.T) {
 
 		// schedule registers one labeled event on both engines.
 		schedule := func(delay Time) {
-			label := nextLabel
+			eh, rh := handlers(nextLabel)
 			nextLabel++
-			eh, rh := handlers(label)
-			ids[label] = eng.After(delay, eh)
-			refs[label] = ref.after(delay, rh)
-			known = append(known, label)
+			eng.After(delay, eh)
+			ref.after(delay, rh)
 		}
 
 		// series installs m members on the engine as one series and on the
@@ -220,13 +181,6 @@ func TestSlabEngineMatchesHeapReference(t *testing.T) {
 				if eng.Now() != ref.now {
 					t.Fatalf("seed %d: RunUntil(%v) left clock %v, reference %v", seed, deadline, eng.Now(), ref.now)
 				}
-			case k < 7 && len(known) > 0:
-				label := known[rng.Intn(len(known))]
-				got := eng.Cancel(ids[label])
-				want := ref.cancel(refs[label])
-				if got != want {
-					t.Fatalf("seed %d: Cancel(label %d) = %v, reference %v", seed, label, got, want)
-				}
 			default:
 				got := eng.Step()
 				want := ref.step()
@@ -237,7 +191,7 @@ func TestSlabEngineMatchesHeapReference(t *testing.T) {
 					t.Fatalf("seed %d: clock %v, reference %v", seed, eng.Now(), ref.now)
 				}
 			}
-			if got, want := eng.Pending(), ref.pending(); got != want {
+			if got, want := eng.Pending(), len(ref.queue); got != want {
 				t.Fatalf("seed %d op %d: Pending() = %d, reference %d", seed, op, got, want)
 			}
 		}
@@ -257,61 +211,43 @@ func TestSlabEngineMatchesHeapReference(t *testing.T) {
 	}
 }
 
-// TestPendingAcrossInterleavings checks the maintained live counter against
-// a naive recount through random Schedule/Cancel/Step interleavings.
+// TestPendingAcrossInterleavings checks Pending against a naive recount
+// through random Schedule/ScheduleSeries/Step interleavings.
 func TestPendingAcrossInterleavings(t *testing.T) {
+	noop := func(int, Time) {}
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed + 1000))
 		eng := New()
-		livePending := 0 // naive shadow count
-		var ids []EventID
+		pending := 0 // naive shadow count
 		for op := 0; op < 500; op++ {
 			switch k := rng.Intn(10); {
 			case k < 5:
-				ids = append(ids, eng.After(Time(rng.Intn(200)), func(Time) {}))
-				livePending++
-			case k < 8 && len(ids) > 0:
-				if eng.Cancel(ids[rng.Intn(len(ids))]) {
-					livePending--
+				eng.After(Time(rng.Intn(200)), func(Time) {})
+				pending++
+			case k < 6 && !eng.ser.pending():
+				m, base := rng.Intn(20), eng.Now()
+				if err := eng.ScheduleSeries(m, func(i int) Time { return base + Time(i*7) }, noop); err != nil {
+					t.Fatalf("seed %d op %d: ScheduleSeries: %v", seed, op, err)
 				}
+				pending += m
 			default:
 				if eng.Step() {
-					livePending--
+					pending--
 				}
 			}
-			if got := eng.Pending(); got != livePending {
-				t.Fatalf("seed %d op %d: Pending() = %d, want %d", seed, op, got, livePending)
+			if got := eng.Pending(); got != pending {
+				t.Fatalf("seed %d op %d: Pending() = %d, want %d", seed, op, got, pending)
 			}
 		}
 	}
 }
 
-// TestCancelStaleIDAfterSlotReuse verifies that an EventID kept across its
-// slot's reuse (fire, then schedule again) never cancels the new tenant.
-func TestCancelStaleIDAfterSlotReuse(t *testing.T) {
-	eng := New()
-	stale := eng.After(1, func(Time) {})
-	eng.Run() // fires; slot is freed
-	fired := false
-	fresh := eng.After(1, func(Time) { fired = true }) // reuses the slot
-	if stale.slot() != fresh.slot() {
-		t.Fatalf("expected slot reuse, got %d then %d", stale.slot(), fresh.slot())
-	}
-	if eng.Cancel(stale) {
-		t.Fatal("stale EventID cancelled the slot's new tenant")
-	}
-	eng.Run()
-	if !fired {
-		t.Fatal("fresh event did not fire")
-	}
-}
-
 // TestSteadyStateZeroAllocs pins the 0 allocs/op contract for the engine
-// hot paths: scheduling into a warmed slab, firing, and cancelling.
+// hot paths: scheduling into a warmed queue and firing.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	eng := New()
 	fn := Handler(func(Time) {})
-	// Warm the slab and queue beyond the working set used below.
+	// Warm the queue beyond the working set used below.
 	for i := 0; i < 64; i++ {
 		eng.After(Time(i), fn)
 	}
@@ -322,12 +258,6 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		eng.Step()
 	}); n != 0 {
 		t.Errorf("schedule+fire: %v allocs/op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(200, func() {
-		id := eng.After(10, fn)
-		eng.Cancel(id)
-	}); n != 0 {
-		t.Errorf("schedule+cancel: %v allocs/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(200, func() {
 		for i := 0; i < 32; i++ {
@@ -353,39 +283,32 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestCancelHeavyQueueBounded pins the compaction guarantee: a workload
-// that schedules and cancels without ever firing keeps the queue bounded
-// by roughly twice the live population, and the survivors still fire in
-// exact (time, seq) order afterwards.
-func TestCancelHeavyQueueBounded(t *testing.T) {
+// TestQueueKeepsNoFiredHandler checks that a drained engine holds no
+// handler anywhere in its queue's backing array: every slot a pop
+// vacates is zeroed, so a fired closure, and whatever it captured, can be
+// collected while the engine lives on. A series runs interleaved with
+// the burst, so its members' follow-ups pass through the heap too.
+func TestQueueKeepsNoFiredHandler(t *testing.T) {
 	eng := New()
-	var kept []EventID
-	var order []int
-	label := 0
-	for round := 0; round < 200; round++ {
-		for i := 0; i < 50; i++ {
-			id := eng.After(Time(1000+round*50+i), func(Time) {})
-			if i == 0 {
-				l := label
-				kept = append(kept, eng.After(Time(500+round), func(Time) { order = append(order, l) }))
-				label++
-			}
-			if !eng.Cancel(id) {
-				t.Fatal("cancel of pending event failed")
-			}
-		}
-		if max := 2*eng.Pending() + compactMin; len(eng.queue) > max {
-			t.Fatalf("round %d: queue holds %d entries for %d live events (cap %d)",
-				round, len(eng.queue), eng.Pending(), max)
-		}
+	rng := rand.New(rand.NewSource(7))
+	follow := func(Time) {}
+	for i := 0; i < 200; i++ {
+		eng.After(Time(rng.Intn(500)), func(Time) {})
+	}
+	if err := eng.ScheduleSeries(100, func(i int) Time { return Time(5 * i) },
+		func(int, Time) { eng.After(3, follow) }); err != nil {
+		t.Fatal(err)
 	}
 	eng.Run()
-	if len(order) != len(kept) {
-		t.Fatalf("fired %d of %d surviving events", len(order), len(kept))
+	if eng.Pending() != 0 {
+		t.Fatalf("Pending() = %d after Run", eng.Pending())
 	}
-	for i, l := range order {
-		if l != i {
-			t.Fatalf("firing %d has label %d; compaction broke heap order", i, l)
+	for i, ev := range eng.queue[:cap(eng.queue)] {
+		if ev.fn != nil {
+			t.Fatalf("queue slot %d of %d keeps a fired handler (due %v)", i, cap(eng.queue), ev.at)
 		}
+	}
+	if eng.ser.fn != nil || eng.ser.at != nil {
+		t.Fatal("drained series keeps its callbacks")
 	}
 }

@@ -167,8 +167,9 @@ func ScaleBytes(b, scale float64) int64 {
 // ScaledConfig returns DefaultConfig(scheme) on the paper's geometry
 // shrunk by scale: 18.4 GiB drives with freeGiB GiB of logging space
 // each and a 16 GiB GRAID log disk, every size scaled by ScaleBytes.
-// Shrinking geometry and trace together preserves the paper's
-// comparisons (see internal/experiments).
+// Shrinking geometry and trace together preserves the comparisons that
+// scale with the log, not those that follow the replayed window (see
+// internal/experiments).
 func ScaledConfig(scheme Scheme, scale, freeGiB float64) Config {
 	cfg := DefaultConfig(scheme)
 	cfg.Disk.CapacityBytes = ScaleBytes(18.4*(1<<30), scale)

@@ -1,6 +1,6 @@
 #!/bin/sh
 # Perf-trajectory recorder: runs the BenchmarkCore* suite (engine
-# schedule/fire/cancel/churn, interval add/remove/pop/mark/drain, log-space
+# schedule/fire and churn, interval add/remove/pop/mark/drain, log-space
 # invariant check and reset, sanitizer sweep, histogram add, telemetry
 # event encoding, journal event hand-off and compressed segment
 # streaming, pooled disk IO round trip, fleet report merge, trace
