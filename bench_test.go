@@ -106,38 +106,6 @@ func BenchmarkStripeSensitivity(b *testing.B) { benchExperiment(b, "stripe") }
 // sensitivity study.
 func BenchmarkDiskSizeSensitivity(b *testing.B) { benchExperiment(b, "disksize") }
 
-// BenchmarkAblationMultiLogger measures the Section III-D scalability
-// lever: RoLo-P with one vs two on-duty loggers under the bursty src2_2
-// profile. More loggers trade standby energy for log bandwidth.
-func BenchmarkAblationMultiLogger(b *testing.B) {
-	o := benchOptions()
-	for _, loggers := range []int{1, 2} {
-		loggers := loggers
-		b.Run(strconv.Itoa(loggers), func(b *testing.B) {
-			cfg := rolo.ScaledConfig(rolo.SchemeRoLoP, o.Scale, 8)
-			cfg.Pairs = o.Pairs
-			cfg.RoLo.OnDutyLoggers = loggers
-			recs, err := rolo.GenerateProfile("src2_2", cfg, o.Scale)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			var rep rolo.Report
-			for i := 0; i < b.N; i++ {
-				rep, err = rolo.Run(cfg, recs)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(rep.EnergyJ, "energyJ")
-			b.ReportMetric(rep.MeanResponseMs, "mean-ms")
-			b.ReportMetric(float64(rep.Rotations), "rotations")
-		})
-	}
-}
-
 // BenchmarkAblationBackgroundGuard measures the idle-slot detector: with
 // the guard disabled, destaging consumes microscopic gaps inside bursts
 // and log appends lose sequentiality.

@@ -29,6 +29,9 @@ func run() error {
 		mttr   = flag.Float64("mttr", 0, "single MTTR in days (0 = sweep 1..7)")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments %q", flag.Args())
+	}
 	if *lambda <= 0 {
 		return fmt.Errorf("lambda must be positive")
 	}

@@ -56,6 +56,9 @@ func run() (err error) {
 	jcfg := journal.Flags("write one telemetry journal directory per simulation under this directory, named <scheme>_<trace>_<hash>/, where the hash covers the run's configuration and workload")
 	prof := cliprof.Flags()
 	flag.Parse()
+	if flag.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments %q", flag.Args())
+	}
 	opts := experiments.Options{
 		Scale:         *scale,
 		Pairs:         *pairs,

@@ -57,6 +57,9 @@ func run() (err error) {
 	jcfg := journal.Flags("write the telemetry journal to this directory, as run-NNNNN.jsonl segments plus manifest.json")
 	prof := cliprof.Flags()
 	flag.Parse()
+	if flag.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments %q", flag.Args())
+	}
 	if err := jcfg.Validate(); err != nil {
 		return err
 	}

@@ -43,6 +43,9 @@ func run() error {
 		list       = flag.Bool("list", false, "list calibrated profiles")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments %q", flag.Args())
+	}
 
 	if *list {
 		fmt.Fprintln(os.Stderr, "calibrated profiles:")

@@ -126,16 +126,3 @@ func TestReportStateSecondsCoverHorizon(t *testing.T) {
 		t.Fatalf("state seconds %.1f, want ~%.1f", total, want)
 	}
 }
-
-func TestMultiLoggerConfigThroughFacade(t *testing.T) {
-	cfg := smallConfig(SchemeRoLoP)
-	cfg.RoLo.OnDutyLoggers = 2
-	recs := writeHeavy(t, cfg, 100, 30*sim.Second, 1.0)
-	rep, err := Run(cfg, recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Requests != int64(len(recs)) {
-		t.Fatalf("requests = %d, want %d", rep.Requests, len(recs))
-	}
-}

@@ -5,7 +5,7 @@
 //
 // The sanitizer maintains a shadow ledger of expected log-space contents,
 // fed exclusively by the audited helpers; a controller that calls
-// logspace.Space.Alloc (or ReleaseTag, Reset, Shrink) directly mutates
+// logspace.Space.Alloc (or ReleaseTag, Reset) directly mutates
 // the allocator behind the ledger's back, and the very next sweep reports
 // a false "conservation" violation — or worse, a real corruption goes
 // unnoticed because the ledger was corrupted in the same way. This
@@ -14,7 +14,7 @@
 // Two families of call are checked outside audited helpers:
 //
 //   - any call to a mutating logspace.Space method (Alloc, ReleaseTag,
-//     Reset, Shrink) — allocators are always shared state;
+//     Reset) — allocators are always shared state;
 //   - calls to mutating intervals.Set methods (Add, Remove, Clear) whose
 //     receiver is rooted at a struct field (e.dirty[p].Add(...)): those
 //     sets are controller bookkeeping the sanitizer snapshots. Purely
@@ -47,7 +47,7 @@ var Analyzer = &analysis.Analyzer{
 const Marker = "rolosan:audited"
 
 var spaceMutators = map[string]bool{
-	"Alloc": true, "ReleaseTag": true, "Reset": true, "Shrink": true,
+	"Alloc": true, "ReleaseTag": true, "Reset": true,
 }
 
 var setMutators = map[string]bool{

@@ -54,7 +54,6 @@ func (c *C) submitBad(n int64) {
 	c.space.Alloc(n, 1)       // want `logspace\.Space\.Alloc outside an audited helper`
 	c.spaces[0].ReleaseTag(1) // want `logspace\.Space\.ReleaseTag outside an audited helper`
 	c.space.Reset()           // want `logspace\.Space\.Reset outside an audited helper`
-	c.space.Shrink(n)         // want `logspace\.Space\.Shrink outside an audited helper`
 }
 
 // touchDirty mutates field-rooted sets directly.

@@ -25,8 +25,5 @@ func (s *Space) ReleaseTag(tag int) int64 { return 0 }
 // Reset is a mutating allocator method.
 func (s *Space) Reset() { s.used = 0 }
 
-// Shrink is a mutating allocator method.
-func (s *Space) Shrink(n int64) bool { return true }
-
 // UsedBytes is a read-only method; calling it is always legal.
 func (s *Space) UsedBytes() int64 { return s.used }

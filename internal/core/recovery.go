@@ -54,23 +54,22 @@ func (r *RoLo) FailMirror(m int) (RecoveryPlan, error) {
 		// dirty spans survive and will be rebuilt onto the replacement.
 		r.destageLive[m] = false
 	}
-	if r.isOnDuty(m) {
+	if r.spinningUp == m {
+		// The logger woken ahead of rotation is gone; the next rotation
+		// check picks another.
+		r.spinningUp = -1
+	}
+	if r.onDuty == m {
 		// Non-interrupted logging: hand duty to the next logger at once.
 		// Log extents on the failed mirror are gone; the data they
 		// protected is still safe on the primaries, so the corresponding
 		// pairs simply stay dirty until their next destage.
 		r.ResetSpace(m)
-		slot := 0
-		for i, d := range r.onDuty {
-			if d == m {
-				slot = i
-			}
-		}
 		next := r.pickNext()
 		if next < 0 {
-			// Every viable logger is nearly full: shrink the on-duty set
-			// (writes take the direct path if it empties).
-			r.onDuty = append(r.onDuty[:slot], r.onDuty[slot+1:]...)
+			// Every viable logger is nearly full: deactivate logging, so
+			// writes take the direct path until reclamation frees one.
+			r.onDuty = -1
 		} else {
 			if r.arr.Mirrors[next].State() == disk.Standby {
 				_ = r.arr.Mirrors[next].SpinUp()
@@ -78,7 +77,7 @@ func (r *RoLo) FailMirror(m int) (RecoveryPlan, error) {
 			}
 			// The failed mirror is already down, so rotate's sleep of
 			// the outgoing logger is a no-op.
-			r.rotate(slot, next)
+			r.rotate(next)
 			plan.NewOnDuty = next
 		}
 	}

@@ -76,6 +76,103 @@ func TestFailOnDutyMirrorRotatesImmediately(t *testing.T) {
 	}
 }
 
+// TestFailPreWokenLoggerKeepsRotating fails the mirror that is being
+// woken ahead of rotation. The controller must choose another successor,
+// so rotations go on and the log keeps absorbing writes.
+func TestFailPreWokenLoggerKeepsRotating(t *testing.T) {
+	a, eng := testArray(t, 4)
+	r, err := New(a, FlavorP, scaledConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := writeRecs(4000, 64<<10, 20*sim.Millisecond)
+	failed := -1
+	var rotations int
+	var direct int64
+	for i := range recs {
+		rec := recs[i]
+		if err := eng.Schedule(rec.At, func(sim.Time) {
+			if err := r.Submit(rec); err != nil {
+				t.Errorf("submit: %v", err)
+			}
+			if failed < 0 && r.spinningUp >= 0 {
+				failed = r.spinningUp
+				if _, err := r.FailMirror(failed); err != nil {
+					t.Errorf("fail pre-woken mirror %d: %v", failed, err)
+				}
+				rotations, direct = r.Rotations(), r.DirectWrites()
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.Run()
+	if failed < 0 {
+		t.Fatal("no logger was woken ahead of rotation")
+	}
+	if got := r.Rotations() - rotations; got == 0 {
+		t.Fatalf("no rotation after pre-woken mirror %d failed", failed)
+	}
+	if got := r.DirectWrites() - direct; got > int64(len(recs)/5) {
+		t.Fatalf("%d of %d writes bypassed the log after mirror %d failed", got, len(recs), failed)
+	}
+	if r.OnDuty() == failed {
+		t.Fatalf("failed mirror %d is on duty", failed)
+	}
+}
+
+// TestFailOnDutyWithNoSuccessorDeactivates fails the on-duty mirror while
+// every other logger is nearly full: logging is deactivated and writes
+// take the direct path until reclamation frees a logger, when the next
+// write reactivates logging on it (Section III-E).
+func TestFailOnDutyWithNoSuccessorDeactivates(t *testing.T) {
+	a, eng := testArray(t, 4)
+	r, err := New(a, FlavorP, scaledConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tag = 1
+	for i := 1; i < a.Geom.Pairs; i++ {
+		c := r.Capacity(i)
+		if _, ok := r.Alloc(i, c-c/40, tag); !ok {
+			t.Fatalf("fill logger %d failed", i)
+		}
+	}
+	plan, err := r.FailMirror(r.OnDuty())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.NewOnDuty != -1 || r.OnDuty() != -1 {
+		t.Fatalf("NewOnDuty = %d, OnDuty = %d; want logging deactivated", plan.NewOnDuty, r.OnDuty())
+	}
+	write := func() {
+		if err := r.Submit(trace.Record{At: eng.Now(), Op: trace.Write, Offset: 0, Size: 64 << 10}); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		eng.RunUntil(eng.Now() + sim.Second)
+	}
+	write()
+	if r.DirectWrites() != 1 || r.OnDuty() != -1 || r.Rotations() != 0 {
+		t.Fatalf("after deactivated write: direct %d, on duty %d, rotations %d; want 1, -1, 0",
+			r.DirectWrites(), r.OnDuty(), r.Rotations())
+	}
+	if got := r.Responses().Count(); got != 1 {
+		t.Fatalf("%d writes completed, want 1", got)
+	}
+	r.ReleaseTag(tag)
+	write()
+	if r.DirectWrites() != 2 || r.OnDuty() != 1 || r.Rotations() != 1 {
+		t.Fatalf("after reclamation: direct %d, on duty %d, rotations %d; want 2, 1, 1",
+			r.DirectWrites(), r.OnDuty(), r.Rotations())
+	}
+	write()
+	if r.DirectWrites() != 2 || r.TagBytes(1, 0) == 0 {
+		t.Fatalf("write after reactivation not logged: direct %d, logger 1 holds %d bytes for pair 0",
+			r.DirectWrites(), r.TagBytes(1, 0))
+	}
+	eng.Run()
+}
+
 func TestFailPrimaryWakesOnlyEssentialDisks(t *testing.T) {
 	r, a, eng := failSetup(t)
 	// Pick a pair whose mirror sleeps and which has logged extents.

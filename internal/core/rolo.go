@@ -61,11 +61,6 @@ type Config struct {
 	// this, RoLo is deactivated for the request and writes go directly to
 	// the mirrors (Section III-E's 5% rule).
 	DeactivateFreeFraction float64
-	// OnDutyLoggers is how many mirrors serve as on-duty loggers at once
-	// (Section III-D: "one or a few mirrored disks take turns"). More
-	// loggers raise log bandwidth at the cost of more spinning disks.
-	// Zero means one.
-	OnDutyLoggers int
 }
 
 // DefaultConfig returns the configuration used throughout the evaluation.
@@ -86,18 +81,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: spin-up lead %g must be in [rotate threshold, 1)", c.SpinUpLeadFreeFraction)
 	case c.DeactivateFreeFraction < 0 || c.DeactivateFreeFraction > c.RotateFreeFraction:
 		return fmt.Errorf("core: deactivate threshold %g outside [0, rotate threshold]", c.DeactivateFreeFraction)
-	case c.OnDutyLoggers < 0:
-		return fmt.Errorf("core: negative on-duty logger count %d", c.OnDutyLoggers)
 	}
 	return nil
-}
-
-// loggers returns the effective on-duty logger count.
-func (c Config) loggers() int {
-	if c.OnDutyLoggers <= 0 {
-		return 1
-	}
-	return c.OnDutyLoggers
 }
 
 // RoLo is the RoLo-P / RoLo-R controller. Its log has one space per
@@ -112,7 +97,7 @@ type RoLo struct {
 	cfg    Config
 	flavor Flavor
 
-	onDuty      []int           // on-duty logger indices (usually one)
+	onDuty      int             // on-duty logger index, or -1 while logging is deactivated
 	spinningUp  int             // logger index being woken ahead of rotation, or -1
 	destagers   []*array.Copier // per pair; nil when no destage ever started
 	destageLive []bool          // destage in progress for pair p
@@ -121,15 +106,8 @@ type RoLo struct {
 	// lists, hands them to synchronous consumers and returns, so the
 	// backing arrays are reused across requests (DESIGN §11). The
 	// simulation is single-threaded per engine, so no locking is needed.
-	orderScratch  []int
-	allocScratch  []placedAlloc
+	allocScratch  []logspace.Alloc
 	targetScratch []targetIO
-}
-
-// placedAlloc records where one extent's log copy was placed.
-type placedAlloc struct {
-	alloc  logspace.Alloc
-	logger int
 }
 
 var (
@@ -156,10 +134,6 @@ func New(arr *array.Array, flavor Flavor, cfg Config) (*RoLo, error) {
 	if arr.Geom.Pairs < 2 {
 		return nil, fmt.Errorf("core: rotation needs >= 2 pairs, have %d", arr.Geom.Pairs)
 	}
-	if cfg.loggers() >= arr.Geom.Pairs {
-		return nil, fmt.Errorf("core: %d on-duty loggers need at least %d pairs for rotation",
-			cfg.loggers(), cfg.loggers()+1)
-	}
 	lg, err := array.NewLogged(arr, array.LogLayout{
 		Scheme: flavor.String(), Spaces: arr.Geom.Pairs, SpaceBytes: arr.LogRegionBytes(),
 		PrimaryBacked: true,
@@ -176,11 +150,8 @@ func New(arr *array.Array, flavor Flavor, cfg Config) (*RoLo, error) {
 		destageLive: make([]bool, arr.Geom.Pairs),
 		spinningUp:  -1,
 	}
-	for i := 0; i < cfg.loggers(); i++ {
-		r.onDuty = append(r.onDuty, i)
-	}
 	for i, m := range arr.Mirrors {
-		if r.isOnDuty(i) {
+		if i == r.onDuty {
 			continue
 		}
 		if err := m.ForceState(disk.Standby); err != nil {
@@ -190,31 +161,9 @@ func New(arr *array.Array, flavor Flavor, cfg Config) (*RoLo, error) {
 	return r, nil
 }
 
-// isOnDuty reports whether logger i is currently on duty.
-func (r *RoLo) isOnDuty(i int) bool {
-	for _, d := range r.onDuty {
-		if d == i {
-			return true
-		}
-	}
-	return false
-}
-
-// OnDuty returns the first on-duty logger index, or -1 when logging is
+// OnDuty returns the on-duty logger index, or -1 when logging is
 // deactivated.
-func (r *RoLo) OnDuty() int {
-	if len(r.onDuty) == 0 {
-		return -1
-	}
-	return r.onDuty[0]
-}
-
-// OnDutyLoggers returns a copy of the on-duty logger indices.
-func (r *RoLo) OnDutyLoggers() []int {
-	out := make([]int, len(r.onDuty))
-	copy(out, r.onDuty)
-	return out
-}
+func (r *RoLo) OnDuty() int { return r.onDuty }
 
 // Submit implements array.Controller.
 func (r *RoLo) Submit(rec trace.Record) error {
@@ -243,8 +192,9 @@ func (r *RoLo) Submit(rec trace.Record) error {
 	}
 
 	// Write path: one copy to the primary's data region, plus one (P) or
-	// two (R) sequential copies into an on-duty logging space.
-	if len(r.onDuty) == 0 {
+	// two (R) sequential copies into the on-duty logging space.
+	lg := r.onDuty
+	if lg < 0 {
 		// Logging deactivated (on-duty failure with no viable successor).
 		err := r.directWrite(rec, exts)
 		r.reactivate()
@@ -257,12 +207,12 @@ func (r *RoLo) Submit(rec trace.Record) error {
 	allocs := r.allocScratch[:0]
 	allOK := true
 	for _, e := range exts {
-		lg, a, ok := r.allocOnDuty(e.Length, e.Pair)
+		a, ok := r.Alloc(lg, e.Length, e.Pair)
 		if !ok {
 			allOK = false
 			break
 		}
-		allocs = append(allocs, placedAlloc{alloc: a, logger: lg})
+		allocs = append(allocs, a)
 	}
 	r.allocScratch = allocs[:0]
 	if !allOK {
@@ -294,22 +244,22 @@ func (r *RoLo) Submit(rec trace.Record) error {
 			r.markDirty(e.Pair, e.Offset, e.Offset+e.Length)
 		}
 		for c := 0; c < logCopies; c++ {
-			target := r.arr.Mirrors[allocs[i].logger]
+			target := r.arr.Mirrors[lg]
 			if c == 1 {
-				target = r.arr.Primaries[allocs[i].logger]
+				target = r.arr.Primaries[lg]
 			} else if st := target.State(); st == disk.SpinningUp || st == disk.Standby {
 				// Non-interrupted logging service (Section III-D): while a
 				// freshly promoted logger is still waking — an emergency
 				// failover is the only way an on-duty mirror can be cold —
 				// the second copy lands in the log region of the logger
 				// pair's primary, which is always spinning.
-				if p := r.arr.Primaries[allocs[i].logger]; !p.Failed() {
+				if p := r.arr.Primaries[lg]; !p.Failed() {
 					target = p
 				}
 			}
 			targets = append(targets, targetIO{
 				disk: target,
-				io:   r.arr.LogIO(allocs[i].alloc.Offset, allocs[i].alloc.Length, true, false),
+				io:   r.arr.LogIO(allocs[i].Offset, allocs[i].Length, true, false),
 			})
 		}
 	}
@@ -321,38 +271,20 @@ func (r *RoLo) Submit(rec trace.Record) error {
 	return nil
 }
 
-// allocOnDuty places a log extent on the emptiest on-duty logger, falling
-// back through the rest of the set.
-func (r *RoLo) allocOnDuty(n int64, tag int) (logger int, a logspace.Alloc, ok bool) {
-	order := append(r.orderScratch[:0], r.onDuty...)
-	r.orderScratch = order[:0]
-	// Emptiest first: balances fill level so rotations stagger.
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && r.FreeBytes(order[j]) > r.FreeBytes(order[j-1]); j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	for _, lg := range order {
-		if a, ok := r.Alloc(lg, n, tag); ok {
-			return lg, a, true
-		}
-	}
-	return -1, logspace.Alloc{}, false
-}
-
-// reactivate re-enables logging after deactivation (and tops the on-duty
-// set back up) once reclamation frees a viable logger (Section III-E).
+// reactivate re-enables logging after deactivation once reclamation frees
+// a viable logger (Section III-E).
 func (r *RoLo) reactivate() {
-	for len(r.onDuty) < r.cfg.loggers() {
-		next := r.pickNext()
-		if next < 0 || r.arr.Mirrors[next].Failed() {
-			return
-		}
-		r.onDuty = append(r.onDuty, next)
-		r.Rotated(r.arr.Eng.Now(), next)
-		_ = r.arr.Mirrors[next].SpinUp()
-		r.startDestage(next)
+	if r.onDuty >= 0 {
+		return
 	}
+	next := r.pickNext()
+	if next < 0 {
+		return
+	}
+	r.onDuty = next
+	r.Rotated(r.arr.Eng.Now(), next)
+	_ = r.arr.Mirrors[next].SpinUp()
+	r.startDestage(next)
 }
 
 // markDirty records staleness and feeds the live destager if pair p is
@@ -390,22 +322,13 @@ func (r *RoLo) directWrite(rec trace.Record, exts []raid.Extent) error {
 }
 
 // checkRotation wakes the next logger ahead of time and rotates the
-// fullest on-duty logger when it is nearly exhausted.
+// on-duty logger when it is nearly exhausted.
 func (r *RoLo) checkRotation() {
-	if len(r.onDuty) < r.cfg.loggers() {
-		r.reactivate()
-	}
-	if len(r.onDuty) == 0 {
+	r.reactivate()
+	if r.onDuty < 0 {
 		return
 	}
-	// The fullest on-duty logger drives the rotation pipeline.
-	slot := 0
-	for i := range r.onDuty {
-		if r.FreeBytes(r.onDuty[i]) < r.FreeBytes(r.onDuty[slot]) {
-			slot = i
-		}
-	}
-	free := r.FreeFraction(r.onDuty[slot])
+	free := r.FreeFraction(r.onDuty)
 	if free >= r.cfg.SpinUpLeadFreeFraction {
 		return
 	}
@@ -425,7 +348,7 @@ func (r *RoLo) checkRotation() {
 	}
 	switch r.arr.Mirrors[r.spinningUp].State() {
 	case disk.Idle, disk.Active:
-		r.rotate(slot, r.spinningUp)
+		r.rotate(r.spinningUp)
 	case disk.Standby:
 		// A racing spin-down beat the wake-up; try again.
 		_ = r.arr.Mirrors[r.spinningUp].SpinUp()
@@ -437,7 +360,7 @@ func (r *RoLo) checkRotation() {
 func (r *RoLo) pickNext() int {
 	best, bestFree := -1, int64(-1)
 	for i, m := range r.arr.Mirrors {
-		if r.isOnDuty(i) || i == r.spinningUp || m.Failed() {
+		if i == r.onDuty || i == r.spinningUp || m.Failed() {
 			continue
 		}
 		if f := r.FreeBytes(i); f > bestFree {
@@ -450,11 +373,11 @@ func (r *RoLo) pickNext() int {
 	return best
 }
 
-// rotate replaces the on-duty logger in the given slot with `next` and
-// triggers the decentralized destage for the newly on-duty pair.
-func (r *RoLo) rotate(slot, next int) {
-	prev := r.onDuty[slot]
-	r.onDuty[slot] = next
+// rotate hands duty to logger `next` and triggers the decentralized
+// destage for the newly on-duty pair.
+func (r *RoLo) rotate(next int) {
+	prev := r.onDuty
+	r.onDuty = next
 	r.spinningUp = -1
 	r.Rotated(r.arr.Eng.Now(), next)
 	r.startDestage(next)
@@ -502,11 +425,11 @@ func (r *RoLo) destageDrained(p int, at sim.Time) {
 // maybeSleepMirror spins down mirror m when it is off-duty and its pair's
 // destage has completed.
 func (r *RoLo) maybeSleepMirror(m int) {
-	if r.isOnDuty(m) || m == r.spinningUp || r.destageLive[m] {
+	if m == r.onDuty || m == r.spinningUp || r.destageLive[m] {
 		return
 	}
 	array.SpinDownWhenIdle(r.arr.Eng, r.arr.Mirrors[m], func() bool {
-		return !r.isOnDuty(m) && m != r.spinningUp && !r.destageLive[m] && !r.Closed()
+		return m != r.onDuty && m != r.spinningUp && !r.destageLive[m] && !r.Closed()
 	})
 }
 

@@ -28,9 +28,6 @@ type EConfig struct {
 	// MissIdleSpinDown is how long a miss-awakened disk stays up after
 	// its last foreground I/O before spinning back down.
 	MissIdleSpinDown sim.Time
-	// OnDutyPairs is how many mirrored pairs serve as log disks at once
-	// (the paper's "one or several mirrored disk pairs"). Zero means one.
-	OnDutyPairs int
 }
 
 // DefaultEConfig returns the configuration used in the evaluation.
@@ -54,33 +51,23 @@ func (c EConfig) Validate() error {
 		return fmt.Errorf("core: non-positive cache block %d", c.CacheBlockBytes)
 	case c.MissIdleSpinDown <= 0:
 		return fmt.Errorf("core: non-positive miss idle timeout %v", c.MissIdleSpinDown)
-	case c.OnDutyPairs < 0:
-		return fmt.Errorf("core: negative on-duty pair count %d", c.OnDutyPairs)
 	}
 	return nil
-}
-
-// pairs returns the effective on-duty pair count.
-func (c EConfig) pairs() int {
-	if c.OnDutyPairs <= 0 {
-		return 1
-	}
-	return c.OnDutyPairs
 }
 
 // RoLoE is the energy-oriented flavor: only the on-duty mirrored pair
 // spins; it logs both copies of every write and caches popular read blocks
 // in its logging space. A read miss pays a disk spin-up; a full log forces
-// a centralized destage that wakes the whole array. Log space i belongs
-// to on-duty slot i and moves with it across rotations (each destage
-// resets it); it holds the only current copy of the pairs' dirt.
+// a centralized destage that wakes the whole array. Its one log space
+// moves with the on-duty role across rotations (each destage resets it);
+// it holds the only current copy of the pairs' dirt.
 type RoLoE struct {
 	*array.Logged
 
 	arr *array.Array
 	cfg EConfig
 
-	onDuty    []int // on-duty pair indices (usually one)
+	onDuty    int // on-duty pair index
 	readCache *cache.LRU
 	lastFG    []sim.Time // per disk id, last foreground completion
 	readHits  int64
@@ -89,13 +76,7 @@ type RoLoE struct {
 	// allocScratch backs Submit's placement list; it is fully consumed
 	// before Submit returns, so the array is reused per request
 	// (DESIGN §11).
-	allocScratch []placedSlot
-}
-
-// placedSlot records where one extent's log copy was placed.
-type placedSlot struct {
-	alloc logspace.Alloc
-	slot  int
+	allocScratch []logspace.Alloc
 }
 
 var (
@@ -117,22 +98,18 @@ func NewE(arr *array.Array, cfg EConfig) (*RoLoE, error) {
 	if arr.Geom.Pairs < 2 {
 		return nil, fmt.Errorf("core: rotation needs >= 2 pairs, have %d", arr.Geom.Pairs)
 	}
-	if cfg.pairs() >= arr.Geom.Pairs {
-		return nil, fmt.Errorf("core: %d on-duty pairs need at least %d pairs for rotation",
-			cfg.pairs(), cfg.pairs()+1)
-	}
 	region := arr.LogRegionBytes()
 	cacheBytes := int64(float64(region) * cfg.CacheFraction)
 	logBytes := region - cacheBytes
 	if logBytes <= 0 {
 		return nil, fmt.Errorf("core: cache fraction %g leaves no log space", cfg.CacheFraction)
 	}
-	lru, err := cache.NewLRU(int(cacheBytes / cfg.CacheBlockBytes * int64(cfg.pairs())))
+	lru, err := cache.NewLRU(int(cacheBytes / cfg.CacheBlockBytes))
 	if err != nil {
 		return nil, err
 	}
 	lg, err := array.NewLogged(arr, array.LogLayout{
-		Scheme: "RoLo-E", Spaces: cfg.pairs(), SpaceBytes: logBytes,
+		Scheme: "RoLo-E", Spaces: 1, SpaceBytes: logBytes,
 	})
 	if err != nil {
 		return nil, err
@@ -144,11 +121,8 @@ func NewE(arr *array.Array, cfg EConfig) (*RoLoE, error) {
 		readCache: lru,
 		lastFG:    make([]sim.Time, 2*arr.Geom.Pairs),
 	}
-	for i := 0; i < cfg.pairs(); i++ {
-		e.onDuty = append(e.onDuty, i)
-	}
 	for p := 0; p < arr.Geom.Pairs; p++ {
-		if e.isOnDuty(p) {
+		if p == e.onDuty {
 			continue
 		}
 		if err := arr.Primaries[p].ForceState(disk.Standby); err != nil {
@@ -182,57 +156,14 @@ func (e *RoLoE) ReadMisses() int64 { return e.readMiss }
 // was full or a destage was reclaiming it.
 func (e *RoLoE) Overflows() int64 { return e.DirectWrites() }
 
-// isOnDuty reports whether pair p currently serves as a logger.
-func (e *RoLoE) isOnDuty(p int) bool {
-	for _, d := range e.onDuty {
-		if d == p {
-			return true
-		}
-	}
-	return false
-}
-
-// OnDutyPairs returns a copy of the on-duty pair indices.
-func (e *RoLoE) OnDutyPairs() []int {
-	out := make([]int, len(e.onDuty))
-	copy(out, e.onDuty)
-	return out
-}
-
-// slotDisks returns on-duty slot i's pair ordered (primary, mirror).
-func (e *RoLoE) slotDisks(i int) (*disk.Disk, *disk.Disk) {
-	return e.arr.Primaries[e.onDuty[i]], e.arr.Mirrors[e.onDuty[i]]
-}
-
-// allocSlot places a log extent on the emptiest on-duty slot.
-func (e *RoLoE) allocSlot(n int64, tag int) (int, logspace.Alloc, bool) {
-	best := -1
-	for i := range e.onDuty {
-		if best == -1 || e.FreeBytes(i) > e.FreeBytes(best) {
-			best = i
-		}
-	}
-	for off := range e.onDuty {
-		i := (best + off) % len(e.onDuty)
-		if a, ok := e.Alloc(i, n, tag); ok {
-			return i, a, true
-		}
-	}
-	return -1, logspace.Alloc{}, false
-}
-
-// hitTarget picks the least-loaded disk across all on-duty pairs.
+// hitTarget picks the on-duty disk with the shorter queue, the primary on
+// ties.
 func (e *RoLoE) hitTarget() *disk.Disk {
-	var best *disk.Disk
-	for i := range e.onDuty {
-		prim, mirr := e.slotDisks(i)
-		for _, d := range [...]*disk.Disk{prim, mirr} {
-			if best == nil || d.QueueLen() < best.QueueLen() {
-				best = d
-			}
-		}
+	prim, mirr := e.arr.Primaries[e.onDuty], e.arr.Mirrors[e.onDuty]
+	if mirr.QueueLen() < prim.QueueLen() {
+		return mirr
 	}
-	return best
+	return prim
 }
 
 // Submit implements array.Controller.
@@ -264,12 +195,12 @@ func (e *RoLoE) submitWrite(rec trace.Record, exts []raid.Extent) error {
 		if !allOK {
 			break
 		}
-		slot, a, ok := e.allocSlot(ext.Length, ext.Pair)
+		a, ok := e.Alloc(0, ext.Length, ext.Pair)
 		if !ok {
 			allOK = false
 			break
 		}
-		allocs = append(allocs, placedSlot{alloc: a, slot: slot})
+		allocs = append(allocs, a)
 	}
 	e.allocScratch = allocs[:0]
 	if !allOK {
@@ -292,9 +223,8 @@ func (e *RoLoE) submitWrite(rec trace.Record, exts []raid.Extent) error {
 
 	req := e.Reqs.Start(rec, 2*len(exts))
 	for i, ext := range exts {
-		prim, mirr := e.slotDisks(allocs[i].slot)
-		for _, target := range [...]*disk.Disk{prim, mirr} {
-			io := e.arr.LogIO(allocs[i].alloc.Offset, allocs[i].alloc.Length, true, false)
+		for _, target := range [...]*disk.Disk{e.arr.Primaries[e.onDuty], e.arr.Mirrors[e.onDuty]} {
+			io := e.arr.LogIO(allocs[i].Offset, allocs[i].Length, true, false)
 			io.OnDone = req.Done
 			if err := target.Submit(io); err != nil {
 				return fmt.Errorf("RoLo-E: log write: %w", err)
@@ -323,10 +253,10 @@ func (e *RoLoE) submitRead(rec trace.Record, exts []raid.Extent) error {
 	if hit {
 		e.readHits++
 		if e.Tel != nil {
-			e.Tel.CacheHit(rec.At, e.onDuty[0], rec.Size)
+			e.Tel.CacheHit(rec.At, e.onDuty, rec.Size)
 		}
 		for _, ext := range exts {
-			// Serve from the least-loaded on-duty disk; address the read
+			// Serve from the less-loaded on-duty disk; address the read
 			// within the logging region (its exact placement does not
 			// change the seek statistics materially).
 			target := e.hitTarget()
@@ -341,7 +271,7 @@ func (e *RoLoE) submitRead(rec trace.Record, exts []raid.Extent) error {
 
 	e.readMiss++
 	if e.Tel != nil {
-		e.Tel.CacheMiss(rec.At, e.onDuty[0], rec.Size)
+		e.Tel.CacheMiss(rec.At, e.onDuty, rec.Size)
 	}
 	// Unlike the other paths, a miss allocates its completion closures.
 	// It allocates anyway — the standby disk it wakes allocates per spin
@@ -405,11 +335,10 @@ func (e *RoLoE) insertCache(off, size int64) {
 	for b := off / e.cfg.CacheBlockBytes; b <= (off+size-1)/e.cfg.CacheBlockBytes; b++ {
 		e.readCache.Put(b)
 	}
-	// One background write per disk of the first on-duty pair covering
-	// the inserted blocks.
-	prim, mirr := e.slotDisks(0)
+	// One background write per disk of the on-duty pair covering the
+	// inserted blocks.
 	logOff := e.logOffFor(off, size)
-	for _, target := range [...]*disk.Disk{prim, mirr} {
+	for _, target := range [...]*disk.Disk{e.arr.Primaries[e.onDuty], e.arr.Mirrors[e.onDuty]} {
 		io := e.arr.LogIO(logOff, size, true, true)
 		if err := target.Submit(io); err != nil {
 			// Cache fills are best-effort; losing one only costs a
@@ -431,28 +360,20 @@ func (e *RoLoE) touchFG(d *disk.Disk) {
 func (e *RoLoE) armSpinDown(d *disk.Disk, pair int) {
 	at := e.arr.Eng.Now()
 	e.arr.Eng.After(e.cfg.MissIdleSpinDown, func(now sim.Time) {
-		if e.Closed() || e.Destaging() || e.isOnDuty(pair) {
+		if e.Closed() || e.Destaging() || pair == e.onDuty {
 			return
 		}
 		if e.lastFG[d.ID()] > at {
 			return // newer activity re-armed its own timer
 		}
 		array.SpinDownWhenIdle(e.arr.Eng, d, func() bool {
-			return !e.Closed() && !e.Destaging() && !e.isOnDuty(pair) && e.lastFG[d.ID()] <= at
+			return !e.Closed() && !e.Destaging() && pair != e.onDuty && e.lastFG[d.ID()] <= at
 		})
 	})
 }
 
 func (e *RoLoE) maybeDestage() {
-	if e.Destaging() {
-		return
-	}
-	var free, capTotal int64
-	for i := range e.onDuty {
-		free += e.FreeBytes(i)
-		capTotal += e.Capacity(i)
-	}
-	if capTotal == 0 || float64(free)/float64(capTotal) >= e.cfg.DestageFreeFraction {
+	if e.Destaging() || e.FreeFraction(0) >= e.cfg.DestageFreeFraction {
 		return
 	}
 	e.startDestage(e.arr.Eng.Now())
@@ -466,13 +387,9 @@ func (e *RoLoE) startDestage(now sim.Time) {
 	for _, d := range e.arr.AllDisks() {
 		_ = d.SpinUp()
 	}
-	// Round-robin the log-read source across all on-duty disks to spread
-	// the read load.
-	srcs := make([]*disk.Disk, 0, 2*len(e.onDuty))
-	for i := range e.onDuty {
-		prim, mirr := e.slotDisks(i)
-		srcs = append(srcs, prim, mirr)
-	}
+	// Alternate the log-read source between the on-duty pair's two disks
+	// by pair index to spread the read load.
+	srcs := [...]*disk.Disk{e.arr.Primaries[e.onDuty], e.arr.Mirrors[e.onDuty]}
 	e.DestageEach(func(p int, work *intervals.Set) *array.Copier {
 		return array.NewCopier(e.arr.Eng, srcs[p%len(srcs)],
 			[]*disk.Disk{e.arr.Primaries[p], e.arr.Mirrors[p]}, work, array.DestageChunk,
@@ -489,26 +406,17 @@ func (e *RoLoE) startDestage(now sim.Time) {
 }
 
 func (e *RoLoE) endDestage(now sim.Time) {
-	var freed int64
-	for i := range e.onDuty {
-		freed += e.ResetSpace(i)
-	}
-	e.EndDestage(now, freed)
+	e.EndDestage(now, e.ResetSpace(0))
 	e.readCache.Clear()
-	// Advance every slot by the slot count: with K on-duty pairs the duty
-	// walks the array in strides of K, so distinctness is preserved.
-	k := len(e.onDuty)
-	for i := range e.onDuty {
-		e.onDuty[i] = (e.onDuty[i] + k) % e.arr.Geom.Pairs
-	}
-	e.Rotated(now, e.onDuty[0])
+	e.onDuty = (e.onDuty + 1) % e.arr.Geom.Pairs
+	e.Rotated(now, e.onDuty)
 	for p := 0; p < e.arr.Geom.Pairs; p++ {
-		if e.isOnDuty(p) {
+		if p == e.onDuty {
 			continue
 		}
 		for _, d := range [...]*disk.Disk{e.arr.Primaries[p], e.arr.Mirrors[p]} {
 			array.SpinDownWhenIdle(e.arr.Eng, d, func() bool {
-				return !e.Closed() && !e.Destaging() && !e.isOnDuty(p)
+				return !e.Closed() && !e.Destaging() && p != e.onDuty
 			})
 		}
 	}

@@ -167,6 +167,10 @@ func TestRoLoECentralizedDestageAndRotation(t *testing.T) {
 		t.Fatalf("rotations %d != destages %d: RoLo-E rotates at each destage",
 			e.Rotations(), e.Destages())
 	}
+	// Each destage hands duty to the next pair.
+	if want := e.Destages() % a.Geom.Pairs; e.onDuty != want {
+		t.Fatalf("pair %d on duty after %d destages, want %d", e.onDuty, e.Destages(), want)
+	}
 	// The destage wrote the logged data to both disks of dirty pairs.
 	var offDutyWrites int64
 	for p := 0; p < 4; p++ {

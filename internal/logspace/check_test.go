@@ -19,8 +19,7 @@ type sortScan struct {
 	tags []int
 }
 
-// refSpan attributes a span to its owner: an allocation tag, or freeTag or
-// donatedTag.
+// refSpan attributes a span to its owner: an allocation tag or freeTag.
 type refSpan struct {
 	sp  intervals.Span
 	tag int
@@ -28,20 +27,15 @@ type refSpan struct {
 
 func (c *sortScan) check(s *Space) error {
 	all := c.all[:0]
-	for _, o := range []struct {
-		set *intervals.Set
-		tag int
-	}{{&s.free, freeTag}, {&s.donated, donatedTag}} {
-		if err := o.set.CheckInvariants(); err != nil {
-			return err
+	if err := s.free.CheckInvariants(); err != nil {
+		return err
+	}
+	for i := 0; i < s.free.Count(); i++ {
+		sp := s.free.At(i)
+		if sp.Start < 0 || sp.End > s.capacity {
+			return fmt.Errorf("logspace: free span %+v out of bounds", sp)
 		}
-		for i := 0; i < o.set.Count(); i++ {
-			sp := o.set.At(i)
-			if sp.Start < 0 || sp.End > s.addrSpace {
-				return fmt.Errorf("logspace: %s span %+v out of bounds", owner(o.tag), sp)
-			}
-			all = append(all, refSpan{sp, o.tag})
-		}
+		all = append(all, refSpan{sp, freeTag})
 	}
 	tags := c.tags[:0]
 	for tag := range s.used {
@@ -57,7 +51,7 @@ func (c *sortScan) check(s *Space) error {
 		}
 		for i := 0; i < set.Count(); i++ {
 			sp := set.At(i)
-			if sp.Start < 0 || sp.End > s.addrSpace {
+			if sp.Start < 0 || sp.End > s.capacity {
 				return fmt.Errorf("logspace: tag %d span %+v out of bounds", tag, sp)
 			}
 			all = append(all, refSpan{sp, tag})
@@ -77,18 +71,15 @@ func (c *sortScan) check(s *Space) error {
 	var total int64
 	for i, o := range all {
 		if i > 0 && o.sp.Start < all[i-1].sp.End {
-			if o.tag < 0 {
-				return fmt.Errorf("logspace: %s span %+v overlaps", owner(o.tag), o.sp)
-			}
-			return fmt.Errorf("logspace: tag %d span %+v overlaps", o.tag, o.sp)
+			return spanError(o.tag, o.sp, "overlaps")
 		}
 		total += o.sp.Len()
 	}
 	if usedTotal != s.usedBy {
 		return fmt.Errorf("logspace: used accounting %d != tracked %d", usedTotal, s.usedBy)
 	}
-	if total != s.addrSpace {
-		return fmt.Errorf("logspace: accounted %d of %d bytes", total, s.addrSpace)
+	if total != s.capacity {
+		return fmt.Errorf("logspace: accounted %d of %d bytes", total, s.capacity)
 	}
 	return nil
 }
@@ -151,26 +142,11 @@ var corruptions = []struct {
 		to.Add(sp.Start, sp.End)
 		return true
 	}},
-	{"donated overlaps free", "overlaps", func(s *Space, rng *rand.Rand) bool {
-		if s.free.Count() == 0 {
-			return false
-		}
-		sp := s.free.At(rng.Intn(s.free.Count()))
-		s.donated.Add(sp.Start, sp.Start+1)
-		return true
-	}},
-	{"donated overlaps tag", "overlaps", func(s *Space, rng *rand.Rand) bool {
-		_, sp, ok := randomTagSpan(s, rng)
-		if ok {
-			s.donated.Add(sp.End-1, sp.End)
-		}
-		return ok
-	}},
 	{"free span out of bounds", "out of bounds", func(s *Space, rng *rand.Rand) bool {
 		if rng.Intn(2) == 0 {
 			s.free.Add(-64, 0)
 		} else {
-			s.free.Add(s.addrSpace, s.addrSpace+64)
+			s.free.Add(s.capacity, s.capacity+64)
 		}
 		return true
 	}},
@@ -180,7 +156,7 @@ var corruptions = []struct {
 			if rng.Intn(2) == 0 {
 				s.used[tag].Add(-64, 0)
 			} else {
-				s.used[tag].Add(s.addrSpace, s.addrSpace+64)
+				s.used[tag].Add(s.capacity, s.capacity+64)
 			}
 		}
 		return ok
@@ -228,13 +204,11 @@ func TestCheckInvariantsMatchesSortScan(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		s := mustSpace(t, 1<<16)
 		for i, steps := 0, rng.Intn(200); i < steps; i++ {
-			switch op := rng.Intn(16); {
+			switch op := rng.Intn(15); {
 			case op < 9:
 				s.Alloc(rng.Int63n(2048)+1, rng.Intn(8))
 			case op < 14:
 				s.ReleaseTag(rng.Intn(8))
-			case op == 14:
-				s.Shrink(rng.Int63n(1024) + 1)
 			default:
 				s.Reset()
 			}
@@ -257,15 +231,12 @@ func TestCheckInvariantsMatchesSortScan(t *testing.T) {
 }
 
 // TestCheckInvariantsAcrossRunCounts drives the merge's loser tree at every
-// tree size from 2 to 43 runs, balanced or not: each fragmented space must
+// tree size from 2 to 42 runs, balanced or not: each fragmented space must
 // pass clean and then fail with the family of each corruption applied to it.
 func TestCheckInvariantsAcrossRunCounts(t *testing.T) {
 	for tags := 1; tags <= 41; tags++ {
 		for i, c := range corruptions {
 			s := fragmented(t, 300, tags)
-			if tags%2 == 0 && !s.Shrink(s.FreeBytes()/2) {
-				t.Fatal("shrink failed")
-			}
 			if err := s.CheckInvariants(); err != nil {
 				t.Fatalf("%d tags: clean space rejected: %v", tags, err)
 			}

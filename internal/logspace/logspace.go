@@ -26,10 +26,9 @@ type Alloc struct {
 // Space is the allocator for one disk's logging region. Offsets are
 // relative to the start of the region; callers translate them to LBAs.
 type Space struct {
-	addrSpace int64 // immutable size of the region's address range
-	free      intervals.Set
-	donated   intervals.Set          // extents permanently given to the data region
-	used      map[int]*intervals.Set // tag -> extents
+	capacity int64 // immutable size of the region
+	free     intervals.Set
+	used     map[int]*intervals.Set // tag -> extents
 	// idle is the emptied set of the last released tag, chunks and all,
 	// kept for the next new tag. One set, not a list: a space off duty
 	// sees releases but no new tags, and a list would hold every
@@ -58,8 +57,8 @@ type Space struct {
 }
 
 // run walks one sorted, coalesced set during CheckInvariants' merge: the
-// donated set (tag donatedTag), the free set (tag freeTag) or one tag's
-// extents. It caches its current span, the one the merge takes next.
+// free set (tag freeTag) or one tag's extents. It caches its current
+// span, the one the merge takes next.
 type run struct {
 	cur intervals.Span
 	set *intervals.Set
@@ -87,45 +86,37 @@ type tagSlot struct {
 	set *intervals.Set
 }
 
-// Run tags of the two sets that belong to no allocation tag; allocation
-// tags are non-negative.
-const (
-	donatedTag = -2
-	freeTag    = -1
-)
+// freeTag is the free set's run tag; allocation tags are non-negative.
+const freeTag = -1
 
 // New returns a Space over a region of the given size.
 func New(capacity int64) (*Space, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("logspace: non-positive capacity %d", capacity)
 	}
-	s := &Space{addrSpace: capacity, used: make(map[int]*intervals.Set)}
+	s := &Space{capacity: capacity, used: make(map[int]*intervals.Set)}
 	s.free.Add(0, capacity)
 	return s, nil
 }
 
-// Capacity returns the logging capacity in bytes (the region size minus any
-// space donated to the data region).
-func (s *Space) Capacity() int64 { return s.addrSpace - s.donated.Total() }
+// Capacity returns the logging capacity in bytes.
+func (s *Space) Capacity() int64 { return s.capacity }
 
 // FreeBytes returns the number of unallocated bytes.
-func (s *Space) FreeBytes() int64 { return s.Capacity() - s.usedBy }
+func (s *Space) FreeBytes() int64 { return s.capacity - s.usedBy }
 
 // UsedBytes returns the number of allocated bytes.
 func (s *Space) UsedBytes() int64 { return s.usedBy }
 
 // FreeFraction returns FreeBytes/Capacity.
 func (s *Space) FreeFraction() float64 {
-	if c := s.Capacity(); c > 0 {
-		return float64(s.FreeBytes()) / float64(c)
-	}
-	return 0
+	return float64(s.FreeBytes()) / float64(s.capacity)
 }
 
 // Generation returns the space's mutation generation. Every call that
 // changes the allocation state advances it: a successful Alloc, ReleaseTag
-// of a live tag, Reset and a successful Shrink. Nothing else does, so an
-// unchanged generation means unchanged free, donated and per-tag extents.
+// of a live tag and Reset. Nothing else does, so an unchanged generation
+// means unchanged free and per-tag extents.
 // RoloSan's sweep relies on that to skip a space it has already verified
 // (DESIGN §9).
 func (s *Space) Generation() uint64 { return s.gen }
@@ -237,54 +228,22 @@ func (s *Space) Tags() []int {
 	return out
 }
 
-// Reset releases all allocations, returning every non-donated byte to the
-// free list: the free set becomes [0, addrSpace) minus the donated set.
+// Reset releases all allocations: the free set becomes [0, capacity).
 func (s *Space) Reset() {
 	s.gen++
 	s.free.Clear()
-	var from int64
-	it := s.donated.Cursor()
-	for sp, ok := it.Next(); ok; sp, ok = it.Next() {
-		s.free.Add(from, sp.Start)
-		from = sp.End
-	}
-	s.free.Add(from, s.addrSpace)
+	s.free.Add(0, s.capacity)
 	clear(s.used)
 	s.tagCache = [tagSlots]tagSlot{}
 	s.usedBy = 0
 	s.cursor = 0
 }
 
-// Shrink permanently donates n free bytes to the data region (the paper's
-// data-region expansion: an unused logger region is freed from the unused
-// region list when the data region fills). It reports false if less than n
-// bytes are free. No controller calls it yet: every simulated logging
-// region keeps its full size for the whole run.
-func (s *Space) Shrink(n int64) bool {
-	if n <= 0 || n > s.FreeBytes() {
-		return false
-	}
-	s.gen++
-	remaining := n
-	spans := s.free.Spans()
-	for i := len(spans) - 1; i >= 0 && remaining > 0; i-- {
-		sp := spans[i]
-		take := sp.Len()
-		if take > remaining {
-			take = remaining
-		}
-		s.free.Remove(sp.End-take, sp.End)
-		s.donated.Add(sp.End-take, sp.End)
-		remaining -= take
-	}
-	return true
-}
-
-// CheckInvariants validates the allocator's bookkeeping: the free, donated
-// and per-tag extents lie within bounds, are pairwise disjoint and together
+// CheckInvariants validates the allocator's bookkeeping: the free and
+// per-tag extents lie within bounds, are pairwise disjoint and together
 // tile the whole region, and the tags account for every used byte.
 func (s *Space) CheckInvariants() error {
-	runs := append(s.runs[:0], run{set: &s.donated, tag: donatedTag}, run{set: &s.free, tag: freeTag})
+	runs := append(s.runs[:0], run{set: &s.free, tag: freeTag})
 	for tag, set := range s.used {
 		runs = append(runs, run{set: set, tag: tag})
 	}
@@ -295,12 +254,12 @@ func (s *Space) CheckInvariants() error {
 	spans := 0
 	for _, r := range runs {
 		if err := r.set.CheckInvariants(); err != nil {
-			if r.tag < 0 {
-				return fmt.Errorf("logspace: %s set: %w", owner(r.tag), err)
+			if r.tag == freeTag {
+				return fmt.Errorf("logspace: free set: %w", err)
 			}
 			return fmt.Errorf("logspace: tag %d: %w", r.tag, err)
 		}
-		if r.tag >= 0 {
+		if r.tag != freeTag {
 			usedTotal += r.set.Total()
 		}
 		r.it = r.set.Cursor()
@@ -320,7 +279,7 @@ func (s *Space) CheckInvariants() error {
 		w := tree[0].run
 		r := &live[w]
 		sp := r.cur
-		if sp.Start < 0 || sp.End > s.addrSpace {
+		if sp.Start < 0 || sp.End > s.capacity {
 			return spanError(r.tag, sp, "out of bounds")
 		}
 		if sp.Start < prevEnd {
@@ -338,10 +297,10 @@ func (s *Space) CheckInvariants() error {
 	if usedTotal != s.usedBy {
 		return fmt.Errorf("logspace: used accounting %d != tracked %d", usedTotal, s.usedBy)
 	}
-	// Disjoint and in bounds, the spans tile [0, addrSpace) exactly when
+	// Disjoint and in bounds, the spans tile [0, capacity) exactly when
 	// they cover all of it.
-	if total != s.addrSpace {
-		return fmt.Errorf("logspace: accounted %d of %d bytes", total, s.addrSpace)
+	if total != s.capacity {
+		return fmt.Errorf("logspace: accounted %d of %d bytes", total, s.capacity)
 	}
 	return nil
 }
@@ -394,16 +353,8 @@ func replay(tree []node, x node) {
 
 // spanError reports a span that breaks a rule, naming its owner.
 func spanError(tag int, sp intervals.Span, what string) error {
-	if tag < 0 {
-		return fmt.Errorf("logspace: %s span %+v %s", owner(tag), sp, what)
+	if tag == freeTag {
+		return fmt.Errorf("logspace: free span %+v %s", sp, what)
 	}
 	return fmt.Errorf("logspace: tag %d span %+v %s", tag, sp, what)
-}
-
-// owner names the set behind a negative run tag.
-func owner(tag int) string {
-	if tag == donatedTag {
-		return "donated"
-	}
-	return "free"
 }

@@ -2,12 +2,9 @@ package logspace
 
 import (
 	"math/rand"
-	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
-
-	"github.com/rolo-storage/rolo/internal/intervals"
 )
 
 func mustSpace(t *testing.T, cap int64) *Space {
@@ -177,78 +174,6 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestShrink(t *testing.T) {
-	s := mustSpace(t, 1000)
-	s.Alloc(300, 1)
-	if !s.Shrink(500) {
-		t.Fatal("Shrink(500) failed with 700 free")
-	}
-	if s.Capacity() != 500 || s.FreeBytes() != 200 {
-		t.Fatalf("after shrink: cap=%d free=%d", s.Capacity(), s.FreeBytes())
-	}
-	if s.Shrink(300) {
-		t.Fatal("Shrink beyond free succeeded")
-	}
-	if s.Shrink(0) {
-		t.Fatal("Shrink(0) succeeded")
-	}
-	if err := s.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestResetAfterShrinkMatchesReconstruction holds Reset to the rule it
-// replaced: the donated extents are exactly the bytes neither free nor
-// allocated, and Reset frees every other byte.
-func TestResetAfterShrinkMatchesReconstruction(t *testing.T) {
-	const capacity = 1 << 16
-	for seed := int64(0); seed < 200; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		s := mustSpace(t, capacity)
-		for i, steps := 0, rng.Intn(120); i < steps; i++ {
-			switch op := rng.Intn(10); {
-			case op < 6:
-				s.Alloc(rng.Int63n(2048)+1, rng.Intn(6))
-			case op < 9:
-				s.ReleaseTag(rng.Intn(6))
-			default:
-				s.Shrink(rng.Int63n(1024) + 1)
-			}
-		}
-		var live, donated, wantFree intervals.Set
-		for _, sp := range s.free.Spans() {
-			live.Add(sp.Start, sp.End)
-		}
-		for _, tag := range s.Tags() {
-			for _, sp := range s.used[tag].Spans() {
-				live.Add(sp.Start, sp.End)
-			}
-		}
-		donated.Add(0, capacity)
-		wantFree.Add(0, capacity)
-		for _, sp := range live.Spans() {
-			donated.Remove(sp.Start, sp.End)
-		}
-		for _, sp := range donated.Spans() {
-			wantFree.Remove(sp.Start, sp.End)
-		}
-
-		s.Reset()
-		if got, want := s.free.Spans(), wantFree.Spans(); !slices.Equal(got, want) {
-			t.Fatalf("seed %d: free after Reset = %v, want %v", seed, got, want)
-		}
-		if got, want := s.donated.Spans(), donated.Spans(); !slices.Equal(got, want) {
-			t.Fatalf("seed %d: donated = %v, want %v", seed, got, want)
-		}
-		if got, want := s.Capacity(), capacity-donated.Total(); got != want || s.FreeBytes() != want {
-			t.Fatalf("seed %d: Capacity %d, FreeBytes %d, want %d", seed, got, s.FreeBytes(), want)
-		}
-		if err := s.CheckInvariants(); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-	}
-}
-
 // TestTagCacheSlotsShared interleaves allocations under tags that share a
 // slot of take's tag cache, then releases one of them: each tag must keep
 // exactly its own extents.
@@ -299,15 +224,11 @@ func TestQuickAccountingInvariant(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < int(steps); i++ {
-			switch rng.Intn(4) {
+			switch rng.Intn(3) {
 			case 0, 1:
 				s.Alloc(rng.Int63n(4096)+1, rng.Intn(8))
 			case 2:
 				s.ReleaseTag(rng.Intn(8))
-			case 3:
-				if rng.Intn(4) == 0 {
-					s.Shrink(rng.Int63n(1024) + 1)
-				}
 			}
 			if s.FreeBytes()+s.UsedBytes() != s.Capacity() {
 				return false
@@ -381,11 +302,9 @@ func TestGeneration(t *testing.T) {
 		{"Alloc", func(s *Space) { s.Alloc(512, 2) }, true},
 		{"ReleaseTag live", func(s *Space) { s.ReleaseTag(1) }, true},
 		{"Reset", func(s *Space) { s.Reset() }, true},
-		{"Shrink", func(s *Space) { s.Shrink(512) }, true},
 		{"Alloc too large", func(s *Space) { s.Alloc(1<<20, 2) }, false},
 		{"Alloc empty", func(s *Space) { s.Alloc(0, 2) }, false},
 		{"ReleaseTag absent", func(s *Space) { s.ReleaseTag(9) }, false},
-		{"Shrink past free", func(s *Space) { s.Shrink(s.FreeBytes() + 1) }, false},
 		{"CheckInvariants", func(s *Space) { _ = s.CheckInvariants() }, false},
 		{"Tags", func(s *Space) { s.Tags() }, false},
 		{"TagBytes", func(s *Space) { s.TagBytes(1) }, false},

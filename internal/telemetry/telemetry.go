@@ -135,7 +135,7 @@ type Event struct {
 	// Pair is the pair/logger index for Rotation (new on-duty logger),
 	// DestageStart/Done and LogInvalidate (destaged pair, or -1 for a
 	// centralized, array-wide destage), and CacheHit/Miss on the RoLo-E
-	// path (first on-duty pair; -1 for the controller RAM cache).
+	// path (on-duty pair; -1 for the controller RAM cache).
 	Pair int `json:"pair,omitempty"`
 	// Write marks request and cache events on the write path.
 	Write bool `json:"write,omitempty"`
@@ -259,7 +259,7 @@ func (r *Recorder) LogInvalidate(now sim.Time, pair int, bytes int64) {
 }
 
 // CacheHit records a read served from a cache (pair -1 for the controller
-// RAM cache, or the first on-duty pair for RoLo-E's log-space cache).
+// RAM cache, or the on-duty pair for RoLo-E's log-space cache).
 func (r *Recorder) CacheHit(now sim.Time, pair int, bytes int64) {
 	if r == nil || r.sink == nil {
 		return

@@ -148,13 +148,17 @@ fi
 # its manifest without a word on stderr: concurrent runs must never share
 # a journal, and nothing may be dropped or truncated (a fleet shard emits
 # ~1.3k events here, fewer than the async ring holds, so even the drop
-# policy cannot drop). Last, every tool that journals must refuse a
+# policy cannot drop). Then every tool that journals must refuse a
 # segment size, compression or retention given without -journal, with
-# the one message RotateConfig.Validate gives, before it simulates.
+# the one message RotateConfig.Validate gives, before it simulates. Last,
+# every tool that takes no positional argument must refuse a stray word:
+# flag parsing stops at the first non-flag, so without the check every
+# flag after it would be dropped silently.
 if want journal-smoke; then
-	stage "build rolosim (-race) + rolostat + roloexp + rolofleet" \
+	stage "build rolosim (-race) + rolostat + roloexp + rolofleet + tracegen + mttdl" \
 		sh -c 'go build -race -o bin/rolosim.race ./cmd/rolosim && go build -o bin/rolostat ./cmd/rolostat && \
-			go build -o bin/roloexp ./cmd/roloexp && go build -o bin/rolofleet ./cmd/rolofleet'
+			go build -o bin/roloexp ./cmd/roloexp && go build -o bin/rolofleet ./cmd/rolofleet && \
+			go build -o bin/tracegen ./cmd/tracegen && go build -o bin/mttdl ./cmd/mttdl'
 	stage "rolosim -journal-segment -journal-compress (async journal smoke)" \
 		sh -c 'rm -rf bin/journal-smoke && ./bin/rolosim.race -scheme RoLo-P -profile src2_2 -scale 0.01 -probe-interval 30s \
 			-journal bin/journal-smoke -journal-segment 65536 -journal-compress -json >bin/journal-smoke.json'
@@ -191,6 +195,16 @@ if want journal-smoke; then
 				done; \
 			done && t1=$(date +%s%N) && \
 			echo "every tool refused every stray journal option in $(( (t1 - t0) / 1000000 ))ms"'
+	stage "rolosim, roloexp, rolofleet, tracegen and mttdl refuse a stray argument" \
+		sh -c 'for cmd in "./bin/rolosim.race -scale 0.01" "./bin/roloexp -run table1 -scale 0.01 -pairs 4" \
+				"./bin/rolofleet -shards 4 -scale 0.01" "./bin/tracegen -duration 1s" ./bin/mttdl; do \
+				err=$($cmd extra 2>&1 >/dev/null) && \
+					{ echo "$cmd extra exited 0" >&2; exit 1; }; \
+				case "$err" in \
+				*"unexpected arguments"*) ;; \
+				*) echo "$cmd extra failed for another reason: $err" >&2; exit 1 ;; \
+				esac; \
+			done && echo "every tool refused a stray argument"'
 fi
 
 # Fleet smoke: a race-built rolofleet runs a sharded cluster with the
