@@ -41,34 +41,21 @@ func run() error {
 		days = []float64{*mttr}
 	}
 
-	type entry struct {
-		name   string
-		closed func(l, m float64) float64
-		chain  func(l, m float64) reliability.Chain
-	}
-	entries := []entry{
-		{"RoLo-R", reliability.MTTDLRoLoR, reliability.RoLoRChain},
-		{"RAID10", reliability.MTTDLRaid10, reliability.Raid10Chain},
-		{"RoLo-P", reliability.MTTDLRoLoP, reliability.RoLoPChain},
-		{"GRAID", reliability.MTTDLGRAID, reliability.GRAIDChain},
-		{"RoLo-E", reliability.MTTDLRoLoE, reliability.RoLoEChain},
-	}
-
 	fmt.Printf("MTTDL in years (lambda = %g/h); closed form / exact CTMC\n\n", *lambda)
 	fmt.Printf("%-8s", "MTTR(d)")
-	for _, e := range entries {
-		fmt.Printf("  %-19s", e.name)
+	for _, m := range reliability.Models {
+		fmt.Printf("  %-19s", m.Scheme)
 	}
 	fmt.Println()
 	for _, d := range days {
 		mu := 1 / (d * 24)
 		fmt.Printf("%-8g", d)
-		for _, e := range entries {
-			exact, err := e.chain(*lambda, mu).MTTDL()
+		for _, m := range reliability.Models {
+			exact, err := m.Chain(*lambda, mu).MTTDL()
 			if err != nil {
-				return fmt.Errorf("%s: %w", e.name, err)
+				return fmt.Errorf("%s: %w", m.Scheme, err)
 			}
-			fmt.Printf("  %8.0f / %8.0f", e.closed(*lambda, mu)/reliability.HoursPerYear,
+			fmt.Printf("  %8.0f / %8.0f", m.Closed(*lambda, mu)/reliability.HoursPerYear,
 				exact/reliability.HoursPerYear)
 		}
 		fmt.Println()

@@ -12,30 +12,19 @@
 // audits the waivers themselves: a //lint:allow that suppresses nothing,
 // lacks a reason, or names an unknown analyzer is a finding.
 //
-// It loads packages itself, via `go list -deps -export`, so the gate — the
+// It takes package patterns and no flags, always runs the full suite, and
+// loads packages itself, via `go list -deps -export`, so the gate — the
 // one scripts/check.sh and CI run — is:
 //
 //	go build -o bin/rololint ./cmd/rololint
 //	./bin/rololint ./...
 //
-// Only non-test files are analyzed, and packages under testdata are
-// skipped. Interprocedural facts (lock contracts, resource dispositions,
+// With no pattern it prints its usage and the analyzer list. Only
+// non-test files are analyzed, and packages under testdata are skipped.
+// Interprocedural facts (lock contracts, resource dispositions,
 // resource-type annotations) flow in memory from each package to its
-// importers, dependencies first.
-//
-//	rololint -fix ./...            # apply suggested fixes in place
-//	rololint -fix -diff ./...      # dry run: print unified diffs instead
-//
-// -fix applies each finding's first suggested fix, leaves the files
-// gofmt-clean, and is idempotent (an applied fix never reproduces its
-// diagnostic); CI verifies that property. When two findings' fixes
-// overlap, the earlier one is applied and the skipped fix is reported —
-// rerunning -fix picks it up. -fix -diff applies nothing and prints the
-// unified diff of what -fix would change.
-//
-// Naming analyzers runs only those; naming none runs the full suite:
-//
-//	rololint -simdeterminism ./...
+// importers, dependencies first. Each finding's message names its
+// remedy.
 //
 // Findings are suppressed by a `//lint:allow <analyzer>:<category>
 // <reason>` comment on the offending line or the line above; the reason
@@ -46,6 +35,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -77,50 +67,28 @@ var suite = []*analysis.Analyzer{
 }
 
 func main() {
-	os.Exit(run(os.Args[1:]))
+	os.Exit(run(os.Args[1:], os.Stderr))
 }
 
-func run(args []string) int {
-	fs := flag.NewFlagSet("rololint", flag.ExitOnError)
-	fixFlag := fs.Bool("fix", false, "apply suggested fixes in place")
-	diffFlag := fs.Bool("diff", false, "with -fix: apply nothing, print unified diffs of what -fix would change")
-	enabled := make(map[string]*bool, len(suite))
-	for _, a := range suite {
-		enabled[a.Name] = fs.Bool(a.Name, false,
-			"enable only the named analyzers ("+firstLine(a.Doc)+")")
-	}
+// run lints the packages matching args and returns the exit code: 0 when
+// clean, 1 on a driver error, 2 on findings or on a usage error.
+func run(args []string, w io.Writer) int {
+	fs := flag.NewFlagSet("rololint", flag.ContinueOnError)
+	fs.SetOutput(w)
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: rololint [flags] package pattern...\n\nanalyzers:\n")
+		fmt.Fprintf(w, "usage: rololint package pattern...\n\nanalyzers:\n")
 		for _, a := range suite {
-			fmt.Fprintf(fs.Output(), "  %-16s %s\n", a.Name, firstLine(a.Doc))
+			fmt.Fprintf(w, "  %-16s %s\n", a.Name, firstLine(a.Doc))
 		}
-		fmt.Fprintf(fs.Output(), "\nflags:\n")
-		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-
-	var selected []*analysis.Analyzer
-	for _, a := range suite {
-		if *enabled[a.Name] {
-			selected = append(selected, a)
-		}
-	}
-	if len(selected) == 0 {
-		selected = suite
-	}
-
-	if *diffFlag && !*fixFlag {
-		fmt.Fprintln(os.Stderr, "rololint: -diff only modifies -fix; run `rololint -fix -diff ./...`")
 		return 2
 	}
 	if fs.NArg() == 0 {
 		fs.Usage()
 		return 2
 	}
-	opts := analysis.StandaloneOptions{Fix: *fixFlag, Diff: *diffFlag}
-	return analysis.RunStandalone(fs.Args(), selected, os.Stderr, opts)
+	return analysis.RunStandalone(fs.Args(), suite, w)
 }
 
 func firstLine(s string) string {

@@ -17,22 +17,12 @@ func main() {
 	fmt.Println("== Analytic MTTDL (four-disk model, lambda = 1e-5/h, MTTR = 3 days) ==")
 	const lambda, mttrDays = 1e-5, 3.0
 	mu := 1 / (mttrDays * 24)
-	entries := []struct {
-		name  string
-		chain func(l, m float64) reliability.Chain
-	}{
-		{"RoLo-R", reliability.RoLoRChain},
-		{"RAID10", reliability.Raid10Chain},
-		{"RoLo-P", reliability.RoLoPChain},
-		{"GRAID", reliability.GRAIDChain},
-		{"RoLo-E", reliability.RoLoEChain},
-	}
-	for _, e := range entries {
-		years, err := e.chain(lambda, mu).MTTDL()
+	for _, m := range reliability.Models {
+		years, err := m.Chain(lambda, mu).MTTDL()
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  %-7s %8.0f years\n", e.name, years/reliability.HoursPerYear)
+		fmt.Printf("  %-7s %8.0f years\n", m.Scheme, years/reliability.HoursPerYear)
 	}
 
 	fmt.Println("\n== Disk-spin frequency by simulation (src2_2, scaled) ==")

@@ -3,8 +3,7 @@
 // needs: it defines the Analyzer and Pass types, runs a set of analyzers
 // over one type-checked package, propagates per-object facts between
 // packages (the bottom-up summary mechanism the interprocedural analyzers
-// build on), carries suggested fixes for the `-fix` driver, and implements
-// the `//lint:allow` suppression directive.
+// build on), and implements the `//lint:allow` suppression directive.
 //
 // Why not depend on x/tools? The reproduction is built and verified in
 // hermetic environments with no module proxy, so the linter must compile
@@ -17,10 +16,9 @@
 //
 //   - standalone.go loads packages itself via `go list -deps -export`
 //     (non-test files only), analyzes dependencies first so their facts
-//     reach the targets, and hosts the `-fix` mode and its `-diff` dry
-//     run — the `rololint ./...` gate;
+//     reach the targets — the `rololint ./...` gate;
 //   - analysistest runs analyzers over fixture trees with `// want`
-//     expectations and golden-file fix verification.
+//     expectations.
 package analysis
 
 import (
@@ -41,7 +39,7 @@ type Analyzer struct {
 	// Doc is the help text: first line is a one-sentence summary.
 	Doc string
 	// Run applies the analyzer to one package, reporting diagnostics
-	// through pass.Report or pass.Reportf.
+	// through pass.Reportf.
 	Run func(pass *Pass) error
 }
 
@@ -60,24 +58,8 @@ type Pass struct {
 	exported Facts
 }
 
-// A TextEdit replaces the source range [Pos, End) with NewText.
-// Pos == End inserts.
-type TextEdit struct {
-	Pos     token.Pos
-	End     token.Pos
-	NewText string
-}
-
-// A SuggestedFix is one self-contained remedy for a diagnostic: a set of
-// non-overlapping edits the `-fix` driver can apply mechanically. Fixes
-// must leave the file gofmt-clean after formatting and must not reproduce
-// the diagnostic (so applying fixes is idempotent).
-type SuggestedFix struct {
-	Message string
-	Edits   []TextEdit
-}
-
-// A Diagnostic is one finding.
+// A Diagnostic is one finding. Its Message states the defect and the
+// remedy.
 type Diagnostic struct {
 	Pos     token.Pos
 	Message string
@@ -85,33 +67,12 @@ type Diagnostic struct {
 	// "wall-clock", "leak"). The `//lint:allow` escape hatch is scoped to
 	// analyzer:category, so every report should carry one.
 	Category string
-	// SuggestedFixes, when non-empty, lets `rololint -fix` repair the
-	// finding in place.
-	SuggestedFixes []SuggestedFix
 }
-
-// Report emits a diagnostic.
-func (p *Pass) Report(d Diagnostic) { p.report(d) }
 
 // Reportf emits a diagnostic at pos with the given category and a
 // formatted message.
 func (p *Pass) Reportf(pos token.Pos, category, format string, args ...any) {
 	p.report(Diagnostic{Pos: pos, Category: category, Message: fmt.Sprintf(format, args...)})
-}
-
-// A FixEdit is a TextEdit resolved to a file and byte offsets, as carried
-// by a Finding out of the analysis.
-type FixEdit struct {
-	Filename string
-	Start    int // byte offset
-	End      int
-	NewText  string
-}
-
-// A Fix is a resolved SuggestedFix.
-type Fix struct {
-	Message string
-	Edits   []FixEdit
 }
 
 // A Finding is a positioned diagnostic attributed to an analyzer, as
@@ -121,7 +82,6 @@ type Finding struct {
 	Category string
 	Pos      token.Position
 	Message  string
-	Fixes    []Fix
 }
 
 func (f Finding) String() string {
@@ -163,9 +123,8 @@ func NewInfo() *types.Info {
 // own from Run; instead, when it is part of the analyzer list, the
 // framework judges every `//lint:allow` directive after the other
 // analyzers have finished: a directive that suppressed no diagnostic in
-// the run is reported as stale (with a removal fix), one with no reason
-// as missing-reason, and one naming an analyzer absent from the run as
-// unknown-analyzer. Directives scoped to lintallow itself are exempt
+// the run is reported as stale, one with no reason as missing-reason,
+// and one naming an analyzer absent from the run as unknown-analyzer. Directives scoped to lintallow itself are exempt
 // (judging them would need a fixpoint), so `//lint:allow lintallow:stale
 // <reason>` can retain a deliberately dormant waiver.
 var LintAllow = &Analyzer{
@@ -204,7 +163,6 @@ func RunAnalyzersFacts(u *Unit, analyzers []*Analyzer, imported Facts) ([]Findin
 				Category: d.Category,
 				Pos:      posn,
 				Message:  d.Message,
-				Fixes:    resolveFixes(u.Fset, d.SuggestedFixes),
 			})
 		}
 	}
@@ -251,40 +209,6 @@ func RunAnalyzersFacts(u *Unit, analyzers []*Analyzer, imported Facts) ([]Findin
 	return findings, exported, nil
 }
 
-// resolveFixes turns position-based edits into file/offset edits so they
-// survive past the life of the FileSet.
-func resolveFixes(fset *token.FileSet, fixes []SuggestedFix) []Fix {
-	if len(fixes) == 0 {
-		return nil
-	}
-	out := make([]Fix, 0, len(fixes))
-	for _, sf := range fixes {
-		fix := Fix{Message: sf.Message}
-		ok := true
-		for _, e := range sf.Edits {
-			start := fset.Position(e.Pos)
-			end := start
-			if e.End.IsValid() {
-				end = fset.Position(e.End)
-			}
-			if start.Filename == "" || end.Filename != start.Filename || end.Offset < start.Offset {
-				ok = false
-				break
-			}
-			fix.Edits = append(fix.Edits, FixEdit{
-				Filename: start.Filename,
-				Start:    start.Offset,
-				End:      end.Offset,
-				NewText:  e.NewText,
-			})
-		}
-		if ok && len(fix.Edits) > 0 {
-			out = append(out, fix)
-		}
-	}
-	return out
-}
-
 // allowKey identifies one suppressed (file, line, rule) cell.
 type allowKey struct {
 	file string
@@ -297,8 +221,7 @@ type allowKey struct {
 type allowDirective struct {
 	rule   string
 	reason string
-	pos    token.Pos // comment extent, for the removal fix
-	end    token.Pos
+	pos    token.Pos
 	posn   token.Position
 	hits   int
 }
@@ -356,7 +279,6 @@ func collectAllows(fset *token.FileSet, files []*ast.File) *allowSet {
 				d := &allowDirective{
 					rule: fields[0],
 					pos:  c.Pos(),
-					end:  c.End(),
 					posn: fset.Position(c.Pos()),
 				}
 				if len(fields) >= 2 {
@@ -403,14 +325,6 @@ func auditAllows(analyzers []*Analyzer, allow *allowSet, report func(Diagnostic)
 		}
 	}
 	for _, v := range verdicts {
-		report(Diagnostic{
-			Pos:      v.d.pos,
-			Category: v.category,
-			Message:  v.message,
-			SuggestedFixes: []SuggestedFix{{
-				Message: "remove the //lint:allow directive",
-				Edits:   []TextEdit{{Pos: v.d.pos, End: v.d.end}},
-			}},
-		})
+		report(Diagnostic{Pos: v.d.pos, Category: v.category, Message: v.message})
 	}
 }

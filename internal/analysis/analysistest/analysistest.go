@@ -22,7 +22,6 @@
 package analysistest
 
 import (
-	"bytes"
 	"fmt"
 	"go/importer"
 	"go/token"
@@ -43,10 +42,6 @@ import (
 // Fixture dependencies under testdata/src are analyzed first (their
 // findings discarded) so the facts they export are available to the
 // package under test, as the standalone driver does for module packages.
-//
-// If a fixture file has a sibling named <file>.go.golden, the harness
-// additionally applies the suggested fixes of the run's findings to the
-// file and requires the gofmt-formatted result to equal the golden file.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, paths ...string) {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -87,7 +82,6 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, paths ...string) {
 		ld.mergeFacts(exported)
 		ld.analyzed[path] = true
 		checkExpectations(t, ld, path, findings)
-		checkGolden(t, ld, path, findings)
 	}
 }
 
@@ -106,35 +100,6 @@ func (l *loader) analyze(path string, a *analysis.Analyzer) error {
 func (l *loader) mergeFacts(facts analysis.Facts) {
 	for k, v := range facts {
 		l.facts[k] = v
-	}
-}
-
-// checkGolden verifies golden fix files: for every fixture file with a
-// .golden sibling, applying the findings' suggested fixes must reproduce
-// the golden content exactly.
-func checkGolden(t *testing.T, ld *loader, path string, findings []analysis.Finding) {
-	t.Helper()
-	unit := ld.units[path]
-	for _, f := range unit.Files {
-		filename := ld.fset.Position(f.Pos()).Filename
-		want, err := os.ReadFile(filename + ".golden")
-		if err != nil {
-			continue // no golden file for this fixture
-		}
-		src, err := os.ReadFile(filename)
-		if err != nil {
-			t.Errorf("reading fixture %s: %v", filename, err)
-			continue
-		}
-		fixed, _, err := analysis.ApplyFixesToSource(filename, src, findings)
-		if err != nil {
-			t.Errorf("applying fixes to %s: %v", filename, err)
-			continue
-		}
-		if !bytes.Equal(fixed, want) {
-			t.Errorf("%s: applying fixes does not reproduce %s.golden:\n--- got ---\n%s--- want ---\n%s",
-				filename, filepath.Base(filename), fixed, want)
-		}
 	}
 }
 

@@ -20,8 +20,7 @@
 //     errors are sticky and surface from Flush (Flush itself is checked);
 //   - niladic Close and Flush on resource types (per resourcelifecycle's
 //     Detector): the resourcelifecycle analyzer owns those as its
-//     dropped-error category, with a `_ =` suggested fix — one finding
-//     per site, not two. Close/Flush on non-resource types (such as
+//     dropped-error category — one finding per site, not two. Close/Flush on non-resource types (such as
 //     bufio.Writer) stays with this analyzer.
 //
 // Goroutine bodies get one extra rule: assigning an error to a variable

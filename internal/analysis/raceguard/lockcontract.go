@@ -1,7 +1,6 @@
 package raceguard
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
 	"sort"
@@ -113,7 +112,7 @@ func checkContracts(pass *analysis.Pass, sm *summaries, guards map[types.Object]
 
 // inferRequires flags receiver-rooted guarded-field accesses in methods
 // that neither lock the chain themselves (directly or through helpers) nor
-// declare the contract, suggesting the directive as a fix. One report per
+// declare the contract, naming the directive to add. One report per
 // chain: the finding is about the method's missing contract, not about
 // each access.
 func inferRequires(pass *analysis.Pass, sm *summaries, guards map[types.Object]guard,
@@ -134,22 +133,9 @@ func inferRequires(pass *analysis.Pass, sm *summaries, guards map[types.Object]g
 		}
 		reported[a.chain] = true
 		operand := strings.TrimPrefix(a.chain, recvName+".")
-		directive := fmt.Sprintf("//%s %s", requiresDirective, operand)
-		pass.Report(analysis.Diagnostic{
-			Pos:      a.sel.Pos(),
-			Category: "undeclared-requires",
-			Message: fmt.Sprintf(
-				"%s accesses %s (guarded by %s) without locking; declare %s if callers must hold the lock",
-				decl.Name.Name, fieldDisp(a.sel), a.chain, directive),
-			SuggestedFixes: []analysis.SuggestedFix{{
-				Message: "declare the lock contract on " + decl.Name.Name,
-				Edits: []analysis.TextEdit{{
-					Pos:     decl.Pos(),
-					End:     decl.Pos(),
-					NewText: directive + "\n",
-				}},
-			}},
-		})
+		pass.Reportf(a.sel.Pos(), "undeclared-requires",
+			"%s accesses %s (guarded by %s) without locking; declare //%s %s if callers must hold the lock",
+			decl.Name.Name, fieldDisp(a.sel), a.chain, requiresDirective, operand)
 	}
 }
 

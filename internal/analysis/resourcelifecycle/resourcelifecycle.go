@@ -716,20 +716,16 @@ func isNilIdent(e ast.Expr) bool {
 // --- dropped Close/Flush errors -------------------------------------
 
 // checkDroppedErrors flags bare and deferred Close/Flush calls on
-// resource values whose error result is discarded. Bare statement calls
-// get a `_ =` suggested fix; a deferred call has no one-line mechanical
-// remedy, so it is reported without one.
+// resource values whose error result is discarded.
 func (c *checker) checkDroppedErrors(file *ast.File) {
 	info := c.pass.TypesInfo
 	ast.Inspect(file, func(n ast.Node) bool {
 		var call *ast.CallExpr
 		var how string
-		fixable := false
 		switch n := n.(type) {
 		case *ast.ExprStmt:
 			call, _ = n.X.(*ast.CallExpr)
 			how = "call"
-			fixable = true
 		case *ast.DeferStmt:
 			call = n.Call
 			how = "deferred call"
@@ -755,18 +751,8 @@ func (c *checker) checkDroppedErrors(file *ast.File) {
 		if !c.isResource(recv.Type) {
 			return true
 		}
-		d := analysis.Diagnostic{
-			Pos:      call.Pos(),
-			Category: "dropped-error",
-			Message:  how + " to " + methodLabel(fn) + " drops its error; handle it, return it, or discard explicitly with `_ =`",
-		}
-		if fixable {
-			d.SuggestedFixes = []analysis.SuggestedFix{{
-				Message: "discard the error explicitly",
-				Edits:   []analysis.TextEdit{{Pos: call.Pos(), End: call.Pos(), NewText: "_ = "}},
-			}}
-		}
-		c.pass.Report(d)
+		c.pass.Reportf(call.Pos(), "dropped-error",
+			"%s to %s drops its error; handle it, return it, or discard explicitly with `_ =`", how, methodLabel(fn))
 		return true
 	})
 }

@@ -122,7 +122,7 @@ func compressClean(dst io.Writer, data []byte) error {
 }
 
 func droppedClose(f *os.File) {
-	f.Close() // want `call to \(\*os\.File\)\.Close drops its error; handle it, return it, or discard explicitly`
+	f.Close() // want "call to \\(\\*os\\.File\\)\\.Close drops its error; handle it, return it, or discard explicitly with `_ =`$"
 }
 
 func deferredDrop(path string) ([]byte, error) {
@@ -130,7 +130,7 @@ func deferredDrop(path string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close() // want `deferred call to \(\*os\.File\)\.Close drops its error`
+	defer f.Close() // want "deferred call to \\(\\*os\\.File\\)\\.Close drops its error; handle it, return it, or discard explicitly with `_ =`$"
 	return io.ReadAll(f)
 }
 

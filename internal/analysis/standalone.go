@@ -25,19 +25,6 @@ type listPackage struct {
 	Incomplete bool
 }
 
-// StandaloneOptions selects the standalone driver's output modes.
-type StandaloneOptions struct {
-	// Fix applies each finding's first suggested fix in place (gofmt-
-	// formatted), reporting what was fixed and which fixes were skipped
-	// because they overlap an earlier finding's fix; only findings
-	// without an applied fix count toward the exit code.
-	Fix bool
-	// Diff turns Fix into a dry run: instead of rewriting files, print
-	// a unified diff of what Fix would change. The tree is untouched
-	// and the exit code is computed as if the fixes had been applied.
-	Diff bool
-}
-
 // RunStandalone loads the packages matching the go list patterns and
 // applies the analyzers, printing findings to w. It shells out to the go
 // command, so it must run inside a module. Only the packages' non-test
@@ -50,44 +37,12 @@ type StandaloneOptions struct {
 // target. Dependencies inside the module are analyzed first (their
 // findings discarded) so their facts reach the targets.
 //
-// The exit code is 0 when clean, 1 on a driver error and 2 when findings
-// remain.
-func RunStandalone(patterns []string, analyzers []*Analyzer, w io.Writer, opts StandaloneOptions) int {
+// The exit code is 0 when clean, 1 on a driver error and 2 on findings.
+func RunStandalone(patterns []string, analyzers []*Analyzer, w io.Writer) int {
 	findings, err := analyzePatterns(patterns, analyzers)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rololint: %v\n", err)
 		return 1
-	}
-	if opts.Fix {
-		var remaining []Finding
-		var applied []AppliedFix
-		var skipped []SkippedFix
-		var ferr error
-		if opts.Diff {
-			var diff string
-			remaining, applied, skipped, diff, ferr = PreviewFixes(findings)
-			if diff != "" {
-				fmt.Fprint(w, diff)
-			}
-		} else {
-			remaining, applied, skipped, ferr = ApplyFixes(findings)
-		}
-		verb := "fixed"
-		if opts.Diff {
-			verb = "would fix"
-		}
-		for _, a := range applied {
-			fmt.Fprintf(w, "%s: %s: %s\n", a.Finding.Pos, verb, a.Message)
-		}
-		for _, s := range skipped {
-			fmt.Fprintf(w, "%s: fix skipped (edits overlap an earlier finding's fix; rerun -fix after applying): %s\n",
-				s.Finding.Pos, s.Message)
-		}
-		if ferr != nil {
-			fmt.Fprintf(os.Stderr, "rololint: %v\n", ferr)
-			return 1
-		}
-		findings = remaining
 	}
 	for _, f := range findings {
 		fmt.Fprintf(w, "%s: %s\n", f.Pos, f.Message)

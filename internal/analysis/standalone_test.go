@@ -92,7 +92,7 @@ func TestRunStandaloneEndToEnd(t *testing.T) {
 	run := func(patterns ...string) (int, string) {
 		t.Helper()
 		var out bytes.Buffer
-		code := analysis.RunStandalone(patterns, suite, &out, analysis.StandaloneOptions{})
+		code := analysis.RunStandalone(patterns, suite, &out)
 		return code, out.String()
 	}
 	const leak = "b.go:7:7: *a.Handle returned by a.NewHandle is not closed on every path"

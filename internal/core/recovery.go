@@ -60,12 +60,17 @@ func (r *RoLo) FailMirror(m int) (RecoveryPlan, error) {
 		r.spinningUp = -1
 	}
 	if r.onDuty == m {
-		// Non-interrupted logging: hand duty to the next logger at once.
-		// Log extents on the failed mirror are gone; the data they
-		// protected is still safe on the primaries, so the corresponding
-		// pairs simply stay dirty until their next destage.
+		// Non-interrupted logging: hand duty at once to the logger woken
+		// ahead of rotation, which is viable (off-duty loggers only gain
+		// space), or else to the next viable logger. Log extents on the
+		// failed mirror are gone; the data they protected is still safe
+		// on the primaries, so the corresponding pairs simply stay dirty
+		// until their next destage.
 		r.ResetSpace(m)
-		next := r.pickNext()
+		next := r.spinningUp
+		if next < 0 {
+			next = r.pickNext()
+		}
 		if next < 0 {
 			// Every viable logger is nearly full: deactivate logging, so
 			// writes take the direct path until reclamation frees one.

@@ -121,6 +121,61 @@ func TestFailPreWokenLoggerKeepsRotating(t *testing.T) {
 	}
 }
 
+// TestFailOnDutyHandsDutyToPreWokenLogger fails the on-duty mirror while
+// the only viable successor is the logger being woken ahead of rotation
+// (the other two are nearly full). Duty must pass to that logger at once;
+// deactivating logging instead would never end, because reactivation and
+// rotation both skip the logger being woken.
+func TestFailOnDutyHandsDutyToPreWokenLogger(t *testing.T) {
+	a, eng := testArray(t, 4)
+	r, err := New(a, FlavorP, scaledConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tag = 1
+	for i := 2; i < a.Geom.Pairs; i++ {
+		c := r.Capacity(i)
+		if _, ok := r.Alloc(i, c-c/40, tag); !ok {
+			t.Fatalf("fill logger %d failed", i)
+		}
+	}
+	recs := writeRecs(2000, 64<<10, 20*sim.Millisecond)
+	var plan RecoveryPlan
+	failed := -1
+	var rotations int
+	var direct int64
+	for i := range recs {
+		rec := recs[i]
+		if err := eng.Schedule(rec.At, func(sim.Time) {
+			if err := r.Submit(rec); err != nil {
+				t.Errorf("submit: %v", err)
+			}
+			if failed < 0 && r.spinningUp >= 0 {
+				failed = r.OnDuty()
+				if plan, err = r.FailMirror(failed); err != nil {
+					t.Errorf("fail on-duty mirror %d: %v", failed, err)
+				}
+				rotations, direct = r.Rotations(), r.DirectWrites()
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.Run()
+	if failed != 0 {
+		t.Fatalf("failed mirror %d, want on-duty mirror 0 at logger 1's pre-wake", failed)
+	}
+	if plan.NewOnDuty != 1 {
+		t.Fatalf("NewOnDuty = %d, want the pre-woken logger 1", plan.NewOnDuty)
+	}
+	if got := r.Rotations() - rotations; got == 0 {
+		t.Fatal("no rotation after the on-duty mirror failed")
+	}
+	if got := r.DirectWrites() - direct; got > int64(len(recs)/5) {
+		t.Fatalf("%d of %d writes bypassed the log after mirror 0 failed", got, len(recs))
+	}
+}
+
 // TestFailOnDutyWithNoSuccessorDeactivates fails the on-duty mirror while
 // every other logger is nearly full: logging is deactivated and writes
 // take the direct path until reclamation frees a logger, when the next

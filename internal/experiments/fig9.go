@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"github.com/rolo-storage/rolo/internal/reliability"
 )
@@ -45,27 +46,18 @@ func runEqs(o Options, w io.Writer) error {
 	const lambda = 1e-5
 	fmt.Fprintln(w, "MTTDL (hours) at lambda = 1e-5/h: paper closed forms vs exact CTMC")
 	t := &table{header: []string{"scheme", "MTTR", "closed-form", "CTMC", "ratio"}}
-	type entry struct {
-		name   string
-		closed func(l, m float64) float64
-		chain  func(l, m float64) reliability.Chain
-	}
-	entries := []entry{
-		{"RAID10", reliability.MTTDLRaid10, reliability.Raid10Chain},
-		{"GRAID", reliability.MTTDLGRAID, reliability.GRAIDChain},
-		{"RoLo-P", reliability.MTTDLRoLoP, reliability.RoLoPChain},
-		{"RoLo-R", reliability.MTTDLRoLoR, reliability.RoLoRChain},
-		{"RoLo-E", reliability.MTTDLRoLoE, reliability.RoLoEChain},
-	}
-	for _, e := range entries {
+	// Paper order: Equations (1)-(5).
+	models := slices.Clone(reliability.Models)
+	slices.SortFunc(models, func(a, b reliability.Model) int { return a.Equation - b.Equation })
+	for _, m := range models {
 		for _, days := range []float64{1, 7} {
 			mu := 1 / (days * 24)
-			closed := e.closed(lambda, mu)
-			exact, err := e.chain(lambda, mu).MTTDL()
+			closed := m.Closed(lambda, mu)
+			exact, err := m.Chain(lambda, mu).MTTDL()
 			if err != nil {
-				return fmt.Errorf("%s: %w", e.name, err)
+				return fmt.Errorf("%s: %w", m.Scheme, err)
 			}
-			t.add(e.name, fmt.Sprintf("%gd", days),
+			t.add(m.Scheme, fmt.Sprintf("%gd", days),
 				fmt.Sprintf("%.4g", closed), fmt.Sprintf("%.4g", exact),
 				fmt.Sprintf("%.4f", exact/closed))
 		}

@@ -249,38 +249,48 @@ type Series struct {
 	Points []Point
 }
 
+// A Model is one scheme's reliability model: its closed form (one of
+// Equations (1)-(5)) and its exact absorbing Markov chain, both over λ and
+// µ in events/hour.
+type Model struct {
+	Scheme   string
+	Equation int // the closed form's equation number in the paper
+	Closed   func(lambda, mu float64) float64
+	Chain    func(lambda, mu float64) Chain
+}
+
+// Models lists every scheme's model in Figure 9's legend order, then
+// RoLo-E, which Figure 9 does not plot.
+var Models = []Model{
+	{"RoLo-R", 4, MTTDLRoLoR, RoLoRChain},
+	{"RAID10", 1, MTTDLRaid10, Raid10Chain},
+	{"RoLo-P", 3, MTTDLRoLoP, RoLoPChain},
+	{"GRAID", 2, MTTDLGRAID, GRAIDChain},
+	{"RoLo-E", 5, MTTDLRoLoE, RoLoEChain},
+}
+
 // Fig9 computes MTTDL (years) as a function of MTTR (days) for the four
 // schemes plotted in the paper's Figure 9, at the paper's λ of one failure
 // per 100 000 hours.
 func Fig9(mttrDays []float64) ([]Series, error) {
 	const lambda = 1e-5
-	type scheme struct {
-		name   string
-		chain  func(l, m float64) Chain
-		closed func(l, m float64) float64
-	}
-	schemes := []scheme{
-		{"RoLo-R", RoLoRChain, MTTDLRoLoR},
-		{"RAID10", Raid10Chain, MTTDLRaid10},
-		{"RoLo-P", RoLoPChain, MTTDLRoLoP},
-		{"GRAID", GRAIDChain, MTTDLGRAID},
-	}
-	out := make([]Series, 0, len(schemes))
-	for _, s := range schemes {
-		ser := Series{Scheme: s.name}
+	plotted := Models[:4] // all but RoLo-E, the last model
+	out := make([]Series, 0, len(plotted))
+	for _, m := range plotted {
+		ser := Series{Scheme: m.Scheme}
 		for _, days := range mttrDays {
 			if days <= 0 {
 				return nil, fmt.Errorf("reliability: non-positive MTTR %g days", days)
 			}
 			mu := 1 / (days * 24)
-			t, err := s.chain(lambda, mu).MTTDL()
+			t, err := m.Chain(lambda, mu).MTTDL()
 			if err != nil {
-				return nil, fmt.Errorf("%s: %w", s.name, err)
+				return nil, fmt.Errorf("%s: %w", m.Scheme, err)
 			}
 			ser.Points = append(ser.Points, Point{
 				MTTRDays:    days,
 				MTTDLYears:  t / HoursPerYear,
-				ClosedYears: s.closed(lambda, mu) / HoursPerYear,
+				ClosedYears: m.Closed(lambda, mu) / HoursPerYear,
 			})
 		}
 		out = append(out, ser)

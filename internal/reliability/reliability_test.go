@@ -2,6 +2,7 @@ package reliability
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -45,33 +46,34 @@ func TestClosedFormRatios(t *testing.T) {
 	}
 }
 
+// TestChainsMatchClosedForms checks the Models table: each scheme's chain
+// carries its name and tracks its closed form, and the closed forms are
+// Equations (1)-(5), each once.
 func TestChainsMatchClosedForms(t *testing.T) {
-	cases := []struct {
-		name   string
-		chain  func(l, m float64) Chain
-		closed func(l, m float64) float64
-	}{
-		{"RAID10", Raid10Chain, MTTDLRaid10},
-		{"GRAID", GRAIDChain, MTTDLGRAID},
-		{"RoLo-P", RoLoPChain, MTTDLRoLoP},
-		{"RoLo-R", RoLoRChain, MTTDLRoLoR},
-		{"RoLo-E", RoLoEChain, MTTDLRoLoE},
-	}
-	for _, c := range cases {
-		c := c
-		t.Run(c.name, func(t *testing.T) {
+	var equations []int
+	for _, m := range Models {
+		equations = append(equations, m.Equation)
+		t.Run(m.Scheme, func(t *testing.T) {
 			for _, mu := range []float64{mu24h, 1.0 / 96, mu7d} {
-				got, err := c.chain(lambda, mu).MTTDL()
+				c := m.Chain(lambda, mu)
+				if c.Name != m.Scheme {
+					t.Fatalf("chain is named %q", c.Name)
+				}
+				got, err := c.MTTDL()
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := c.closed(lambda, mu)
+				want := m.Closed(lambda, mu)
 				if rel := math.Abs(got-want) / want; rel > 0.02 {
 					t.Errorf("mu=%g: chain MTTDL %.4g vs closed form %.4g (rel err %.4f)",
 						mu, got, want, rel)
 				}
 			}
 		})
+	}
+	slices.Sort(equations)
+	if !slices.Equal(equations, []int{1, 2, 3, 4, 5}) {
+		t.Errorf("models carry equations %v, want 1-5 once each", equations)
 	}
 }
 
