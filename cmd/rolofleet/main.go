@@ -8,15 +8,14 @@
 //
 //	rolofleet -shards 512 -jobs 8
 //	rolofleet -shards 100 -scheme RoLo-P,RoLo-E -workload 'iops=120 write=0.9 duration=30s size=32K random=0.7 seed=5'
-//	rolofleet -fleet cluster.spec -json
 //	rolofleet -shards 32 -jobs 4 -check
 //
-// A spec file (-fleet) holds one "key value" pair per line — shards,
-// scheme, pairs, scale, free, stripe, seed-stride, iops-spread, worst,
-// workload — and command-line flags override it. With -journal DIR every
-// shard writes a rotated telemetry journal, run-NNNNN.jsonl[.gz]
-// segments and a manifest, under DIR/shard-NNNNN/ through the async
-// pipeline's drop policy; the manifest counts what was dropped.
+// Each spec flag sets one field of fleet.DefaultSpec, whose value is the
+// flag's default, and fleet.Spec.Validate judges the result before any
+// shard runs. With -journal DIR every shard writes a rotated telemetry
+// journal, run-NNNNN.jsonl[.gz] segments and a manifest, under
+// DIR/shard-NNNNN/ through the async pipeline's drop policy; the
+// manifest counts what was dropped.
 package main
 
 import (
@@ -40,21 +39,21 @@ func main() {
 }
 
 func run() (err error) {
+	spec := fleet.DefaultSpec()
+	flag.IntVar(&spec.Shards, "shards", spec.Shards, "number of tenant shards")
+	flag.IntVar(&spec.Pairs, "pairs", spec.Pairs, "mirrored pairs per shard")
+	flag.Float64Var(&spec.Scale, "scale", spec.Scale, "geometry+trace scale factor in (0,1]")
+	flag.Float64Var(&spec.FreeGiB, "free", spec.FreeGiB, "per-shard-disk free (logging) space in GiB before scaling")
+	flag.Int64Var(&spec.StripeKB, "stripe", spec.StripeKB, "stripe unit in KB")
+	flag.Int64Var(&spec.Rule.SeedStride, "seed-stride", spec.Rule.SeedStride, "per-shard seed spacing")
+	flag.Float64Var(&spec.Rule.IOPSSpread, "iops-spread", spec.Rule.IOPSSpread, "per-shard IOPS spread in [0,1)")
+	flag.IntVar(&spec.WorstK, "worst", spec.WorstK, "worst-shard digest size")
+	flag.BoolVar(&spec.Check, "check", spec.Check, "enable RoloSan invariant checking in every shard")
 	var (
-		specFile   = flag.String("fleet", "", "fleet spec file (flags below override its keys)")
-		shards     = flag.Int("shards", 0, "number of tenant shards (overrides spec)")
-		schemes    = flag.String("scheme", "", "comma-separated schemes cycled across shards, or \"all\" (overrides spec)")
-		workload   = flag.String("workload", "", "base tenant workload spec, e.g. 'iops=120 write=0.9 duration=30s size=32K random=0.7 seed=5'")
-		pairs      = flag.Int("pairs", 0, "mirrored pairs per shard (overrides spec)")
-		scale      = flag.Float64("scale", 0, "geometry+trace scale factor in (0,1] (overrides spec)")
-		freeGiB    = flag.Float64("free", 0, "per-shard-disk free (logging) space in GiB before scaling (overrides spec)")
-		stripeKB   = flag.Int64("stripe", 0, "stripe unit in KB (overrides spec)")
-		seedStride = flag.Int64("seed-stride", 0, "per-shard seed spacing (overrides spec)")
-		iopsSpread = flag.Float64("iops-spread", -1, "per-shard IOPS spread in [0,1) (overrides spec)")
-		worstK     = flag.Int("worst", 0, "worst-shard digest size (overrides spec)")
-		jobs       = flag.Int("jobs", 1, "concurrent shard simulations (0 = GOMAXPROCS)")
-		check      = flag.Bool("check", false, "enable RoloSan invariant checking in every shard")
-		asJSON     = flag.Bool("json", false, "emit the cluster report as JSON instead of text")
+		schemes  = flag.String("scheme", "all", "comma-separated schemes cycled across shards, or \"all\"")
+		workload = flag.String("workload", fleet.DefaultWorkload, "base tenant workload spec (see trace.ParseSyntheticSpec)")
+		jobs     = flag.Int("jobs", 1, "concurrent shard simulations (0 = GOMAXPROCS)")
+		asJSON   = flag.Bool("json", false, "emit the cluster report as JSON instead of text")
 	)
 	jcfg := journal.Flags("write one telemetry journal directory per shard under this directory, named shard-NNNNN/")
 	prof := cliprof.Flags()
@@ -71,57 +70,12 @@ func run() (err error) {
 		}
 	}()
 
-	spec := fleet.DefaultSpec()
-	if *specFile != "" {
-		f, err := os.Open(*specFile)
-		if err != nil {
-			return err
-		}
-		defer f.Close() //lint:allow resourcelifecycle:dropped-error read-only spec file, close error carries no data
-		spec, err = fleet.ParseSpec(f)
-		if err != nil {
-			return err
-		}
+	if spec.Schemes, err = fleet.ParseSchemeList(*schemes); err != nil {
+		return err
 	}
-	if *shards > 0 {
-		spec.Shards = *shards
+	if spec.Base, err = trace.ParseSyntheticSpec(*workload); err != nil {
+		return err
 	}
-	if *schemes != "" {
-		list, err := fleet.ParseSchemeList(*schemes)
-		if err != nil {
-			return err
-		}
-		spec.Schemes = list
-	}
-	if *workload != "" {
-		base, err := trace.ParseSyntheticSpec(*workload)
-		if err != nil {
-			return err
-		}
-		spec.Base = base
-	}
-	if *pairs > 0 {
-		spec.Pairs = *pairs
-	}
-	if *scale > 0 {
-		spec.Scale = *scale
-	}
-	if *freeGiB > 0 {
-		spec.FreeGiB = *freeGiB
-	}
-	if *stripeKB > 0 {
-		spec.StripeKB = *stripeKB
-	}
-	if *seedStride != 0 {
-		spec.Rule.SeedStride = *seedStride
-	}
-	if *iopsSpread >= 0 {
-		spec.Rule.IOPSSpread = *iopsSpread
-	}
-	if *worstK > 0 {
-		spec.WorstK = *worstK
-	}
-	spec.Check = *check
 	spec.Journal = *jcfg
 	if err := spec.Validate(); err != nil {
 		return err

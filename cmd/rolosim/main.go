@@ -12,8 +12,8 @@
 // segments plus a manifest that rolostat -verify checks. Events are
 // handed to a writer goroutine through the async pipeline, which never
 // drops one. -journal-segment bounds the segments' size (by default the
-// journal is one segment), -journal-compress writes every segment
-// gzipped and -journal-retain caps how many are kept:
+// journal is one segment, and every segment is kept), and
+// -journal-compress writes every segment gzipped:
 //
 //	rolosim -scheme RoLo-P -journal rundir -journal-segment 4194304 -journal-compress
 //	rolostat -verify rundir

@@ -62,9 +62,6 @@ func run() error {
 			return fmt.Errorf("manifest verification: %w", err)
 		}
 		fmt.Printf("manifest: %d segments, %d events, all checksums match\n", len(m.Segments), m.Events())
-		if m.RemovedSegments > 0 {
-			fmt.Printf("manifest: %d older segments removed by retention\n", m.RemovedSegments)
-		}
 		if w := m.Writer; w != nil {
 			fmt.Printf("writer: %d enqueued, %d written, %d dropped, peak ring occupancy %d/%d\n",
 				w.Enqueued, w.Written, w.Dropped, w.PeakOccupancy, w.Capacity)

@@ -1,21 +1,20 @@
 // Command tracegen emits synthetic block traces in the MSR Cambridge CSV
 // format, either from a calibrated profile of one of the paper's traces or
-// from explicit generator parameters.
+// from a compact workload spec (trace.ParseSyntheticSpec). -scale applies
+// only to -profile, and -spec only without it.
 //
 // Usage:
 //
 //	tracegen -profile src2_2 -scale 0.05 > src2_2.csv
-//	tracegen -iops 100 -write-ratio 0.9 -duration 10m -size 64 > synth.csv
 //	tracegen -spec "iops=200 write=0.9 duration=10m size=64K seed=3" > synth.csv
+//	tracegen > synth.csv    # the default spec, duration=10m
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
-	"github.com/rolo-storage/rolo/internal/sim"
 	"github.com/rolo-storage/rolo/internal/trace"
 )
 
@@ -28,23 +27,21 @@ func main() {
 
 func run() error {
 	var (
-		profile    = flag.String("profile", "", "calibrated MSR profile (src2_2, proj_0, ...)")
-		scale      = flag.Float64("scale", 0.05, "fraction of the profile window to emit")
-		volumeGiB  = flag.Float64("volume", 208, "logical volume size in GiB")
-		iops       = flag.Float64("iops", 100, "request rate (explicit mode)")
-		writeRatio = flag.Float64("write-ratio", 1.0, "write fraction (explicit mode)")
-		duration   = flag.Duration("duration", 10*time.Minute, "trace length (explicit mode)")
-		sizeKB     = flag.Int64("size", 64, "average request size in KB (explicit mode)")
-		randomFrac = flag.Float64("random", 0.7, "random-write fraction (explicit mode)")
-		burst      = flag.Float64("burst", 0, "burstiness in [0,1) (explicit mode)")
-		seed       = flag.Int64("seed", 1, "random seed (explicit mode)")
-		hostname   = flag.String("hostname", "rolosim", "hostname column value")
-		spec       = flag.String("spec", "", "compact workload spec (see trace.ParseSyntheticSpec); overrides explicit-mode flags")
-		list       = flag.Bool("list", false, "list calibrated profiles")
+		profile   = flag.String("profile", "", "calibrated MSR profile (src2_2, proj_0, ...)")
+		scale     = flag.Float64("scale", 0.05, "fraction of the profile window to emit (with -profile)")
+		volumeGiB = flag.Float64("volume", 208, "logical volume size in GiB")
+		hostname  = flag.String("hostname", "rolosim", "hostname column value")
+		spec      = flag.String("spec", "duration=10m", "compact workload spec (see trace.ParseSyntheticSpec), without -profile")
+		list      = flag.Bool("list", false, "list calibrated profiles")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments %q", flag.Args())
+	}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if set["spec"] && set["profile"] || set["scale"] && !set["profile"] {
+		return fmt.Errorf("-scale requires -profile, and -spec excludes it")
 	}
 
 	if *list {
@@ -59,33 +56,22 @@ func run() error {
 
 	volume := int64(*volumeGiB * (1 << 30))
 	var recs []trace.Record
-	var err error
 	if *profile != "" {
-		p, lerr := trace.Lookup(*profile)
-		if lerr != nil {
-			return lerr
+		p, err := trace.Lookup(*profile)
+		if err != nil {
+			return err
 		}
-		recs, err = p.Generate(volume, *scale)
-	} else if *spec != "" {
-		syn, serr := trace.ParseSyntheticSpec(*spec)
-		if serr != nil {
-			return serr
+		if recs, err = p.Generate(volume, *scale); err != nil {
+			return err
 		}
-		recs, err = syn.Generate(volume)
 	} else {
-		syn := trace.Synthetic{
-			Duration:    sim.FromSeconds(duration.Seconds()),
-			IOPS:        *iops,
-			WriteRatio:  *writeRatio,
-			AvgReqBytes: *sizeKB << 10,
-			RandomFrac:  *randomFrac,
-			Burstiness:  *burst,
-			Seed:        *seed,
+		syn, err := trace.ParseSyntheticSpec(*spec)
+		if err != nil {
+			return err
 		}
-		recs, err = syn.Generate(volume)
-	}
-	if err != nil {
-		return err
+		if recs, err = syn.Generate(volume); err != nil {
+			return err
+		}
 	}
 	st := trace.Characterize(recs)
 	fmt.Fprintf(os.Stderr, "generated %d records: %.1f%% writes, %.2f IOPS avg, %.1f KB avg, %.2f GiB written\n",

@@ -236,10 +236,6 @@ type Disk struct {
 	busyTime     sim.Time
 	fgIOs, bgIOs int64
 
-	// wakeOnArrival makes a Standby drive spin up automatically when an IO
-	// is submitted. All schemes in the paper behave this way.
-	wakeOnArrival bool
-
 	// alwaysActive models a drive under no power management at all: it
 	// draws active power even while idle. The paper's RAID10 baseline
 	// keeps every disk ACTIVE for the whole run (Section IV, Table I).
@@ -317,17 +313,16 @@ func New(id int, cfg Config, eng *sim.Engine) (*Disk, error) {
 		return nil, err
 	}
 	d := &Disk{
-		id:            id,
-		cfg:           cfg,
-		eng:           eng,
-		sectors:       cfg.Sectors(),
-		rotLatency:    cfg.AvgRotationalLatency(),
-		seekSpan:      float64(cfg.MaxSeek - cfg.TrackSeek),
-		state:         Idle,
-		stateSince:    eng.Now(),
-		born:          eng.Now(),
-		seqNext:       -1,
-		wakeOnArrival: true,
+		id:         id,
+		cfg:        cfg,
+		eng:        eng,
+		sectors:    cfg.Sectors(),
+		rotLatency: cfg.AvgRotationalLatency(),
+		seekSpan:   float64(cfg.MaxSeek - cfg.TrackSeek),
+		state:      Idle,
+		stateSince: eng.Now(),
+		born:       eng.Now(),
+		seqNext:    -1,
 	}
 	d.completeFn = func(at sim.Time) { d.complete(d.current, at) }
 	d.bgRecheckFn = func(at sim.Time) {
@@ -499,8 +494,9 @@ func (d *Disk) Replace() error {
 	return nil
 }
 
-// Submit queues an I/O. If the drive is in Standby and wakeOnArrival is set,
-// a spin-up is initiated; the request waits for it.
+// Submit queues an I/O. If the drive is in Standby, a spin-up is
+// initiated; the request waits for it. All schemes in the paper behave
+// this way.
 func (d *Disk) Submit(io *IO) error {
 	if io == nil {
 		return errNilIO
@@ -536,7 +532,7 @@ func (d *Disk) tryDispatch(now sim.Time) {
 	}
 	switch d.state {
 	case Standby:
-		if d.QueueLen() > 0 && d.wakeOnArrival {
+		if d.QueueLen() > 0 {
 			d.beginSpinUp(now)
 		}
 		return
@@ -666,7 +662,7 @@ func (d *Disk) SpinDown() error {
 		//rolosan:from SpinningDown
 		d.setState(Standby, at)
 		// Work may have arrived during the transition; wake for it.
-		if d.QueueLen() > 0 && d.wakeOnArrival {
+		if d.QueueLen() > 0 {
 			d.beginSpinUp(at)
 		}
 	})

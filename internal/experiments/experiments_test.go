@@ -24,7 +24,6 @@ func TestOptionsValidate(t *testing.T) {
 		// Journal options without a directory to journal into.
 		{Scale: 0.1, Pairs: 4, Journal: journal.RotateConfig{SegmentBytes: 65536}},
 		{Scale: 0.1, Pairs: 4, Journal: journal.RotateConfig{Compress: true}},
-		{Scale: 0.1, Pairs: 4, Journal: journal.RotateConfig{Retain: 2}},
 	}
 	for i, o := range bad {
 		if err := o.Validate(); err == nil {

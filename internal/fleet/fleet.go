@@ -10,11 +10,8 @@
 package fleet
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"github.com/rolo-storage/rolo"
@@ -48,7 +45,7 @@ type Spec struct {
 	// (0 disables them).
 	ProbeInterval sim.Time
 	// WorstK is how many worst shards (by p99 latency) the cluster
-	// report digests. Zero means 8.
+	// report digests.
 	WorstK int
 
 	// Journal, when Journal.Dir is non-empty, writes one rotated
@@ -59,10 +56,14 @@ type Spec struct {
 	Journal journal.RotateConfig
 }
 
+// DefaultWorkload is DefaultSpec's base tenant workload, in the
+// trace.ParseSyntheticSpec format.
+const DefaultWorkload = "iops=60 write=0.9 duration=20s size=16K random=0.7 burst=0.3 seed=1"
+
 // DefaultSpec returns a small but representative fleet: 64 shards
 // cycling all five schemes at toy scale under a bursty mixed workload.
 func DefaultSpec() Spec {
-	base, err := trace.ParseSyntheticSpec("iops=60 write=0.9 duration=20s size=16K random=0.7 burst=0.3 seed=1")
+	base, err := trace.ParseSyntheticSpec(DefaultWorkload)
 	if err != nil {
 		panic("fleet: default workload spec invalid: " + err.Error()) // programmer error at init
 	}
@@ -75,6 +76,7 @@ func DefaultSpec() Spec {
 		StripeKB: 64,
 		Base:     base,
 		Rule:     trace.ShardRule{SeedStride: 1, IOPSSpread: 0.5},
+		WorstK:   8,
 	}
 }
 
@@ -95,8 +97,8 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("fleet: non-positive stripe unit %d KB", s.StripeKB)
 	case s.Rule.IOPSSpread < 0 || s.Rule.IOPSSpread >= 1:
 		return fmt.Errorf("fleet: IOPS spread %g outside [0,1)", s.Rule.IOPSSpread)
-	case s.WorstK < 0:
-		return fmt.Errorf("fleet: negative worst-K %d", s.WorstK)
+	case s.WorstK < 1:
+		return fmt.Errorf("fleet: worst-K %d < 1", s.WorstK)
 	}
 	if err := s.Journal.Validate(); err != nil {
 		return err
@@ -107,14 +109,6 @@ func (s *Spec) Validate() error {
 		}
 	}
 	return s.Base.Validate()
-}
-
-// worstK returns the effective worst-shard digest size.
-func (s *Spec) worstK() int {
-	if s.WorstK == 0 {
-		return 8
-	}
-	return s.WorstK
 }
 
 // SchemeFor returns the scheme shard i runs.
@@ -162,77 +156,6 @@ func (s *Spec) RunShard(shard int) (rep rolo.Report, err error) {
 		return rolo.Report{}, fmt.Errorf("fleet: shard %d (%v): %w", shard, cfg.Scheme, err)
 	}
 	return rep, nil
-}
-
-// ParseSpec reads a fleet spec: one "key value" pair per line, with '#'
-// comments and blank lines ignored. Keys:
-//
-//	shards      N                  shard count
-//	scheme      RoLo-P[,RoLo-E,…]  schemes cycled across shards; "all" = all five
-//	pairs       N                  mirrored pairs per shard
-//	scale       F                  geometry+trace scale in (0,1]
-//	free        F                  per-disk free (logging) GiB before scaling
-//	stripe      N                  stripe unit in KB
-//	seed-stride N                  per-shard seed spacing (default 1)
-//	iops-spread F                  per-shard IOPS spread in [0,1)
-//	worst       N                  worst-shard digest size (default 8)
-//	workload    <spec>             base tenant workload (trace.ParseSyntheticSpec)
-//
-// Unset keys keep DefaultSpec's values. A successful parse always
-// returns a spec that passes Validate.
-func ParseSpec(r io.Reader) (Spec, error) {
-	s := DefaultSpec()
-	sc := bufio.NewScanner(r)
-	line := 0
-	seen := map[string]bool{}
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		key, rest, _ := strings.Cut(text, " ")
-		rest = strings.TrimSpace(rest)
-		if seen[key] {
-			return Spec{}, fmt.Errorf("fleet: spec line %d: duplicate key %q", line, key)
-		}
-		seen[key] = true
-		var err error
-		switch key {
-		case "shards":
-			s.Shards, err = strconv.Atoi(rest)
-		case "scheme":
-			s.Schemes, err = ParseSchemeList(rest)
-		case "pairs":
-			s.Pairs, err = strconv.Atoi(rest)
-		case "scale":
-			s.Scale, err = strconv.ParseFloat(rest, 64)
-		case "free":
-			s.FreeGiB, err = strconv.ParseFloat(rest, 64)
-		case "stripe":
-			s.StripeKB, err = strconv.ParseInt(rest, 10, 64)
-		case "seed-stride":
-			s.Rule.SeedStride, err = strconv.ParseInt(rest, 10, 64)
-		case "iops-spread":
-			s.Rule.IOPSSpread, err = strconv.ParseFloat(rest, 64)
-		case "worst":
-			s.WorstK, err = strconv.Atoi(rest)
-		case "workload":
-			s.Base, err = trace.ParseSyntheticSpec(rest)
-		default:
-			err = fmt.Errorf("unknown key")
-		}
-		if err != nil {
-			return Spec{}, fmt.Errorf("fleet: spec line %d (%q): %v", line, key, err)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return Spec{}, fmt.Errorf("fleet: reading spec: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return Spec{}, err
-	}
-	return s, nil
 }
 
 // ParseSchemeList resolves a comma-separated scheme list; "all" expands

@@ -193,61 +193,45 @@ func TestWorstDigest(t *testing.T) {
 	}
 }
 
-// TestParseSpec covers the spec-file format and its failure modes.
-func TestParseSpec(t *testing.T) {
-	text := `# fleet spec
-shards 500
-scheme RoLo-P,RoLo-E
-pairs 6
-scale 0.05
-free 4
-stripe 128
-seed-stride 7
-iops-spread 0.25
-worst 12
-workload iops=120 write=0.8 duration=30s size=32K random=0.5 seed=42
-`
-	s, err := ParseSpec(strings.NewReader(text))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Shards != 500 || len(s.Schemes) != 2 || s.Pairs != 6 ||
-		s.Scale != 0.05 || s.FreeGiB != 4 || s.StripeKB != 128 ||
-		s.Rule.SeedStride != 7 || s.Rule.IOPSSpread != 0.25 || s.WorstK != 12 {
-		t.Fatalf("parsed spec mismatch: %+v", s)
-	}
-	if s.Base.IOPS != 120 || s.Base.Seed != 42 {
-		t.Fatalf("parsed workload mismatch: %+v", s.Base)
-	}
-	if s.SchemeFor(0) != rolo.SchemeRoLoP || s.SchemeFor(1) != rolo.SchemeRoLoE {
-		t.Fatalf("scheme cycling broken: %v %v", s.SchemeFor(0), s.SchemeFor(1))
-	}
-
-	for _, bad := range []string{
-		"shards x\n",
-		"shards 4\nshards 5\n",
-		"scheme RAID7\n",
-		"bogus 1\n",
-		"shards 0\n",
-		"iops-spread 1.5\n",
+// TestSpecValidate covers the range checks every spec, whatever set its
+// fields, must pass before a shard runs.
+func TestSpecValidate(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		mod  func(*Spec)
+		want string // substring of the error
+	}{
+		{"journal options without a directory", func(s *Spec) { s.Journal.Compress = true }, "journal"},
+		{"empty scheme list", func(s *Spec) { s.Schemes = nil }, "no schemes"},
+		{"zero shards", func(s *Spec) { s.Shards = 0 }, "shard count"},
+		{"IOPS spread 1.5", func(s *Spec) { s.Rule.IOPSSpread = 1.5 }, "IOPS spread"},
+		{"zero worst-K", func(s *Spec) { s.WorstK = 0 }, "worst-K"},
 	} {
-		if _, err := ParseSpec(strings.NewReader(bad)); err == nil {
-			t.Errorf("ParseSpec(%q) accepted invalid spec", bad)
+		s := DefaultSpec()
+		c.mod(&s)
+		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.want)
 		}
+	}
+	s := DefaultSpec()
+	if err := s.Validate(); err != nil {
+		t.Fatalf("DefaultSpec rejected: %v", err)
 	}
 }
 
-// TestSpecValidate covers validation branches not reachable from text.
-func TestSpecValidate(t *testing.T) {
-	s := DefaultSpec()
-	s.Journal.Compress = true
-	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "journal") {
-		t.Fatalf("journal options without a directory accepted: %v", err)
+// TestParseSchemeList: "all" expands to the five schemes in paper order,
+// and an unknown name is refused.
+func TestParseSchemeList(t *testing.T) {
+	all, err := ParseSchemeList("all")
+	if err != nil {
+		t.Fatal(err)
 	}
-	s = DefaultSpec()
-	s.Schemes = nil
-	if err := s.Validate(); err == nil {
-		t.Fatal("empty scheme list accepted")
+	want := []rolo.Scheme{rolo.SchemeRAID10, rolo.SchemeGRAID, rolo.SchemeRoLoP, rolo.SchemeRoLoR, rolo.SchemeRoLoE}
+	if fmt.Sprint(all) != fmt.Sprint(want) {
+		t.Fatalf("all = %v, want %v", all, want)
+	}
+	if _, err := ParseSchemeList("RoLo-P,RAID7"); err == nil {
+		t.Fatal("RAID7 accepted")
 	}
 }
 

@@ -63,7 +63,7 @@ func Run(spec Spec, pool Pool) (ClusterReport, error) {
 	if err := spec.Validate(); err != nil {
 		return ClusterReport{}, err
 	}
-	c := NewCluster(spec.worstK())
+	c := NewCluster(spec.WorstK)
 	if pool == nil || pool.Cap() <= 1 || spec.Shards == 1 {
 		for i := 0; i < spec.Shards; i++ {
 			release := func() {}

@@ -7,9 +7,10 @@ import (
 )
 
 // Core benchmark: the per-request-completion metrics path. Every completed
-// request calls ResponseStats.AddClass (streaming mean, exact max, and a
-// log-bucketed histogram observation); once the histogram's bucket array
-// has grown to cover the largest observed latency it must be 0 allocs/op
+// request calls ResponseStats.AddClass, one log-bucketed histogram
+// observation in its class, which also keeps the count, sum and exact
+// max; once the histogram's bucket array has grown to cover the largest
+// observed latency it must be 0 allocs/op
 // (DESIGN §11). Gated by scripts/check.sh bench-smoke and recorded in
 // BENCH_core.json by `make bench`.
 func BenchmarkCoreHistogramAdd(b *testing.B) {

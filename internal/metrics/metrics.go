@@ -12,41 +12,26 @@ import (
 )
 
 // ClassStats accumulates response times for one request class (reads or
-// writes): a streaming mean and exact max, plus an exact log-bucketed
-// histogram for percentiles. Unlike the sampling reservoir it replaced,
-// the histogram counts every response, so percentiles carry no sampling
-// error (only the ≤1% bucket-resolution error) and are deterministic
-// without any RNG.
+// writes) in an exact log-bucketed histogram, which keeps the count, sum
+// and exact max beside the buckets. Unlike the sampling reservoir it
+// replaced, the histogram counts every response, so percentiles carry no
+// sampling error (only the ≤1% bucket-resolution error) and are
+// deterministic without any RNG.
 type ClassStats struct {
-	count   int64
-	totalUs float64
-	max     sim.Time
-	hist    telemetry.Histogram
+	hist telemetry.Histogram
 }
 
 // Add records one response time.
-func (c *ClassStats) Add(rt sim.Time) {
-	c.count++
-	c.totalUs += float64(rt)
-	if rt > c.max {
-		c.max = rt
-	}
-	c.hist.Observe(int64(rt))
-}
+func (c *ClassStats) Add(rt sim.Time) { c.hist.Observe(int64(rt)) }
 
 // Count returns the number of recorded responses.
-func (c *ClassStats) Count() int64 { return c.count }
+func (c *ClassStats) Count() int64 { return c.hist.Total() }
 
 // Mean returns the mean response time in milliseconds.
-func (c *ClassStats) Mean() float64 {
-	if c.count == 0 {
-		return 0
-	}
-	return c.totalUs / float64(c.count) / float64(sim.Millisecond)
-}
+func (c *ClassStats) Mean() float64 { return meanMs(c.hist.Sum(), c.hist.Total()) }
 
 // Max returns the largest response time observed.
-func (c *ClassStats) Max() sim.Time { return c.max }
+func (c *ClassStats) Max() sim.Time { return sim.Time(c.hist.Max()) }
 
 // Percentile returns the p-th percentile (0 < p <= 100) in milliseconds.
 func (c *ClassStats) Percentile(p float64) float64 {
@@ -56,17 +41,24 @@ func (c *ClassStats) Percentile(p float64) float64 {
 // Histogram exposes the underlying latency histogram.
 func (c *ClassStats) Histogram() *telemetry.Histogram { return &c.hist }
 
-// ResponseStats accumulates request response times with a per-class
-// (read/write) breakdown. The zero value is ready to use.
+// meanMs is the mean in milliseconds of n responses summing to sumUs.
+func meanMs(sumUs float64, n int64) float64 {
+	if n == 0 {
+		return 0
+	}
+	return sumUs / float64(n) / float64(sim.Millisecond)
+}
+
+// ResponseStats accumulates request response times per class (read or
+// write); the combined statistics are the two classes' merge. The zero
+// value is ready to use.
 type ResponseStats struct {
-	all   ClassStats
 	read  ClassStats
 	write ClassStats
 }
 
 // AddClass records one response time for a read (write=false) or write.
 func (r *ResponseStats) AddClass(rt sim.Time, write bool) {
-	r.all.Add(rt)
 	if write {
 		r.write.Add(rt)
 	} else {
@@ -75,20 +67,32 @@ func (r *ResponseStats) AddClass(rt sim.Time, write bool) {
 }
 
 // Count returns the number of recorded responses.
-func (r *ResponseStats) Count() int64 { return r.all.Count() }
+func (r *ResponseStats) Count() int64 { return r.read.Count() + r.write.Count() }
 
-// Mean returns the mean response time in milliseconds.
-func (r *ResponseStats) Mean() float64 { return r.all.Mean() }
+// Mean returns the mean response time in milliseconds. Latencies are
+// whole microseconds, so each class's sum is an exact float64 integer
+// and their total equals a single running sum.
+func (r *ResponseStats) Mean() float64 {
+	return meanMs(r.read.hist.Sum()+r.write.hist.Sum(), r.Count())
+}
 
 // Max returns the largest response time observed.
-func (r *ResponseStats) Max() sim.Time { return r.all.Max() }
+func (r *ResponseStats) Max() sim.Time { return max(r.read.Max(), r.write.Max()) }
 
 // Percentile returns the p-th percentile (0 < p <= 100) in milliseconds
-// over all responses.
-func (r *ResponseStats) Percentile(p float64) float64 { return r.all.Percentile(p) }
+// over all responses. It merges the classes; to read several combined
+// statistics, take All once.
+func (r *ResponseStats) Percentile(p float64) float64 { return r.All().Percentile(p) }
 
-// All returns the combined (read+write) statistics.
-func (r *ResponseStats) All() *ClassStats { return &r.all }
+// All returns the combined (read+write) statistics: a fresh merge of the
+// two classes, exactly what one histogram fed every response would hold,
+// because both share one bucket layout.
+func (r *ResponseStats) All() *ClassStats {
+	all := &ClassStats{}
+	all.hist.Merge(&r.read.hist)
+	all.hist.Merge(&r.write.hist)
+	return all
+}
 
 // Reads returns the read-class statistics.
 func (r *ResponseStats) Reads() *ClassStats { return &r.read }

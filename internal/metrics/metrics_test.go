@@ -2,10 +2,12 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 
 	"github.com/rolo-storage/rolo/internal/sim"
+	"github.com/rolo-storage/rolo/internal/telemetry"
 )
 
 func TestResponseStatsBasics(t *testing.T) {
@@ -91,6 +93,41 @@ func TestResponseStatsClassBreakdown(t *testing.T) {
 	}
 	if r.Writes().Histogram().Total() != 1 {
 		t.Fatalf("write histogram total = %d", r.Writes().Histogram().Total())
+	}
+}
+
+// TestResponseStatsAllMatchesDirect: over random read/write sequences,
+// the merged All() equals one histogram fed every response directly in
+// count, sum, max and every quantile, and so do the combined accessors.
+func TestResponseStatsAllMatchesDirect(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		var r ResponseStats
+		var direct telemetry.Histogram
+		writeFrac := rng.Float64()
+		for i, n := 0, rng.Intn(2000); i < n; i++ {
+			// Log-uniform latencies from 1 µs to ~30 s cover every octave.
+			rt := sim.Time(math.Exp(rng.Float64() * math.Log(3e7)))
+			r.AddClass(rt, rng.Float64() < writeFrac)
+			direct.Observe(int64(rt))
+		}
+		all := r.All()
+		h := all.Histogram()
+		if h.Total() != direct.Total() || h.Sum() != direct.Sum() || h.Max() != direct.Max() {
+			t.Fatalf("trial %d: All() total/sum/max %d/%g/%d, direct %d/%g/%d",
+				trial, h.Total(), h.Sum(), h.Max(), direct.Total(), direct.Sum(), direct.Max())
+		}
+		if r.Count() != direct.Total() || r.Max() != sim.Time(direct.Max()) || r.Mean() != all.Mean() {
+			t.Fatalf("trial %d: combined accessors disagree with All()", trial)
+		}
+		for p := 0.5; p <= 100; p += 0.5 {
+			if got, want := h.Quantile(p), direct.Quantile(p); got != want {
+				t.Fatalf("trial %d: P%g = %d, direct %d", trial, p, got, want)
+			}
+			if got, want := r.Percentile(p), sim.Time(direct.Quantile(p)).Milliseconds(); got != want {
+				t.Fatalf("trial %d: Percentile(%g) = %g, direct %g", trial, p, got, want)
+			}
+		}
 	}
 }
 

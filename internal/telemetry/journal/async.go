@@ -1,13 +1,10 @@
 package journal
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 
-	"github.com/rolo-storage/rolo/internal/sim"
 	"github.com/rolo-storage/rolo/internal/telemetry"
 )
 
@@ -346,39 +343,4 @@ func (s *AsyncSink) Stats() WriterStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.stats
-}
-
-// streamWriter adapts a plain io.Writer (one growing JSONL stream, no
-// rotation) to the EventWriter contract, for async journaling to a
-// single file and for tests and benchmarks.
-type streamWriter struct {
-	bw *bufio.Writer
-	c  io.Closer // underlying file, when owned; nil otherwise
-}
-
-// NewStreamWriter wraps w in a buffered EventWriter. Close flushes; it
-// closes w only when w is an io.Closer.
-func NewStreamWriter(w io.Writer) EventWriter {
-	sw := &streamWriter{bw: bufio.NewWriterSize(w, 64<<10)}
-	if c, ok := w.(io.Closer); ok {
-		sw.c = c
-	}
-	return sw
-}
-
-func (w *streamWriter) WriteEvent(line []byte, _ sim.Time) error {
-	_, err := w.bw.Write(line)
-	return err
-}
-
-func (w *streamWriter) Flush() error { return w.bw.Flush() }
-
-func (w *streamWriter) Close() error {
-	err := w.bw.Flush()
-	if w.c != nil {
-		if cerr := w.c.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
 }

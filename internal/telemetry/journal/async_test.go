@@ -233,25 +233,6 @@ func TestAsyncSinkOverRotatingWriter(t *testing.T) {
 	}
 }
 
-func TestStreamWriterAdapter(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewStreamWriter(&buf)
-	evs := genEvents(50, 12)
-	var scratch []byte
-	for _, ev := range evs {
-		scratch = telemetry.AppendEvent(scratch[:0], ev)
-		if err := w.WriteEvent(scratch, ev.At); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), encodeAll(evs)) {
-		t.Fatal("stream writer bytes diverge")
-	}
-}
-
 // flushProbe records how many events its inner writer had been handed at
 // each Flush.
 type flushProbe struct {

@@ -61,17 +61,17 @@ func BenchmarkSyncJSONLSinkEmit(b *testing.B) {
 }
 
 // BenchmarkAsyncSinkEmit measures the async pipeline's sustained,
-// writer-bound throughput over the same file-backed journal. It emits
+// writer-bound throughput into a one-segment rotated journal. It emits
 // without pause under PolicyBlock, so once the ring fills, Emit waits
 // for the writer goroutine and ns/op is the writer's encode and IO rate
 // per event. BenchmarkCoreJournalEmit measures what the simulation
 // goroutine itself pays per event.
 func BenchmarkAsyncSinkEmit(b *testing.B) {
-	f, err := os.Create(filepath.Join(b.TempDir(), "journal.jsonl"))
+	w, err := NewRotatingWriter(RotateConfig{Dir: b.TempDir()})
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := NewAsyncSink(NewStreamWriter(f), AsyncConfig{Buffer: DefaultBuffer, Policy: PolicyBlock})
+	s := NewAsyncSink(w, AsyncConfig{Buffer: DefaultBuffer, Policy: PolicyBlock})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -86,11 +86,11 @@ func BenchmarkAsyncSinkEmit(b *testing.B) {
 // BenchmarkAsyncSinkEmitDrop is the fleet-mode variant: PolicyDrop never
 // blocks the producer even when the writer falls behind.
 func BenchmarkAsyncSinkEmitDrop(b *testing.B) {
-	f, err := os.Create(filepath.Join(b.TempDir(), "journal.jsonl"))
+	w, err := NewRotatingWriter(RotateConfig{Dir: b.TempDir()})
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := NewAsyncSink(NewStreamWriter(f), AsyncConfig{Buffer: DefaultBuffer, Policy: PolicyDrop})
+	s := NewAsyncSink(w, AsyncConfig{Buffer: DefaultBuffer, Policy: PolicyDrop})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -153,12 +153,13 @@ func replaySegment(n int) []byte {
 // BenchmarkCoreJournalArchive measures what a compressed journal pays
 // per segment: a fixed 4 MiB replay-shaped segment, line by line, through
 // a compressing RotatingWriter that seals it into a .gz file and opens
-// the next. MB/s is over the uncompressed bytes.
+// the next; the sealed segments stay in the temporary directory. MB/s is
+// over the uncompressed bytes.
 func BenchmarkCoreJournalArchive(b *testing.B) {
 	seg := replaySegment(4 << 20)
 	lines := bytes.SplitAfter(seg, []byte{'\n'})
 	lines = lines[:len(lines)-1] // the empty remainder after the last newline
-	w, err := NewRotatingWriter(RotateConfig{Dir: b.TempDir(), SegmentBytes: int64(len(seg)), Compress: true, Retain: 1})
+	w, err := NewRotatingWriter(RotateConfig{Dir: b.TempDir(), SegmentBytes: int64(len(seg)), Compress: true})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -235,29 +235,6 @@ func TestRotatingWriterUncompressedAndSingleSegment(t *testing.T) {
 	})
 }
 
-func TestRotatingWriterRetention(t *testing.T) {
-	dir := t.TempDir()
-	evs := genEvents(500, 3)
-	writeRotated(t, dir, RotateConfig{SegmentBytes: 2048, Compress: true, Retain: 2}, evs)
-
-	m, err := Verify(dir)
-	if err != nil {
-		t.Fatalf("Verify after retention: %v", err)
-	}
-	if len(m.Segments) > 2 {
-		t.Fatalf("retention kept %d segments, cap 2", len(m.Segments))
-	}
-	if m.RemovedSegments == 0 {
-		t.Fatal("retention removed nothing for a many-segment run")
-	}
-	// The retained tail must still match the baseline's tail bytes.
-	want := encodeAll(evs)
-	got := concatSegments(t, dir)
-	if !bytes.HasSuffix(want, got) {
-		t.Fatal("retained segments are not a suffix of the baseline stream")
-	}
-}
-
 func TestVerifyDetectsCorruption(t *testing.T) {
 	dir := t.TempDir()
 	evs := genEvents(300, 4)
@@ -368,8 +345,8 @@ func TestDuplicateSegmentDetected(t *testing.T) {
 }
 
 // TestRotateConfigValidate: rotation settings need a directory to
-// journal into, negative sizes and caps are errors, and the writer
-// refuses what Validate refuses.
+// journal into, negative sizes are errors, and the writer refuses what
+// Validate refuses.
 func TestRotateConfigValidate(t *testing.T) {
 	for _, c := range []struct {
 		cfg  RotateConfig
@@ -377,12 +354,10 @@ func TestRotateConfigValidate(t *testing.T) {
 	}{
 		{RotateConfig{}, ""},
 		{RotateConfig{Dir: "j"}, ""},
-		{RotateConfig{Dir: "j", SegmentBytes: 65536, Compress: true, Retain: 2}, ""},
+		{RotateConfig{Dir: "j", SegmentBytes: 65536, Compress: true}, ""},
 		{RotateConfig{SegmentBytes: 65536}, "require -journal"},
 		{RotateConfig{Compress: true}, "require -journal"},
-		{RotateConfig{Retain: 2}, "require -journal"},
 		{RotateConfig{Dir: "j", SegmentBytes: -1}, "negative segment size"},
-		{RotateConfig{Dir: "j", Retain: -1}, "negative retention cap"},
 		{RotateConfig{SegmentBytes: -1}, "negative segment size"},
 	} {
 		err := c.cfg.Validate()

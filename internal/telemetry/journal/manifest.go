@@ -74,21 +74,17 @@ type WriterStats struct {
 	MaxBatch int   `json:"max_batch"`
 }
 
-// Manifest describes a rotated journal directory: every retained segment
-// in order, how many older segments the retention cap deleted, and the
-// async writer's self-telemetry when the journal was written through an
-// AsyncSink.
+// Manifest describes a rotated journal directory: every segment in
+// order, and the async writer's self-telemetry when the journal was
+// written through an AsyncSink.
 type Manifest struct {
 	Segments []SegmentInfo `json:"segments"`
-	// RemovedSegments counts segments deleted by the retention cap; their
-	// events are gone from disk and from the Segments list.
-	RemovedSegments int `json:"removed_segments,omitempty"`
 	// Writer carries the async sink's close-time self-telemetry, when the
 	// journal was written asynchronously.
 	Writer *WriterStats `json:"writer,omitempty"`
 }
 
-// Events sums the event counts of all retained segments.
+// Events sums the event counts of all segments.
 func (m *Manifest) Events() int64 {
 	var n int64
 	for _, s := range m.Segments {

@@ -43,36 +43,27 @@ type RotateConfig struct {
 	// Compress writes every segment, the active one included, gzipped as
 	// run-NNNNN.jsonl.gz instead of run-NNNNN.jsonl.
 	Compress bool
-	// Retain caps how many completed segments stay on disk; once
-	// exceeded, the oldest is deleted and counted in the manifest's
-	// RemovedSegments. 0 retains everything.
-	Retain int
 }
 
-// Flags registers -journal, -journal-segment, -journal-compress and
-// -journal-retain on the default flag set and returns the config they
-// fill; dirUsage says what -journal writes. Check the parsed config with
-// Validate before the run.
+// Flags registers -journal, -journal-segment and -journal-compress on the
+// default flag set and returns the config they fill; dirUsage says what
+// -journal writes. Check the parsed config with Validate before the run.
 func Flags(dirUsage string) *RotateConfig {
 	c := &RotateConfig{}
 	flag.StringVar(&c.Dir, "journal", "", dirUsage)
 	flag.Int64Var(&c.SegmentBytes, "journal-segment", 0, "rotate each journal into segments of this many uncompressed bytes (0 = one unbounded segment)")
 	flag.BoolVar(&c.Compress, "journal-compress", false, "write every journal segment gzip-compressed, as run-NNNNN.jsonl.gz; the active one is a gzip stream without its trailer until sealed")
-	flag.IntVar(&c.Retain, "journal-retain", 0, "keep only the newest N segments of each journal (0 = all)")
 	return c
 }
 
-// Validate reports config errors: a negative segment size or retention
-// cap, or a segment, compression or retention setting without a
-// directory to journal into.
+// Validate reports config errors: a negative segment size, or a segment
+// or compression setting without a directory to journal into.
 func (c RotateConfig) Validate() error {
 	switch {
 	case c.SegmentBytes < 0:
 		return fmt.Errorf("journal: negative segment size %d", c.SegmentBytes)
-	case c.Retain < 0:
-		return fmt.Errorf("journal: negative retention cap %d", c.Retain)
-	case c.Dir == "" && (c.SegmentBytes != 0 || c.Compress || c.Retain != 0):
-		return fmt.Errorf("journal: -journal-segment, -journal-compress and -journal-retain require -journal <dir>")
+	case c.Dir == "" && (c.SegmentBytes != 0 || c.Compress):
+		return fmt.Errorf("journal: -journal-segment and -journal-compress require -journal <dir>")
 	}
 	return nil
 }
@@ -92,8 +83,8 @@ func Create(cfg RotateConfig, policy Policy) (*AsyncSink, error) {
 func segmentName(seq int) string { return fmt.Sprintf("run-%05d.jsonl", seq) }
 
 // RotatingWriter writes a journal as size-capped JSONL segments with
-// optional gzip compression, a retention cap, and a manifest recording
-// each segment's event count, simulation-time bounds and CRC32. It
+// optional gzip compression, and a manifest recording each segment's
+// event count, simulation-time bounds and CRC32. It
 // implements EventWriter and is not safe for concurrent use — it is
 // driven either synchronously or by an AsyncSink's single writer
 // goroutine.
@@ -308,22 +299,6 @@ func (w *RotatingWriter) seal() (SegmentInfo, error) {
 	}, nil
 }
 
-// retain enforces the retention cap over completed segments.
-func (w *RotatingWriter) retain() error {
-	if w.cfg.Retain <= 0 {
-		return nil
-	}
-	for len(w.manifest.Segments) > w.cfg.Retain {
-		victim := w.manifest.Segments[0]
-		if err := os.Remove(filepath.Join(w.cfg.Dir, victim.Name)); err != nil {
-			return fmt.Errorf("journal: retention removing %s: %w", victim.Name, err)
-		}
-		w.manifest.Segments = w.manifest.Segments[1:]
-		w.manifest.RemovedSegments++
-	}
-	return nil
-}
-
 // rotate seals and accounts the active segment, then opens the next one.
 func (w *RotatingWriter) rotate() error {
 	info, err := w.seal()
@@ -331,9 +306,6 @@ func (w *RotatingWriter) rotate() error {
 		return err
 	}
 	w.manifest.Segments = append(w.manifest.Segments, info)
-	if err := w.retain(); err != nil {
-		return err
-	}
 	return w.openSegment(w.seq + 1)
 }
 
@@ -370,9 +342,6 @@ func (w *RotatingWriter) Close() error {
 		}
 	} else {
 		w.manifest.Segments = append(w.manifest.Segments, info)
-		if err := w.retain(); err != nil {
-			return err
-		}
 	}
 	return WriteManifest(w.cfg.Dir, &w.manifest)
 }

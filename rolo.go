@@ -432,23 +432,25 @@ func Run(cfg Config, recs []trace.Record) (rep Report, err error) {
 		rep.RAMHitRate = ram.HitRate()
 	}
 
+	all := resp.All()
 	rep.Scheme = cfg.Scheme
-	rep.Requests = resp.Count()
+	rep.Requests = all.Count()
 	rep.EnergyJ = res.EnergyAtHorizonJ
 	rep.EnergyAtDrainJ = arr.TotalEnergyJ()
-	rep.MeanResponseMs = resp.Mean()
-	rep.P95ResponseMs = resp.Percentile(95)
-	rep.P99ResponseMs = resp.Percentile(99)
-	rep.MaxResponseMs = resp.Max().Milliseconds()
+	rep.MeanResponseMs = all.Mean()
+	rep.P95ResponseMs = all.Percentile(95)
+	rep.P99ResponseMs = all.Percentile(99)
+	rep.MaxResponseMs = all.Max().Milliseconds()
 	rep.SpinCycles = arr.TotalSpinCycles()
 	rep.Horizon = res.Horizon
 	rep.DrainedAt = res.DrainedAt
 	rep.ReadLatency = breakdown(resp.Reads())
 	rep.WriteLatency = breakdown(resp.Writes())
 	// Snapshot the latency histograms for cluster-level merging. The
-	// copies share bucket arrays with the controller's accumulators,
-	// which see no further observations once the run has drained.
-	rep.AllHist = *resp.All().Histogram()
+	// class copies share bucket arrays with the controller's
+	// accumulators, which see no further observations once the run has
+	// drained; the combined one is the merge taken above.
+	rep.AllHist = *all.Histogram()
 	rep.ReadHist = *resp.Reads().Histogram()
 	rep.WriteHist = *resp.Writes().Histogram()
 	rep.StateSeconds = make(map[string]float64)

@@ -141,11 +141,16 @@ fi
 # a journal, and nothing may be dropped or truncated (a fleet shard emits
 # ~1.3k events here, fewer than the async ring holds, so even the drop
 # policy cannot drop). Then every tool that journals must refuse a
-# segment size, compression or retention given without -journal, with
-# the one message RotateConfig.Validate gives, before it simulates. Last,
-# every tool that takes no positional argument must refuse a stray word:
-# flag parsing stops at the first non-flag, so without the check every
-# flag after it would be dropped silently.
+# segment size or compression given without -journal, with the one
+# message RotateConfig.Validate gives, before it simulates, and must not
+# know -journal-retain: journals keep every segment, so rolostat can
+# reconcile a run from its first event to its last. Then rolofleet must
+# refuse every out-of-range spec value with Spec.Validate's message
+# (each flag sets its field of fleet.DefaultSpec as given, so no value
+# may quietly mean "unset"), and tracegen a flag that its mode ignores.
+# Last, every tool that takes no positional argument must refuse a stray
+# word: flag parsing stops at the first non-flag, so without the check
+# every flag after it would be dropped silently.
 if want journal-smoke; then
 	stage "build rolosim (-race) + rolostat + roloexp + rolofleet + tracegen + mttdl" \
 		sh -c 'go build -race -o bin/rolosim.race ./cmd/rolosim && go build -o bin/rolostat ./cmd/rolostat && \
@@ -177,7 +182,7 @@ if want journal-smoke; then
 		sh -c 't0=$(date +%s%N) && \
 			for cmd in "./bin/rolosim.race -scale 0.01" "./bin/roloexp -run table1 -scale 0.01 -pairs 4" \
 				"./bin/rolofleet -shards 4 -scale 0.01"; do \
-				for opt in "-journal-segment 65536" -journal-compress "-journal-retain 2"; do \
+				for opt in "-journal-segment 65536" -journal-compress; do \
 					err=$($cmd $opt 2>&1 >/dev/null) && \
 						{ echo "$cmd $opt exited 0 without -journal" >&2; exit 1; }; \
 					case "$err" in \
@@ -187,9 +192,36 @@ if want journal-smoke; then
 				done; \
 			done && t1=$(date +%s%N) && \
 			echo "every tool refused every stray journal option in $(( (t1 - t0) / 1000000 ))ms"'
+	stage "rolosim, roloexp and rolofleet reject -journal-retain as an undefined flag" \
+		sh -c 'for cmd in "./bin/rolosim.race -scale 0.01" "./bin/roloexp -run table1 -scale 0.01 -pairs 4" \
+				"./bin/rolofleet -shards 4 -scale 0.01"; do \
+				err=$($cmd -journal-retain 2 2>&1 >/dev/null); status=$?; \
+				[ "$status" -eq 2 ] || { echo "$cmd -journal-retain 2 exited $status, want 2" >&2; exit 1; }; \
+				case "$err" in \
+				*"flag provided but not defined: -journal-retain"*) ;; \
+				*) echo "$cmd -journal-retain 2 failed for another reason: $err" >&2; exit 1 ;; \
+				esac; \
+			done && echo "no tool defines -journal-retain"'
+	stage "rolofleet refuses out-of-range spec flags; tracegen refuses flags its mode ignores" \
+		sh -c 'for opt in "-shards -5" "-pairs 0" "-scale 0" "-free -2" "-stripe -8" "-worst -3" "-iops-spread -0.5"; do \
+				err=$(./bin/rolofleet $opt 2>&1 >/dev/null) && \
+					{ echo "rolofleet $opt exited 0" >&2; exit 1; }; \
+				case "$err" in \
+				*"rolofleet: fleet: "*) ;; \
+				*) echo "rolofleet $opt failed for another reason: $err" >&2; exit 1 ;; \
+				esac; \
+			done && \
+			for args in "-profile src2_2 -spec iops=10 -scale 0.001" "-spec duration=1s -scale 0.5"; do \
+				err=$(./bin/tracegen $args 2>&1 >/dev/null) && \
+					{ echo "tracegen $args exited 0" >&2; exit 1; }; \
+				case "$err" in \
+				*"-scale requires -profile, and -spec excludes it"*) ;; \
+				*) echo "tracegen $args failed for another reason: $err" >&2; exit 1 ;; \
+				esac; \
+			done && echo "rolofleet and tracegen refused every inapplicable value"'
 	stage "rolosim, roloexp, rolofleet, tracegen and mttdl refuse a stray argument" \
 		sh -c 'for cmd in "./bin/rolosim.race -scale 0.01" "./bin/roloexp -run table1 -scale 0.01 -pairs 4" \
-				"./bin/rolofleet -shards 4 -scale 0.01" "./bin/tracegen -duration 1s" ./bin/mttdl; do \
+				"./bin/rolofleet -shards 4 -scale 0.01" "./bin/tracegen -spec duration=1s" ./bin/mttdl; do \
 				err=$($cmd extra 2>&1 >/dev/null) && \
 					{ echo "$cmd extra exited 0" >&2; exit 1; }; \
 				case "$err" in \
