@@ -48,8 +48,8 @@ check:
 # nightly regenerates every experiment with the RoloSan sanitizer on, in
 # parallel across the machine's cores, at a larger scale than the CI
 # smoke, writing one telemetry journal directory per run (4 MiB
-# gzip-compressed segments and a manifest, like every journal) through
-# the async pipeline and then verifying every journal's manifest
+# gzip-compressed segments and a manifest, like every journal) on the
+# run's own goroutine and then verifying every journal's manifest
 # (segment checksums, counts, time ranges) with rolostat. The
 # .github/workflows/nightly.yml schedule runs exactly this. One
 # experiment escapes it: recovery assembles its controllers by hand and

@@ -14,8 +14,8 @@
 // flag's default, and fleet.Spec.Validate judges the result before any
 // shard runs. With -journal DIR every shard writes a rotated telemetry
 // journal, run-NNNNN.jsonl[.gz] segments and a manifest, under
-// DIR/shard-NNNNN/ through the async pipeline's drop policy; the
-// manifest counts what was dropped.
+// DIR/shard-NNNNN/ on the worker goroutine that runs it; every event is
+// kept, and the directories are the same at any -jobs.
 package main
 
 import (
@@ -79,6 +79,9 @@ func run() (err error) {
 	spec.Journal = *jcfg
 	if err := spec.Validate(); err != nil {
 		return err
+	}
+	if *jobs < 0 {
+		return fmt.Errorf("negative job count %d", *jobs)
 	}
 
 	var pool fleet.Pool

@@ -9,11 +9,10 @@
 //	rolosim -scheme RoLo-E -profile proj_0 -pairs 10 -free 4
 //
 // -journal DIR writes the run's telemetry journal to DIR: run-NNNNN.jsonl
-// segments plus a manifest that rolostat -verify checks. Events are
-// handed to a writer goroutine through the async pipeline, which never
-// drops one. -journal-segment bounds the segments' size (by default the
-// journal is one segment, and every segment is kept), and
-// -journal-compress writes every segment gzipped:
+// segments plus a manifest that rolostat -verify checks. The simulation
+// goroutine writes every event itself. -journal-segment bounds the
+// segments' size (by default the journal is one segment, and every
+// segment is kept), and -journal-compress writes every segment gzipped:
 //
 //	rolosim -scheme RoLo-P -journal rundir -journal-segment 4194304 -journal-compress
 //	rolostat -verify rundir
@@ -103,13 +102,13 @@ func run() (err error) {
 	}
 
 	if jcfg.Dir != "" {
-		sink, jerr := journal.Create(*jcfg, journal.PolicyBlock)
+		sink, jerr := journal.NewRotatingWriter(*jcfg)
 		if jerr != nil {
 			return jerr
 		}
-		// Closing drains the ring, seals the last segment and writes the
-		// manifest; a close failure means a broken journal, so it
-		// surfaces as the run's error.
+		// Closing seals the last segment and writes the manifest; a close
+		// failure means a broken journal, so it surfaces as the run's
+		// error.
 		defer func() {
 			if cerr := sink.Close(); cerr != nil && err == nil {
 				err = cerr

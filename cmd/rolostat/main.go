@@ -62,13 +62,6 @@ func run() error {
 			return fmt.Errorf("manifest verification: %w", err)
 		}
 		fmt.Printf("manifest: %d segments, %d events, all checksums match\n", len(m.Segments), m.Events())
-		if w := m.Writer; w != nil {
-			fmt.Printf("writer: %d enqueued, %d written, %d dropped, peak ring occupancy %d/%d\n",
-				w.Enqueued, w.Written, w.Dropped, w.PeakOccupancy, w.Capacity)
-			if w.Dropped > 0 {
-				fmt.Fprintf(os.Stderr, "rolostat: warning: journal is incomplete (%d events dropped under backpressure)\n", w.Dropped)
-			}
-		}
 		fmt.Println()
 	}
 

@@ -84,12 +84,8 @@ func TestSummaryIdenticalAcrossLayouts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var scratch []byte
 	for _, ev := range evs {
-		scratch = telemetry.AppendEvent(scratch[:0], ev)
-		if err := w.WriteEvent(scratch, ev.At); err != nil {
-			t.Fatal(err)
-		}
+		w.Emit(ev)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -151,12 +147,8 @@ func TestSummaryOfCrashedCompressedRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { w.Close() })
-	var scratch []byte
 	for _, ev := range evs {
-		scratch = telemetry.AppendEvent(scratch[:0], ev)
-		if err := w.WriteEvent(scratch, ev.At); err != nil {
-			t.Fatal(err)
-		}
+		w.Emit(ev)
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,6 @@
 // Package raceguard is rololint's mutex-discipline analyzer family: two
-// CFG-powered checks over the three concurrent harness components (the
-// journal AsyncSink, the experiments pool and the fleet runner), so the
+// CFG-powered checks over the mutex-guarded state of the concurrent
+// harness (the experiments pool's leaf memo and slot statistics), so the
 // locking discipline is enforced at every build rather than discovered
 // under `go test -race` (which only sees the schedules the test happens
 // to run).

@@ -38,8 +38,8 @@
 // Resource types: *os.File, gzip.Writer and gzip.Reader are built in;
 // repository types opt in with a `//rolosan:resource` directive on the
 // type declaration, which is exported as a fact so importing packages
-// track them too. Annotating an interface (such as journal.EventWriter)
-// marks every value of that interface type.
+// track them too. Annotating an interface marks every value of that
+// interface type.
 //
 // Scope: packages with an "internal" or "cmd" path segment, excluding
 // _test.go files — the same surface errpropagation checks.

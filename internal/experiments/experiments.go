@@ -43,11 +43,11 @@ type Options struct {
 	Pairs int
 	// Journal, when Journal.Dir is non-empty, writes one rotated
 	// telemetry journal per simulation into Journal.Dir, a directory
-	// named <scheme>_<trace>_<hash>/ written through the async pipeline
-	// (see internal/telemetry/journal). The hash covers the run's whole
-	// configuration and workload: distinct runs get distinct names, and
-	// the names are the same at every job count. The fleet experiment's
-	// shards write theirs there too, named shard-NNNNN/.
+	// named <scheme>_<trace>_<hash>/ that the simulation's own goroutine
+	// writes (see internal/telemetry/journal). The hash covers the run's
+	// whole configuration and workload: distinct runs get distinct
+	// names, and the names are the same at every job count. The fleet
+	// experiment's shards write theirs there too, named shard-NNNNN/.
 	Journal journal.RotateConfig
 	// ProbeInterval enables periodic telemetry probes in every run.
 	ProbeInterval sim.Time
@@ -220,17 +220,15 @@ func (o Options) simulate(l leaf) (rep rolo.Report, err error) {
 	cfg.Telemetry.ProbeInterval = o.ProbeInterval
 	cfg.Check = o.Check
 	if o.Journal.Dir != "" {
-		// One journal directory per leaf. The blocking policy keeps the
-		// journal complete and byte-deterministic.
 		jc := o.Journal
 		jc.Dir = filepath.Join(jc.Dir, l.journalName())
-		sink, jerr := journal.Create(jc, journal.PolicyBlock)
+		sink, jerr := journal.NewRotatingWriter(jc)
 		if jerr != nil {
 			return rolo.Report{}, jerr
 		}
-		// Closing drains the ring, seals the last segment and writes the
-		// manifest; a close failure means a broken journal, so it
-		// surfaces as the run's error.
+		// Closing seals the last segment and writes the manifest; a close
+		// failure means a broken journal, so it surfaces as the run's
+		// error.
 		defer func() {
 			if cerr := sink.Close(); cerr != nil && err == nil {
 				err = cerr

@@ -50,9 +50,9 @@ type Spec struct {
 
 	// Journal, when Journal.Dir is non-empty, writes one rotated
 	// telemetry journal directory per shard, shard-NNNNN/ under
-	// Journal.Dir, through the async pipeline with the drop backpressure
-	// policy — fleet mode favors forward progress over journal
-	// completeness, and the per-shard manifests record the drop counts.
+	// Journal.Dir. Each shard's worker goroutine writes its own journal,
+	// so every event is kept and the directory is the same at any pool
+	// size.
 	Journal journal.RotateConfig
 }
 
@@ -138,9 +138,7 @@ func (s *Spec) RunShard(shard int) (rep rolo.Report, err error) {
 	if s.Journal.Dir != "" {
 		jc := s.Journal
 		jc.Dir = filepath.Join(jc.Dir, fmt.Sprintf("shard-%05d", shard))
-		// Drop policy: a slow journal writer must never stall a fleet of
-		// shards; the manifest records how many events were shed.
-		sink, jerr := journal.Create(jc, journal.PolicyDrop)
+		sink, jerr := journal.NewRotatingWriter(jc)
 		if jerr != nil {
 			return rolo.Report{}, jerr
 		}

@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"github.com/rolo-storage/rolo"
+	"github.com/rolo-storage/rolo/internal/telemetry"
+	"github.com/rolo-storage/rolo/internal/telemetry/journal"
 	"github.com/rolo-storage/rolo/internal/trace"
 )
 
@@ -122,22 +126,73 @@ func TestRunWindowedLowestIndexError(t *testing.T) {
 	}
 }
 
-// TestRunShardJournal checks the optional per-shard rotated journal: the
-// shard directory appears with at least one segment and a manifest.
+// TestRunShardJournal checks the optional per-shard rotated journals:
+// every shard-NNNNN/ directory, manifest included, is byte-identical
+// whether the shards run serially or on four workers, and holds one
+// RequestDone event per request of the shard's report.
 func TestRunShardJournal(t *testing.T) {
-	spec := testSpec(t, 2)
-	spec.Journal.Dir = t.TempDir()
-	if _, err := Run(spec, nil); err != nil {
-		t.Fatal(err)
+	spec := testSpec(t, 10)
+	spec.Journal = journal.RotateConfig{SegmentBytes: 4 << 10, Compress: true}
+	dirs := [2]string{t.TempDir(), t.TempDir()}
+	for i, pool := range []Pool{nil, NewPool(4)} {
+		s := spec
+		s.Journal.Dir = dirs[i]
+		if _, err := Run(s, pool); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for shard := 0; shard < spec.Shards; shard++ {
-		dir := fmt.Sprintf("%s/shard-%05d", spec.Journal.Dir, shard)
-		m, err := readManifest(t, dir)
+		name := fmt.Sprintf("shard-%05d", shard)
+		serial, pooled := filepath.Join(dirs[0], name), filepath.Join(dirs[1], name)
+		entries, err := os.ReadDir(serial)
 		if err != nil {
-			t.Fatalf("shard %d manifest: %v", shard, err)
+			t.Fatal(err)
 		}
-		if m == 0 {
-			t.Fatalf("shard %d journal empty", shard)
+		if len(entries) < 3 {
+			t.Errorf("%s holds %d files, want several segments and a manifest", name, len(entries))
+		}
+		for _, e := range entries {
+			a, errA := os.ReadFile(filepath.Join(serial, e.Name()))
+			b, errB := os.ReadFile(filepath.Join(pooled, e.Name()))
+			if errA != nil || errB != nil || !bytes.Equal(a, b) {
+				t.Errorf("%s/%s differs between the serial and the pooled run (%v, %v)", name, e.Name(), errA, errB)
+			}
+		}
+		if pe, err := os.ReadDir(pooled); err != nil || len(pe) != len(entries) {
+			t.Errorf("%s: the pooled run wrote %d files, the serial run %d (%v)", name, len(pe), len(entries), err)
+		}
+
+		plain := spec
+		plain.Journal = journal.RotateConfig{}
+		rep, err := plain.RunShard(shard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := requestDones(t, serial); got != rep.Requests {
+			t.Errorf("%s: journal holds %d RequestDone events, report %d requests", name, got, rep.Requests)
+		}
+	}
+}
+
+// requestDones counts the RequestDone events of the journal in dir.
+func requestDones(t *testing.T, dir string) int64 {
+	t.Helper()
+	r, err := journal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var n int64
+	for {
+		ev, err := r.Next()
+		if err == io.EOF {
+			return n
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev.Kind == telemetry.KindRequestDone {
+			n++
 		}
 	}
 }
@@ -233,14 +288,4 @@ func TestParseSchemeList(t *testing.T) {
 	if _, err := ParseSchemeList("RoLo-P,RAID7"); err == nil {
 		t.Fatal("RAID7 accepted")
 	}
-}
-
-// readManifest returns the number of journal files in a shard directory.
-func readManifest(t *testing.T, dir string) (int, error) {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return 0, err
-	}
-	return len(entries), nil
 }

@@ -11,19 +11,6 @@ import (
 	"github.com/rolo-storage/rolo/internal/telemetry"
 )
 
-// nullWriter swallows lines; it isolates the producer-side cost of the
-// sinks from disk speed.
-type nullWriter struct{}
-
-func (nullWriter) WriteEvent([]byte, sim.Time) error { return nil }
-func (nullWriter) Flush() error                      { return nil }
-func (nullWriter) Close() error                      { return nil }
-
-// nullIOWriter is the io.Writer equivalent for the synchronous sink.
-type nullIOWriter struct{}
-
-func (nullIOWriter) Write(p []byte) (int, error) { return len(p), nil }
-
 var benchEvents = genBenchEvents()
 
 func genBenchEvents() [7]telemetry.Event {
@@ -38,10 +25,10 @@ func genBenchEvents() [7]telemetry.Event {
 	}
 }
 
-// BenchmarkSyncJSONLSinkEmit is the baseline: the synchronous sink's
-// per-event cost on the emitting (simulation) goroutine when the journal
-// goes to an actual file — encode, buffered write, and the amortized
-// write syscalls whenever the buffer fills.
+// BenchmarkSyncJSONLSinkEmit is BenchmarkCoreJournalEmit's reference:
+// JSONLSink's per-event cost when the journal goes to an actual file —
+// encode, buffered write, and the amortized write syscalls whenever the
+// buffer fills — without a segment checksum.
 func BenchmarkSyncJSONLSinkEmit(b *testing.B) {
 	f, err := os.Create(filepath.Join(b.TempDir(), "journal.jsonl"))
 	if err != nil {
@@ -60,71 +47,23 @@ func BenchmarkSyncJSONLSinkEmit(b *testing.B) {
 	}
 }
 
-// BenchmarkAsyncSinkEmit measures the async pipeline's sustained,
-// writer-bound throughput into a one-segment rotated journal. It emits
-// without pause under PolicyBlock, so once the ring fills, Emit waits
-// for the writer goroutine and ns/op is the writer's encode and IO rate
-// per event. BenchmarkCoreJournalEmit measures what the simulation
-// goroutine itself pays per event.
-func BenchmarkAsyncSinkEmit(b *testing.B) {
-	w, err := NewRotatingWriter(RotateConfig{Dir: b.TempDir()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := NewAsyncSink(w, AsyncConfig{Buffer: DefaultBuffer, Policy: PolicyBlock})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Emit(benchEvents[i%len(benchEvents)])
-	}
-	b.StopTimer()
-	if err := s.Close(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkAsyncSinkEmitDrop is the fleet-mode variant: PolicyDrop never
-// blocks the producer even when the writer falls behind.
-func BenchmarkAsyncSinkEmitDrop(b *testing.B) {
-	w, err := NewRotatingWriter(RotateConfig{Dir: b.TempDir()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := NewAsyncSink(w, AsyncConfig{Buffer: DefaultBuffer, Policy: PolicyDrop})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Emit(benchEvents[i%len(benchEvents)])
-	}
-	b.StopTimer()
-	if err := s.Close(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkCoreJournalEmit isolates the producer side of the async
-// journal: what the simulation goroutine pays per event to hand it to an
-// AsyncSink whose writer goroutine encodes into a discarding writer.
-// Events go out in rounds that fit the ring, with an untimed Flush
-// between rounds, so Emit never waits for the slower encoder and the
-// number is the producer's own cost. It must stay at 0 allocs/op.
+// BenchmarkCoreJournalEmit is what the simulation goroutine pays per
+// event to journal it: encoding, the segment checksum and a buffered
+// write into an uncompressed one-segment journal, with the write
+// syscalls whenever the 64 KiB buffer fills. It must stay at 0
+// allocs/op.
 func BenchmarkCoreJournalEmit(b *testing.B) {
-	const round = DefaultBuffer / 2
-	s := NewAsyncSink(nullWriter{}, AsyncConfig{Buffer: DefaultBuffer, Policy: PolicyBlock})
+	w, err := NewRotatingWriter(RotateConfig{Dir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if i > 0 && i%round == 0 {
-			b.StopTimer()
-			if err := s.Flush(); err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-		}
-		s.Emit(benchEvents[i%len(benchEvents)])
+		w.Emit(benchEvents[i%len(benchEvents)])
 	}
 	b.StopTimer()
-	if err := s.Close(); err != nil {
+	if err := w.Close(); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -168,7 +107,7 @@ func BenchmarkCoreJournalArchive(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, line := range lines {
-			if err := w.WriteEvent(line, 0); err != nil {
+			if err := w.writeEvent(line, 0); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -78,12 +78,8 @@ func FuzzJournalRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var scratch []byte
 		for _, ev := range evs {
-			scratch = telemetry.AppendEvent(scratch[:0], ev)
-			if err := w.WriteEvent(scratch, ev.At); err != nil {
-				t.Fatal(err)
-			}
+			w.Emit(ev)
 		}
 		if err := w.Close(); err != nil {
 			t.Fatal(err)

@@ -62,7 +62,7 @@ func encodeAll(evs []telemetry.Event) []byte {
 	return out
 }
 
-// writeRotated pushes events through a RotatingWriter synchronously.
+// writeRotated emits events into a RotatingWriter and closes it.
 func writeRotated(t *testing.T, dir string, cfg RotateConfig, evs []telemetry.Event) {
 	t.Helper()
 	cfg.Dir = dir
@@ -70,12 +70,8 @@ func writeRotated(t *testing.T, dir string, cfg RotateConfig, evs []telemetry.Ev
 	if err != nil {
 		t.Fatalf("NewRotatingWriter: %v", err)
 	}
-	var buf []byte
 	for _, ev := range evs {
-		buf = telemetry.AppendEvent(buf[:0], ev)
-		if err := w.WriteEvent(buf, ev.At); err != nil {
-			t.Fatalf("WriteEvent: %v", err)
-		}
+		w.Emit(ev)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -415,23 +411,23 @@ func TestRotatingWriterWriteErrorMidSegment(t *testing.T) {
 	if err := os.Symlink("/dev/full", seg2); err != nil {
 		t.Skip("cannot link to /dev/full:", err)
 	}
-	var buf []byte
 	evs := genEvents(400, 14)
 	i := 0
 	for ; w.seq < 2; i++ {
-		buf = telemetry.AppendEvent(buf[:0], evs[i])
-		if err := w.WriteEvent(buf, evs[i].At); err != nil {
-			t.Fatalf("WriteEvent into segment 1: %v", err)
-		}
+		w.Emit(evs[i])
+	}
+	if w.err != nil {
+		t.Fatalf("Emit into segment 1: %v", w.err)
 	}
 	f := w.f
 	for j := 0; j < 3; j, i = j+1, i+1 {
-		buf = telemetry.AppendEvent(buf[:0], evs[i])
-		if err := w.WriteEvent(buf, evs[i].At); err != nil {
-			t.Fatalf("buffered WriteEvent into segment 2: %v", err)
-		}
+		w.Emit(evs[i])
 	}
-	if err := w.Flush(); err == nil {
+	if w.err != nil {
+		t.Fatalf("buffered Emit into segment 2: %v", w.err)
+	}
+	ferr := w.Flush()
+	if ferr == nil {
 		t.Fatal("Flush into a full device succeeded")
 	}
 	if _, err := os.Lstat(seg2); !errors.Is(err, os.ErrNotExist) {
@@ -440,15 +436,47 @@ func TestRotatingWriterWriteErrorMidSegment(t *testing.T) {
 	if err := f.Close(); !errors.Is(err, os.ErrClosed) {
 		t.Fatalf("failed segment's descriptor still open: Close = %v", err)
 	}
-	buf = telemetry.AppendEvent(buf[:0], evs[i])
-	if err := w.WriteEvent(buf, evs[i].At); err == nil {
-		t.Fatal("WriteEvent after a write error succeeded")
+	// The error is sticky: an Emit after it changes nothing, and Flush
+	// and Close return it.
+	events, size := w.events, w.size
+	w.Emit(evs[i])
+	if w.events != events || w.size != size || w.err != ferr {
+		t.Fatalf("Emit after a write error wrote: %d events, %d bytes, error %v", w.events, w.size, w.err)
 	}
-	if err := w.Close(); err == nil {
-		t.Fatal("Close after a write error succeeded")
+	if err := w.Flush(); err != ferr {
+		t.Fatalf("Flush after a write error = %v, want %v", err, ferr)
+	}
+	if err := w.Close(); err != ferr {
+		t.Fatalf("Close after a write error = %v, want %v", err, ferr)
 	}
 	if _, err := os.Stat(filepath.Join(dir, ManifestName)); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("a failed journal wrote a manifest: %v", err)
+	}
+}
+
+// TestRotatingWriterEmitZeroAlloc carries DESIGN §11's promise to the
+// journal: within a segment, Emit allocates nothing in steady state,
+// plain or compressed.
+func TestRotatingWriterEmitZeroAlloc(t *testing.T) {
+	evs := genEvents(64, 15)
+	for _, compress := range []bool{false, true} {
+		w, err := NewRotatingWriter(RotateConfig{Dir: t.TempDir(), Compress: compress})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range evs {
+			w.Emit(ev) // grow the scratch buffer to the longest line
+		}
+		i := 0
+		if n := testing.AllocsPerRun(1000, func() {
+			w.Emit(evs[i%len(evs)])
+			i++
+		}); n != 0 {
+			t.Errorf("compress=%v: Emit allocates %v per event, want 0", compress, n)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -515,10 +543,8 @@ func TestReaderStopsAtCrashCut(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { w.Close() })
-			for i, ev := range evs {
-				if err := w.WriteEvent(all[lineStart(all, i):lineStart(all, i+1)], ev.At); err != nil {
-					t.Fatal(err)
-				}
+			for _, ev := range evs {
+				w.Emit(ev)
 			}
 			if err := w.Flush(); err != nil {
 				t.Fatal(err)
@@ -531,10 +557,8 @@ func TestReaderStopsAtCrashCut(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { w.Close() })
-			for i, ev := range evs {
-				if err := w.WriteEvent(all[lineStart(all, i):lineStart(all, i+1)], ev.At); err != nil {
-					t.Fatal(err)
-				}
+			for _, ev := range evs {
+				w.Emit(ev)
 			}
 			if st, err := os.Stat(filepath.Join(dir, "run-00101.jsonl.gz")); err != nil || st.Size() != 0 {
 				t.Fatalf("active segment: %v, %v; want an empty file", st, err)

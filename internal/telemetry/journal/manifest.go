@@ -1,10 +1,10 @@
-// Package journal is the telemetry journal's lifecycle layer: an
-// asynchronous sink that moves event encoding and file IO off the
-// simulation goroutine, a rotating writer that cuts size-capped JSONL
-// segments and optionally streams them through gzip, a manifest
-// describing every segment, and a streaming reader that iterates a
-// journal — single file or rotated directory, plain or compressed — in
-// order without ever holding it in memory.
+// Package journal is the telemetry journal's lifecycle layer: a
+// rotating writer, the telemetry sink that encodes each event on the
+// emitting goroutine and cuts size-capped JSONL segments, optionally
+// streamed through gzip; a manifest describing every segment; and a
+// streaming reader that iterates a journal — single file or rotated
+// directory, plain or compressed — in order without ever holding it in
+// memory.
 //
 // Layout of a rotated, compressed journal directory (without compression
 // the segments are run-NNNNN.jsonl):
@@ -15,10 +15,11 @@
 //	                      until Close seals it
 //	manifest.json         per-segment event counts, time bounds, checksums
 //
-// The writer side preserves the telemetry package's byte-determinism
-// contract: with the blocking backpressure policy, the concatenation of
-// the (decompressed) segments is byte-identical to the journal a
-// synchronous telemetry.JSONLSink would have produced for the same run.
+// The writer preserves the telemetry package's byte-determinism
+// contract: the concatenation of the (decompressed) segments is
+// byte-identical to the journal a telemetry.JSONLSink produces for the
+// same run, and the whole directory, manifest included, is a pure
+// function of the run's configuration and trace.
 package journal
 
 import (
@@ -53,34 +54,26 @@ type SegmentInfo struct {
 	Compressed bool `json:"compressed,omitempty"`
 }
 
-// WriterStats is the async sink's self-telemetry, recorded in the
-// manifest on close so every journal carries the evidence of how it was
-// written (the drop counter must be zero under the blocking policy).
+// WriterStats records in the manifest how the journal was written. The
+// writer runs on the emitting goroutine, so it never sheds an event and
+// never queues one: Dropped and PeakOccupancy are always 0. They stay
+// because perfbench, built against this package, fails a journal whose
+// manifest lacks them or reports a drop.
 type WriterStats struct {
-	// Enqueued counts events accepted into the ring.
-	Enqueued int64 `json:"enqueued"`
-	// Written counts events the writer goroutine encoded and wrote.
+	// Written is the segments' event total.
 	Written int64 `json:"written"`
-	// Dropped counts events discarded: ring-full drops under PolicyDrop,
-	// plus any events arriving after Close began.
+	// Dropped counts events lost on the way to a segment: always 0.
 	Dropped int64 `json:"dropped"`
-	// PeakOccupancy is the high-water mark of events queued in the ring.
+	// PeakOccupancy is the deepest queue of events waiting to be
+	// written: always 0.
 	PeakOccupancy int `json:"peak_occupancy"`
-	// Capacity is the ring size the sink ran with.
-	Capacity int `json:"capacity"`
-	// Batches counts writer-goroutine drains; MaxBatch is the largest
-	// single drain. Written/Batches is the mean batch size.
-	Batches  int64 `json:"batches"`
-	MaxBatch int   `json:"max_batch"`
 }
 
 // Manifest describes a rotated journal directory: every segment in
-// order, and the async writer's self-telemetry when the journal was
-// written through an AsyncSink.
+// order, and the writer's stats.
 type Manifest struct {
 	Segments []SegmentInfo `json:"segments"`
-	// Writer carries the async sink's close-time self-telemetry, when the
-	// journal was written asynchronously.
+	// Writer is recorded by RotatingWriter.Close.
 	Writer *WriterStats `json:"writer,omitempty"`
 }
 

@@ -76,7 +76,7 @@ func segmentFiles(dir string) ([]string, error) {
 	files := make([]string, len(segs))
 	for i, s := range segs {
 		if i > 0 && segs[i-1].key == s.key {
-			return nil, fmt.Errorf("journal: %s holds both %s and %s for one segment (interrupted archival?)",
+			return nil, fmt.Errorf("journal: %s holds both %s and %s for one segment; a writer compresses all of its segments or none",
 				dir, segs[i-1].name, s.name)
 		}
 		files[i] = filepath.Join(dir, s.name)

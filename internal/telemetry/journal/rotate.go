@@ -11,23 +11,8 @@ import (
 	"path/filepath"
 
 	"github.com/rolo-storage/rolo/internal/sim"
+	"github.com/rolo-storage/rolo/internal/telemetry"
 )
-
-// EventWriter is the destination contract of the async sink: one encoded
-// JSONL line per event (newline included), stamped with the event's
-// simulation time so rotation metadata can track time bounds without
-// re-parsing. Implementations are single-goroutine: the async sink's
-// writer goroutine (or a synchronous caller) owns the writer exclusively.
-//
-//rolosan:resource
-type EventWriter interface {
-	// WriteEvent appends one encoded event line (terminated by '\n').
-	WriteEvent(line []byte, at sim.Time) error
-	// Flush forces buffered lines to the underlying storage.
-	Flush() error
-	// Close finalizes the journal; no writes may follow.
-	Close() error
-}
 
 // RotateConfig configures a journal: the directory a RotatingWriter
 // fills and how it rotates. The command-line tools declare it with Flags,
@@ -68,26 +53,15 @@ func (c RotateConfig) Validate() error {
 	return nil
 }
 
-// Create starts a journal in cfg.Dir: a RotatingWriter behind an
-// AsyncSink with the given backpressure policy. Closing the sink drains
-// it, seals the last segment and writes the manifest.
-func Create(cfg RotateConfig, policy Policy) (*AsyncSink, error) {
-	w, err := NewRotatingWriter(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return NewAsyncSink(w, AsyncConfig{Policy: policy}), nil
-}
-
 // segmentName renders the canonical segment file name for seq.
 func segmentName(seq int) string { return fmt.Sprintf("run-%05d.jsonl", seq) }
 
-// RotatingWriter writes a journal as size-capped JSONL segments with
-// optional gzip compression, and a manifest recording each segment's
-// event count, simulation-time bounds and CRC32. It
-// implements EventWriter and is not safe for concurrent use — it is
-// driven either synchronously or by an AsyncSink's single writer
-// goroutine.
+// RotatingWriter is the journal's telemetry sink: it writes the events
+// as size-capped JSONL segments with optional gzip compression, and a
+// manifest recording each segment's event count, simulation-time bounds
+// and CRC32. It runs on the goroutine that emits, so the journal, its
+// manifest included, is a pure function of the event sequence; it is not
+// safe for concurrent use.
 //
 // A compressed segment is streamed: its lines go through one gzip.Writer
 // straight into the .gz file, so every journal byte is written once. The
@@ -114,6 +88,7 @@ type RotatingWriter struct {
 	firstAt sim.Time
 	lastAt  sim.Time
 
+	scratch  []byte // Emit's encode buffer, reused for every event
 	manifest Manifest
 	err      error // first error writing or rotating; it ends the journal
 	closed   bool
@@ -222,15 +197,23 @@ func (w *RotatingWriter) abort(err error) error {
 	return w.err
 }
 
-// WriteEvent implements EventWriter, rotating once the active segment
-// reaches the configured size.
-func (w *RotatingWriter) WriteEvent(line []byte, at sim.Time) error {
-	if w.closed {
-		return fmt.Errorf("journal: write to closed rotating writer")
+// Emit implements telemetry.Sink: it encodes ev with
+// telemetry.AppendEvent into the writer's scratch buffer and writes the
+// line. An error writing or rotating is sticky: later Emits do nothing,
+// and Flush and Close return it.
+func (w *RotatingWriter) Emit(ev telemetry.Event) {
+	if w.closed || w.err != nil {
+		return
 	}
-	if w.err != nil {
-		return w.err
-	}
+	w.scratch = telemetry.AppendEvent(w.scratch[:0], ev)
+	_ = w.writeEvent(w.scratch, ev.At) // kept in w.err for Flush and Close
+}
+
+// writeEvent appends one encoded event line (newline included), stamped
+// with the event's simulation time so the manifest bounds each segment's
+// times without re-parsing, and rotates once the active segment reaches
+// the configured size. The journal must be open and unfailed.
+func (w *RotatingWriter) writeEvent(line []byte, at sim.Time) error {
 	if _, err := w.bw.Write(line); err != nil {
 		return w.abort(err)
 	}
@@ -247,7 +230,7 @@ func (w *RotatingWriter) WriteEvent(line []byte, at sim.Time) error {
 	return nil
 }
 
-// Flush implements EventWriter: the lines written so far reach the
+// Flush implements telemetry.Flusher: the lines written so far reach the
 // segment file. A compressed segment then holds a gzip stream cut at a
 // sync-flush point: every flushed line decompresses, but the stream has
 // no trailer until the segment is sealed.
@@ -309,19 +292,10 @@ func (w *RotatingWriter) rotate() error {
 	return w.openSegment(w.seq + 1)
 }
 
-// SetWriterStats attaches the async sink's self-telemetry for the
-// manifest; call before Close.
-func (w *RotatingWriter) SetWriterStats(ws WriterStats) {
-	w.manifest.Writer = &ws
-}
-
-// Manifest returns a snapshot of the manifest as accounted so far
-// (completed segments only until Close seals the active one).
-func (w *RotatingWriter) Manifest() Manifest { return w.manifest }
-
 // Close seals the active segment (dropping it instead if it is empty and
-// not the only one), writes the manifest, and finalizes the journal.
-// After a write error it returns that error and writes no manifest.
+// not the only one), writes the manifest with its WriterStats, and
+// finalizes the journal. After a write error it returns that error and
+// writes no manifest.
 func (w *RotatingWriter) Close() error {
 	if w.closed {
 		return nil
@@ -343,5 +317,6 @@ func (w *RotatingWriter) Close() error {
 	} else {
 		w.manifest.Segments = append(w.manifest.Segments, info)
 	}
+	w.manifest.Writer = &WriterStats{Written: w.manifest.Events()}
 	return WriteManifest(w.cfg.Dir, &w.manifest)
 }

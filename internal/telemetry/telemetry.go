@@ -357,9 +357,9 @@ func (t TeeSink) Flush() error {
 // Field order is fixed and zero/absent optional fields are omitted, so
 // the byte stream is a deterministic function of the event sequence — the
 // determinism regression tests and the rotated-journal byte-equivalence
-// gate compare journals byte for byte. JSONLSink and the async journal
-// writer share this single encoder; it never allocates beyond growing
-// dst.
+// gate compare journals byte for byte. JSONLSink and the rotating
+// journal writer share this single encoder; it never allocates beyond
+// growing dst.
 func AppendEvent(dst []byte, ev Event) []byte {
 	dst = append(dst, `{"at":`...)
 	dst = strconv.AppendInt(dst, int64(ev.At), 10)

@@ -193,8 +193,8 @@ func TestKindJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestJSONLSinkZeroAlloc pins the hot-path guarantee the async pipeline
-// builds on: once the sink's scratch buffer has grown to cover the
+// TestJSONLSinkZeroAlloc pins the hot-path guarantee the journal writer
+// shares: once the sink's scratch buffer has grown to cover the
 // largest event, Emit allocates nothing — including for events whose
 // States string needs quoting, which used to cost one allocation per
 // event.

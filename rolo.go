@@ -326,8 +326,8 @@ type Report struct {
 // runs, so a journal always reflects the events emitted up to the
 // failure; a flush error joins (never masks) the run's own error. Run
 // does not close the sink — closing, like opening, belongs to whoever
-// constructed it (async sinks in particular must be Closed to drain
-// their writer goroutine; see internal/telemetry/journal).
+// constructed it (a journal's RotatingWriter must be Closed to seal its
+// last segment and write the manifest; see internal/telemetry/journal).
 func Run(cfg Config, recs []trace.Record) (rep Report, err error) {
 	if err := cfg.Validate(); err != nil {
 		return rep, err

@@ -2,7 +2,7 @@
 # Perf-trajectory recorder: runs the BenchmarkCore* suite (engine
 # schedule/fire and churn, interval add/remove/pop/mark/drain, log-space
 # invariant check and reset, sanitizer sweep, histogram add, telemetry
-# event encoding, journal event hand-off and compressed segment
+# event encoding, journal event writing and compressed segment
 # streaming, pooled disk IO round trip, fleet report merge, trace
 # generation, end-to-end fleet and one replay per scheme) with
 # -benchmem and writes the results to BENCH_core.json so

@@ -129,25 +129,24 @@ if want bench-smoke; then
 fi
 
 # Journal smoke: a race-built rolosim writes a rotated, compressed journal
-# through the async pipeline (ring handoff, writer goroutine, rotation,
-# gzip archival, manifest) and its JSON report, rolostat verifies every
-# segment checksum against the manifest, and the request count rolostat
-# folds from the journal's RequestDone events must equal the report's.
-# This drives the real binaries end to end under the race detector — the
-# integration the unit tests can't cover. Then the whole experiment sweep
-# writes one journal directory per simulation, and one per fleet shard
-# (shard-NNNNN/), on four jobs, and every directory must verify against
-# its manifest without a word on stderr: concurrent runs must never share
-# a journal, and nothing may be dropped or truncated (a fleet shard emits
-# ~1.3k events here, fewer than the async ring holds, so even the drop
-# policy cannot drop). Then every tool that journals must refuse a
+# on its simulation goroutine (rotation, streamed gzip, manifest) and its
+# JSON report, rolostat verifies every segment checksum against the
+# manifest, and the request count rolostat folds from the journal's
+# RequestDone events must equal the report's. This drives the real
+# binaries end to end under the race detector — the integration the unit
+# tests can't cover. Then the whole experiment sweep writes one journal
+# directory per simulation, and one per fleet shard (shard-NNNNN/), on
+# four jobs, and every directory must verify against its manifest without
+# a word on stderr: concurrent runs must never share a journal, and
+# nothing may be truncated. Then every tool that journals must refuse a
 # segment size or compression given without -journal, with the one
 # message RotateConfig.Validate gives, before it simulates, and must not
 # know -journal-retain: journals keep every segment, so rolostat can
 # reconcile a run from its first event to its last. Then rolofleet must
 # refuse every out-of-range spec value with Spec.Validate's message
 # (each flag sets its field of fleet.DefaultSpec as given, so no value
-# may quietly mean "unset"), and tracegen a flag that its mode ignores.
+# may quietly mean "unset"), and a negative -jobs as roloexp does, and
+# tracegen a flag that its mode ignores.
 # Last, every tool that takes no positional argument must refuse a stray
 # word: flag parsing stops at the first non-flag, so without the check
 # every flag after it would be dropped silently.
@@ -156,7 +155,7 @@ if want journal-smoke; then
 		sh -c 'go build -race -o bin/rolosim.race ./cmd/rolosim && go build -o bin/rolostat ./cmd/rolostat && \
 			go build -o bin/roloexp ./cmd/roloexp && go build -o bin/rolofleet ./cmd/rolofleet && \
 			go build -o bin/tracegen ./cmd/tracegen && go build -o bin/mttdl ./cmd/mttdl'
-	stage "rolosim -journal-segment -journal-compress (async journal smoke)" \
+	stage "rolosim -journal-segment -journal-compress (journal smoke)" \
 		sh -c 'rm -rf bin/journal-smoke && ./bin/rolosim.race -scheme RoLo-P -profile src2_2 -scale 0.01 -probe-interval 30s \
 			-journal bin/journal-smoke -journal-segment 65536 -journal-compress -json >bin/journal-smoke.json'
 	stage "rolostat -verify (manifest integrity)" \
@@ -203,11 +202,11 @@ if want journal-smoke; then
 				esac; \
 			done && echo "no tool defines -journal-retain"'
 	stage "rolofleet refuses out-of-range spec flags; tracegen refuses flags its mode ignores" \
-		sh -c 'for opt in "-shards -5" "-pairs 0" "-scale 0" "-free -2" "-stripe -8" "-worst -3" "-iops-spread -0.5"; do \
+		sh -c 'for opt in "-shards -5" "-pairs 0" "-scale 0" "-free -2" "-stripe -8" "-worst -3" "-iops-spread -0.5" "-jobs -3"; do \
 				err=$(./bin/rolofleet $opt 2>&1 >/dev/null) && \
 					{ echo "rolofleet $opt exited 0" >&2; exit 1; }; \
 				case "$err" in \
-				*"rolofleet: fleet: "*) ;; \
+				*"rolofleet: fleet: "* | *"rolofleet: negative job count -3"*) ;; \
 				*) echo "rolofleet $opt failed for another reason: $err" >&2; exit 1 ;; \
 				esac; \
 			done && \

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"testing"
@@ -172,19 +174,21 @@ func histBuckets(h *telemetry.Histogram) [][2]int64 {
 	return out
 }
 
-// TestRotatedJournalByteEquivalence is the async pipeline's acceptance
-// gate: for a fixed seed, a run journaled through the async sink into
-// rotated gzip-compressed segments must reproduce, after decompression
-// and concatenation, exactly the bytes of the synchronous single-file
-// journal — and under the blocking policy nothing may be dropped.
+// TestRotatedJournalByteEquivalence is the journal writer's acceptance
+// gate: for a fixed seed, a run journaled into rotated gzip-compressed
+// segments must reproduce, after decompression and concatenation,
+// exactly the bytes of the JSONLSink's single-file journal, and the
+// journal directory must be a pure function of the configuration and
+// the trace: a second identical run leaves every file byte-equal, the
+// manifest included.
 func TestRotatedJournalByteEquivalence(t *testing.T) {
 	cfg := smallConfig(SchemeRoLoP)
+	cfg.Telemetry.ProbeInterval = 10 * sim.Second
 	recs := writeHeavy(t, cfg, 100, 2*sim.Minute, 0.95)
 
 	var single bytes.Buffer
 	syncCfg := cfg
 	syncCfg.Telemetry.Sink = telemetry.NewJSONLSink(&single)
-	syncCfg.Telemetry.ProbeInterval = 10 * sim.Second
 	if _, err := Run(syncCfg, recs); err != nil {
 		t.Fatalf("synchronous run: %v", err)
 	}
@@ -192,27 +196,37 @@ func TestRotatedJournalByteEquivalence(t *testing.T) {
 		t.Fatal("synchronous journal is empty")
 	}
 
-	dir := t.TempDir()
-	w, err := journal.NewRotatingWriter(journal.RotateConfig{
-		Dir: dir, SegmentBytes: 8 << 10, Compress: true,
-	})
+	dirs := [2]string{t.TempDir(), t.TempDir()}
+	for _, dir := range dirs {
+		w, err := journal.NewRotatingWriter(journal.RotateConfig{
+			Dir: dir, SegmentBytes: 8 << 10, Compress: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rotCfg := cfg
+		rotCfg.Telemetry.Sink = w
+		if _, err := Run(rotCfg, recs); err != nil {
+			t.Fatalf("rotated run: %v", err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatalf("closing the journal: %v", err)
+		}
+	}
+	dir := dirs[0]
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A small ring forces the simulation goroutine through the
-	// backpressure path, not just the happy path.
-	sink := journal.NewAsyncSink(w, journal.AsyncConfig{Buffer: 64, Policy: journal.PolicyBlock})
-	asyncCfg := cfg
-	asyncCfg.Telemetry.Sink = sink
-	asyncCfg.Telemetry.ProbeInterval = 10 * sim.Second
-	if _, err := Run(asyncCfg, recs); err != nil {
-		t.Fatalf("async run: %v", err)
+	for _, e := range entries {
+		a, errA := os.ReadFile(filepath.Join(dir, e.Name()))
+		b, errB := os.ReadFile(filepath.Join(dirs[1], e.Name()))
+		if errA != nil || errB != nil || !bytes.Equal(a, b) {
+			t.Errorf("%s differs between two identical runs (%v, %v)", e.Name(), errA, errB)
+		}
 	}
-	if err := sink.Close(); err != nil {
-		t.Fatalf("closing async sink: %v", err)
-	}
-	if st := sink.Stats(); st.Dropped != 0 {
-		t.Fatalf("blocking policy dropped %d events", st.Dropped)
+	if again, err := os.ReadDir(dirs[1]); err != nil || len(again) != len(entries) {
+		t.Errorf("the second run wrote %d files, the first %d (%v)", len(again), len(entries), err)
 	}
 
 	m, err := journal.Verify(dir)
